@@ -56,7 +56,7 @@ class Report:
             "results": self.results,
             "verdicts": self.verdicts,
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(_json_safe(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
@@ -70,6 +70,18 @@ class Report:
 
     def exit_status(self) -> int:
         return 1 if VIOLATED in self.verdicts.values() else 0
+
+
+_INF = float("inf")
+
+
+def _json_safe(value):
+    """JSON has no NaN or infinity: write an undefined number as null."""
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, float) and not -_INF < value < _INF:
+        return None
+    return value
 
 
 def _fmt(value) -> str:

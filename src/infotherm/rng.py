@@ -46,20 +46,30 @@ def splitmix64(seed: int, index: int) -> int:
 
 
 def random_words(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """Outputs ``offset+1 .. offset+count`` of the seeded stream as uint64."""
+    """Outputs ``offset+1 .. offset+count`` of the seeded stream as uint64.
+
+    Every mixing step runs in place on the output array, with one scratch
+    array for the shifted copy, so a call allocates two arrays of ``count``
+    words whatever its size.
+    """
     seed = _validate_seed(seed)
     if count < 0:
         raise ValueError("count must be non-negative")
-    idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    z = (np.uint64(seed) + idx * np.uint64(_GOLDEN)).astype(np.uint64)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+    z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed)
+    shifted = np.empty_like(z)
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=shifted)
+        z ^= shifted
+        z *= np.uint64(mix)
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
     return z
 
 
 def uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """Uniform float64 samples in [0, 1), one per stream output."""
-    return (random_words(seed, count, offset) >> np.uint64(11)) * _U53_INV
+    words = random_words(seed, count, offset)
+    words >>= np.uint64(11)
+    return words * _U53_INV

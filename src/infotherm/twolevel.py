@@ -220,6 +220,8 @@ class McConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if not self.kT > 0:
             raise ValueError("kT must be positive")
+        if not math.isfinite(self.kT):
+            raise ValueError("kT must be finite")
 
 
 @dataclass(frozen=True)
@@ -239,6 +241,78 @@ class McResult:
 _BATCHES = 20
 _TRAJECTORY_POINTS = 256
 _CHUNK = 1 << 16
+#: Largest L for which every occupation is exact in float64.
+_MAX_LENGTH = 1 << 53
+#: A first wrong guess closer than this many steps marks the window as
+#: dense: guesses go stale faster than numpy calls pay for themselves.
+_DENSE = 64
+#: Steps run as a plain loop after a dense speculation; doubles while the
+#: window stays dense.
+_LOOP = 256
+
+
+def _window_occupations(x: np.ndarray, up: np.ndarray, n: int) -> np.ndarray:
+    """Exact occupation after each step of one window, starting from ``n``.
+
+    Step t de-excites if ``x[t] < n`` and otherwise excites if ``up[t]``.
+    See ``metropolis_sample`` for why speculation reproduces that rule.
+    """
+    size = x.size
+    occ = np.empty(size, dtype=np.int64)
+    rise = up.astype(np.int64)
+    guess = np.empty(size, dtype=np.int64)  # guessed state before each step
+    flipped = np.empty(size, dtype=bool)
+    known = 0  # guess[:known] holds a guess
+    p = 0
+    horizon = 1024  # steps speculated at once: doubles after a clean pass
+    loop = _LOOP
+    while p < size:
+        e = min(size, p + horizon)
+        guess[p] = n
+        known = max(known, p + 1)
+        if e > known:
+            guess[known:e] = guess[known - 1]
+            known = e
+        xs = x[p:e]
+        down = xs < guess[p:e]
+        path = np.where(down, -1, rise[p:e])
+        path[0] += n
+        np.cumsum(path, out=path)  # state after each step if every guess held
+        bad = flipped[p:e]
+        bad[0] = False  # guess[p] is the exact state
+        np.less(xs[1:], path[:-1], out=bad[1:])
+        bad[1:] ^= down[1:]
+        k = int(bad.argmax())
+        if k == 0:
+            occ[p:e] = path
+            n = int(path[-1])
+            p = e
+            horizon *= 2
+            loop = _LOOP
+            continue
+        # steps before k are exact; step k took the other branch
+        occ[p:p + k] = path[:k]
+        prev = int(path[k - 1])
+        n = prev + int(rise[p + k]) if down[k] else prev - 1
+        occ[p + k] = n
+        guess[p + k + 1:e] = path[k:-1]
+        guess[p + k + 1:e] += n - int(path[k])
+        p += k + 1
+        horizon = max(2 * k, _DENSE)
+        if k < _DENSE and p < size:
+            end = min(size, p + loop)
+            run = []
+            for xi, ui in zip(x[p:end].tolist(), up[p:end].tolist()):
+                if xi < n:
+                    n -= 1
+                elif ui:
+                    n += 1
+                run.append(n)
+            occ[p:end] = run
+            known = end  # the guess past the loop is stale
+            p = end
+            loop *= 2
+    return occ
 
 
 def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
@@ -252,15 +326,37 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
     index. The stationary distribution is Binomial(L, 1/(1+exp(eps/kT))),
     so the post-burn-in mean of n estimates L/(1+exp(eps/kT)).
 
-    Two uniforms are consumed per step (site choice, acceptance), indexed
-    by step, so results are reproducible for a fixed seed regardless of
-    chunking. The standard error is estimated by batch means over 20
-    equal batches of the retained samples.
+    Step t (1-based) reads draws 2t-1 and 2t of the seeded stream: with
+    u1 the first, the step de-excites if u1*L < n; otherwise, with u2 the
+    second, it excites if u2 < exp(-eps/kT). n starts at L//2. The standard
+    error is estimated by batch means over 20 equal batches of the
+    retained samples.
+
+    The chain runs in windows of up to ``_CHUNK`` steps, each resolved in
+    numpy by speculating and fixing. From a guess of n before each step,
+    every step's branch is decided at once and a cumulative sum gives the
+    path those branches imply. Up to the first step whose branch, decided
+    from the implied state instead of the guess, differs, the implied path
+    is the chain itself, since every earlier branch was decided from the
+    right state. That step is redone with the other branch; the implied
+    path after it, shifted by the correction, is the next guess. Each
+    compare is ``float(u1*L) < n`` with an integer n <= L <= 2^53, the
+    same exact compare in numpy as in Python, so the chain, and every
+    statistic taken from its per-step occupations, is bit-identical to a
+    per-step loop and does not depend on the window size. Where wrong
+    guesses come within ``_DENSE`` steps (small L, burn-in), the next
+    steps run as a plain loop. Each batch sum is a float64 running sum in
+    step order, ``np.add.accumulate`` seeded with the sum so far, so it
+    rounds exactly as a per-step ``+=`` does once it passes 2^53.
     """
     if length < 10:
         raise ValueError("state count must be at least 10 for a meaningful chain")
+    if length > _MAX_LENGTH:
+        raise ValueError("state count must be at most 2**53 for an exact chain")
     if not epsilon > 0:
         raise ValueError("level energy must be positive")
+    if not math.isfinite(epsilon):
+        raise ValueError("level energy must be finite")
     x = epsilon / cfg.kT
     accept_excite = math.exp(-x) if x < 700.0 else 0.0
 
@@ -278,21 +374,24 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
     step = 0
     while step < cfg.steps:
         span = min(_CHUNK, cfg.steps - step)
-        u = uniforms(cfg.seed, 2 * span, offset=2 * step).tolist()
-        for i in range(span):
-            if u[2 * i] * length < n:
-                n -= 1  # de-excitation, always accepted
-                accepted += 1
-            elif u[2 * i + 1] < accept_excite:
-                n += 1
-                accepted += 1
-            t = step + i + 1
-            if t > cfg.burn_in:
-                j = t - cfg.burn_in - 1
-                if j < kept_used:
-                    batch_sums[j // batch_len] += n
-            if t % stride == 0:
-                trajectory.append((t, n))
+        u = uniforms(cfg.seed, 2 * span, offset=2 * step)
+        occ = _window_occupations(u[0::2] * length, u[1::2] < accept_excite, n)
+        accepted += int(np.count_nonzero(np.diff(occ, prepend=n)))
+        # occ[i] is retained sample i - first, for 0 <= i - first < kept_used
+        first = cfg.burn_in - step
+        lo, hi = max(0, first), min(span, first + kept_used)
+        while lo < hi:
+            b = (lo - first) // batch_len
+            end = min(hi, first + (b + 1) * batch_len)
+            piece = occ[lo:end].astype(np.float64)
+            piece[0] += batch_sums[b]
+            batch_sums[b] = float(np.add.accumulate(piece, out=piece)[-1])
+            lo = end
+        # occ[i] is the state at time step + i + 1
+        i0 = stride - 1 - step % stride
+        trajectory.extend(zip(range(step + i0 + 1, step + span + 1, stride),
+                              occ[i0::stride].tolist()))
+        n = int(occ[-1])
         step += span
 
     batch_means = np.asarray(batch_sums) / batch_len

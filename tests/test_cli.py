@@ -148,6 +148,39 @@ def test_gas_metropolis_runs(capsys):
     assert doc["results"]["mean_fraction"]["value"] == pytest.approx(0.2689, abs=0.05)
 
 
+@pytest.mark.parametrize("flag", ["--kt", "--epsilon"])
+def test_gas_metropolis_non_finite_input_exits_2(flag, capsys):
+    argv = ["gas", "metropolis", "--length", "100", "--kt", "1.0", "--steps", "100",
+            "--burn-in", "10", "--seed", "1"]
+    assert cli.run(argv + [flag, "inf"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_gas_metropolis_length_beyond_2_53_exits_2(capsys):
+    argv = ["gas", "metropolis", "--length", str(2**53 + 1), "--kt", "1.0", "--steps", "100",
+            "--burn-in", "10", "--seed", "1"]
+    assert cli.run(argv) == 2
+    assert "at most 2**53" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_undefined_std_error_is_json_null(capsys):
+    """One retained sample leaves the batch-means error undefined: null in
+    JSON, nan in text."""
+    argv = ["gas", "metropolis", "--length", "100", "--kt", "1", "--steps", "21",
+            "--burn-in", "20", "--seed", "1"]
+    status, out = run_capture(argv + ["--json"], capsys)
+    assert status == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["results"]["std_error"] == {"value": None, "unit": "1"}
+    assert doc["results"]["samples"]["value"] == 1
+    _, text = run_capture(argv, capsys)
+    assert "result  std_error = nan 1" in text
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert cli.run(["frobnicate"]) == 2
 

@@ -57,3 +57,15 @@ def test_seed_validation():
 
 def test_max_seed_accepted():
     assert rng.random_words(2**64 - 1, 2).size == 2
+
+
+def test_uniforms_are_the_top_53_bits_of_each_word():
+    """The conversion equals the plain formula bit for bit, also across
+    many of numpy's internal buffer lengths."""
+    words = rng.random_words(5, 1 << 20, offset=3)
+    expected = (words >> np.uint64(11)) * 2.0**-53
+    u = rng.uniforms(5, 1 << 20, offset=3)
+    assert u.dtype == np.float64
+    np.testing.assert_array_equal(u.view(np.uint64), expected.view(np.uint64))
+    head = [(rng.splitmix64(5, j) >> 11) * 2.0**-53 for j in range(4, 68)]
+    assert u[:64].tolist() == head

@@ -1,15 +1,19 @@
 """Two-level gas: multiplicity, entropies, temperatures, transfer, Metropolis."""
 
 import math
+from dataclasses import replace
 from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from infotherm import core
+from infotherm import core, twolevel
+from infotherm.rng import uniforms
 from infotherm.twolevel import (
     InfiniteTemperatureError,
     McConfig,
+    McResult,
     TwoLevelGas,
     entropy_exact,
     entropy_stirling,
@@ -278,3 +282,140 @@ def test_metropolis_rejects_small_system():
     cfg = McConfig(steps=100, burn_in=10, seed=1, kT=1.0)
     with pytest.raises(ValueError, match="at least 10"):
         metropolis_sample(5, 1.0, cfg)
+
+
+def test_mcconfig_rejects_non_finite_kt():
+    with pytest.raises(ValueError, match="kT must be finite"):
+        McConfig(steps=100, burn_in=10, seed=1, kT=math.inf)
+    with pytest.raises(ValueError, match="kT"):
+        McConfig(steps=100, burn_in=10, seed=1, kT=math.nan)
+
+
+def test_metropolis_rejects_length_beyond_exact_float():
+    cfg = McConfig(steps=100, burn_in=10, seed=1, kT=1.0)
+    assert metropolis_sample(2**53, 1.0, cfg).samples == 80
+    with pytest.raises(ValueError, match="at most 2\\*\\*53"):
+        metropolis_sample(2**53 + 1, 1.0, cfg)
+
+
+def test_metropolis_rejects_non_finite_epsilon():
+    cfg = McConfig(steps=100, burn_in=10, seed=1, kT=1.0)
+    with pytest.raises(ValueError, match="level energy must be finite"):
+        metropolis_sample(100, math.inf, cfg)
+    with pytest.raises(ValueError, match="level energy"):
+        metropolis_sample(100, math.nan, cfg)
+
+
+# --- the per-step loop as the oracle for the windowed chain ---------------
+
+_BATCHES = 20
+_TRAJECTORY_POINTS = 256
+_CHUNK = 1 << 16
+
+
+def reference_metropolis_sample(length, epsilon, cfg):
+    """The chain one step at a time, in plain Python."""
+    if length < 10:
+        raise ValueError("state count must be at least 10 for a meaningful chain")
+    if not epsilon > 0:
+        raise ValueError("level energy must be positive")
+    x = epsilon / cfg.kT
+    accept_excite = math.exp(-x) if x < 700.0 else 0.0
+
+    n = length // 2
+    kept = cfg.steps - cfg.burn_in
+    batches = min(_BATCHES, kept)
+    batch_len = kept // batches
+    kept_used = batches * batch_len
+
+    stride = max(1, cfg.steps // _TRAJECTORY_POINTS)
+    trajectory = [(0, n)]
+    batch_sums = [0.0] * batches
+    accepted = 0
+
+    step = 0
+    while step < cfg.steps:
+        span = min(_CHUNK, cfg.steps - step)
+        u = uniforms(cfg.seed, 2 * span, offset=2 * step).tolist()
+        for i in range(span):
+            if u[2 * i] * length < n:
+                n -= 1  # de-excitation, always accepted
+                accepted += 1
+            elif u[2 * i + 1] < accept_excite:
+                n += 1
+                accepted += 1
+            t = step + i + 1
+            if t > cfg.burn_in:
+                j = t - cfg.burn_in - 1
+                if j < kept_used:
+                    batch_sums[j // batch_len] += n
+            if t % stride == 0:
+                trajectory.append((t, n))
+        step += span
+
+    batch_means = np.asarray(batch_sums) / batch_len
+    mean_n = float(batch_means.mean())
+    if batches > 1:
+        std_error = float(batch_means.std(ddof=1) / math.sqrt(batches))
+    else:
+        std_error = float("nan")
+    return McResult(
+        mean_n=mean_n,
+        std_error=std_error,
+        acceptance_rate=accepted / cfg.steps,
+        samples=kept_used,
+        trajectory=tuple(trajectory),
+    )
+
+
+def assert_identical(result, expected):
+    """Whole-result equality, trajectory included; with one retained
+    sample both standard errors must be NaN."""
+    if math.isnan(expected.std_error):
+        assert math.isnan(result.std_error)
+        result, expected = replace(result, std_error=0.0), replace(expected, std_error=0.0)
+    assert result == expected
+
+
+@given(
+    length=st.integers(min_value=10, max_value=10**5),
+    kt=st.floats(min_value=0.01, max_value=100.0),
+    steps=st.integers(min_value=1, max_value=3 * twolevel._CHUNK),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    burn_frac=st.floats(min_value=0.0, max_value=1.0),
+)
+@example(length=10, kt=1.0, steps=3 * twolevel._CHUNK, seed=7, burn_frac=0.1)
+@example(length=10**4, kt=0.25, steps=2 * twolevel._CHUNK + 5, seed=8, burn_frac=0.6)
+# batch sums past 2^53 (rounding) and past 2^63 (int64 would wrap)
+@example(length=10**15, kt=1.0, steps=10**6, seed=3, burn_frac=0.0)
+@example(length=2**53, kt=2.0, steps=3 * twolevel._CHUNK, seed=4, burn_frac=0.0)
+@settings(max_examples=6, deadline=None)
+def test_metropolis_matches_per_step_loop(length, kt, steps, seed, burn_frac):
+    burn_in = min(steps - 1, int(burn_frac * steps))
+    cfg = McConfig(steps=steps, burn_in=burn_in, seed=seed, kT=kt)
+    assert_identical(metropolis_sample(length, 1.0, cfg), reference_metropolis_sample(length, 1.0, cfg))
+
+
+@pytest.mark.parametrize("length, kt", [(10, 1.0), (10**4, 0.25)])
+def test_metropolis_window_invariance(monkeypatch, length, kt):
+    """The window size is internal: 7, 1000 and the default agree exactly."""
+    cfg = McConfig(steps=20_000, burn_in=3_000, seed=9, kT=kt)
+    results = []
+    for chunk in (7, 1000, twolevel._CHUNK):
+        monkeypatch.setattr(twolevel, "_CHUNK", chunk)
+        results.append(metropolis_sample(length, 1.0, cfg))
+    assert results[0] == results[1] == results[2]
+    assert_identical(results[0], reference_metropolis_sample(length, 1.0, cfg))
+
+
+@pytest.mark.parametrize("kt, mean_n, std_error, acceptance_rate", [
+    (1.0, 2684.820817222222, 4.3263374908646774, 0.5376745),
+    (0.25, 177.77432, 1.537508710844403, 0.0379555),
+])
+def test_metropolis_pinned_long_chain(kt, mean_n, std_error, acceptance_rate):
+    """Figures of the per-step loop for the benchmark's chain shape."""
+    cfg = McConfig(steps=2 * 10**6, burn_in=2 * 10**5, seed=42, kT=kt)
+    res = metropolis_sample(10**4, 1.0, cfg)
+    assert (res.mean_n, res.std_error, res.acceptance_rate) == (mean_n, std_error, acceptance_rate)
+    assert res.samples == 1_800_000
+    assert len(res.trajectory) == 257
