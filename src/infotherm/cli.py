@@ -14,8 +14,10 @@ Usage:
 
 Every command accepts ``--json`` for a single structured report on stdout
 and ``--config PATH`` pointing at a plain key=value file whose keys are
-long option names (explicit flags win). Output is deterministic: the same
-argv (seeds included) yields byte-identical text, JSON, and CSV.
+long option names (explicit flags win; ``json=true`` or ``json=false``
+sets the switch). Every float flag must be finite: NaN and infinities
+are input errors. Output is deterministic: the same argv (seeds
+included) yields byte-identical text, JSON, and CSV.
 
 Exit codes: 0 success, 1 a thermodynamic verdict came back violated,
 2 usage or input error.
@@ -25,11 +27,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
 from . import bitstream, fiber, landauer, ledger, twolevel
-from .core import REDUCED, SI, PhysConstants
+from .core import REDUCED, SI, Energy, Entropy, Information, PhysConstants, Temperature
 from .twolevel import VIOLATED
 
 SCHEMA_VERSION = 1
@@ -37,16 +40,21 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class Report:
-    """One CLI invocation's structured output."""
+    """One CLI invocation's structured output; quantity results are
+    reported in the unit mode ``consts``."""
 
     command: str
+    consts: PhysConstants = REDUCED
     inputs: dict = field(default_factory=dict)
     results: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
-    def add(self, name: str, value, unit: str) -> None:
-        self.results[name] = {"value": value, "unit": unit}
+    def add(self, name: str, value, unit: str | None = None) -> None:
+        """Record a result. A quantity carries its own unit; a plain number
+        is dimensionless unless ``unit`` names one."""
+        value, own_unit = _value_and_unit(value, self.consts)
+        self.results[name] = {"value": value, "unit": unit or own_unit}
 
     def to_json(self) -> str:
         doc = {
@@ -90,12 +98,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _temp_unit(consts: PhysConstants) -> str:
-    return "K" if consts.mode == "si" else "epsilon/k"
-
-
-def _energy_unit(consts: PhysConstants) -> str:
-    return "J" if consts.mode == "si" else "epsilon"
+def _value_and_unit(value, consts: PhysConstants) -> tuple[object, str]:
+    """The reported number and unit of a result: the one place that maps
+    a quantity type to its unit under a unit mode."""
+    si = consts.mode == "si"
+    if isinstance(value, Temperature):
+        return float(value), "K" if si else "epsilon/k"
+    if isinstance(value, Energy):
+        return float(value), "J" if si else "epsilon"
+    if isinstance(value, Entropy):
+        return float(value), "k"
+    if isinstance(value, Information):
+        return float(value), "nat"
+    return value, "1"
 
 
 def _resolve_epsilon(args, name: str = "epsilon") -> tuple[float, PhysConstants]:
@@ -109,28 +124,23 @@ def _resolve_epsilon(args, name: str = "epsilon") -> tuple[float, PhysConstants]
 
 
 def export_csv(records, path) -> None:
-    """Write one CSV row per span, 12 significant digits per number."""
+    """Write one CSV row per span, numbered from 0, 12 significant digits
+    per number. A record repeated in a row is formatted once."""
     if not records:
         raise ValueError("no spans to export")
-    lines = ["span,epsilon_in,epsilon_out,t_hot,t_cold,q_hot,q_cold,work,info_nats"]
-    for rec in records:
-        att = rec.steps[1]
-        cells = [str(rec.span_index)] + [
-            format(x, ".12g")
-            for x in (
-                att.epsilon_start,
-                att.epsilon_end,
-                float(rec.t_hot),
-                float(rec.t_cold),
-                float(rec.q_hot),
-                float(rec.q_cold),
-                float(rec.work_in),
-                float(rec.info),
-            )
-        ]
-        lines.append(",".join(cells))
+    previous = None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("span,epsilon_in,epsilon_out,t_hot,t_cold,q_hot,q_cold,work,info_nats\n")
+        for span, rec in enumerate(records):
+            if rec is not previous:
+                att = rec.steps[1]
+                cells = ",".join(
+                    format(float(x), ".12g")
+                    for x in (att.epsilon_start, att.epsilon_end, rec.t_hot, rec.t_cold,
+                              rec.q_hot, rec.q_cold, rec.work_in, rec.info)
+                )
+                previous = rec
+            fh.write(f"{span},{cells}\n")
 
 
 # --- handlers -------------------------------------------------------------
@@ -138,10 +148,10 @@ def export_csv(records, path) -> None:
 def _cmd_gas_entropy(args) -> Report:
     gas = twolevel.TwoLevelGas(length=args.length, excited=args.excited)
     report = Report("gas entropy", inputs={"length": args.length, "excited": args.excited})
-    report.add("log_multiplicity", twolevel.log_multiplicity(args.length, args.excited), "1")
-    report.add("entropy_exact", float(twolevel.entropy_exact(gas)), "k")
+    report.add("log_multiplicity", twolevel.log_multiplicity(args.length, args.excited))
+    report.add("entropy_exact", twolevel.entropy_exact(gas))
     if 0 < args.excited < args.length:
-        report.add("entropy_stirling", float(twolevel.entropy_stirling(gas)), "k")
+        report.add("entropy_stirling", twolevel.entropy_stirling(gas))
     return report
 
 
@@ -149,14 +159,13 @@ def _cmd_gas_temperature(args) -> Report:
     epsilon, consts = _resolve_epsilon(args)
     gas = twolevel.TwoLevelGas(length=args.length, excited=args.excited, epsilon=epsilon)
     report = Report(
-        "gas temperature",
+        "gas temperature", consts,
         inputs={"length": args.length, "excited": args.excited,
                 "epsilon": epsilon, "units": consts.mode},
     )
-    unit = _temp_unit(consts)
-    report.add("temperature_closed", float(twolevel.temperature_closed(gas, consts)), unit)
+    report.add("temperature_closed", twolevel.temperature_closed(gas, consts))
     if gas.length >= 4 and 1 <= gas.excited <= gas.length - 1:
-        report.add("temperature_numeric", float(twolevel.temperature_numeric(gas, consts)), unit)
+        report.add("temperature_numeric", twolevel.temperature_numeric(gas, consts))
     return report
 
 
@@ -164,12 +173,12 @@ def _cmd_gas_occupation(args) -> Report:
     epsilon, consts = _resolve_epsilon(args)
     expected = twolevel.occupation_from_temperature(args.length, epsilon, args.temperature, consts)
     report = Report(
-        "gas occupation",
+        "gas occupation", consts,
         inputs={"length": args.length, "epsilon": epsilon,
                 "temperature": args.temperature, "units": consts.mode},
     )
-    report.add("expected_n", expected, "1")
-    report.add("expected_fraction", expected / args.length, "1")
+    report.add("expected_n", expected)
+    report.add("expected_fraction", expected / args.length)
     return report
 
 
@@ -177,15 +186,15 @@ def _cmd_gas_transfer(args) -> Report:
     epsilon, consts = _resolve_epsilon(args)
     record = twolevel.transfer_balance(args.length, args.n_hot, args.n_cold, epsilon)
     report = Report(
-        "gas transfer",
+        "gas transfer", consts,
         inputs={"length": args.length, "n_hot": args.n_hot, "n_cold": args.n_cold,
                 "epsilon": epsilon, "units": consts.mode},
     )
-    report.add("gas_heat", float(record.gas_heat), _energy_unit(consts))
-    report.add("entropy_removed_hot", float(record.entropy_removed_hot), "k")
-    report.add("entropy_added_cold", float(record.entropy_added_cold), "k")
-    report.add("net", float(record.net), "k")
-    report.add("clausius_lower_bound", float(record.clausius_lower_bound), "k")
+    report.add("gas_heat", record.gas_heat)
+    report.add("entropy_removed_hot", record.entropy_removed_hot)
+    report.add("entropy_added_cold", record.entropy_added_cold)
+    report.add("net", record.net)
+    report.add("clausius_lower_bound", record.clausius_lower_bound)
     report.verdicts["clausius"] = record.verdict
     return report
 
@@ -198,14 +207,13 @@ def _cmd_gas_metropolis(args) -> Report:
         inputs={"length": args.length, "epsilon": args.epsilon, "kt": args.kt,
                 "steps": args.steps, "burn_in": args.burn_in, "seed": args.seed},
     )
-    report.add("mean_n", result.mean_n, "1")
-    report.add("std_error", result.std_error, "1")
-    report.add("mean_fraction", result.mean_fraction(args.length), "1")
-    report.add("acceptance_rate", result.acceptance_rate, "1")
-    report.add("samples", result.samples, "1")
+    report.add("mean_n", result.mean_n)
+    report.add("std_error", result.std_error)
+    report.add("mean_fraction", result.mean_fraction(args.length))
+    report.add("acceptance_rate", result.acceptance_rate)
+    report.add("samples", result.samples)
     report.add("analytic_mean_n",
-               twolevel.occupation_from_temperature(args.length, args.epsilon, args.kt, REDUCED),
-               "1")
+               twolevel.occupation_from_temperature(args.length, args.epsilon, args.kt, REDUCED))
     return report
 
 
@@ -214,25 +222,25 @@ def _cmd_file(args) -> Report:
     stats = bitstream.analyze(stream, markov_order=args.markov_order)
     epsilon, consts = _resolve_epsilon(args)
     report = Report(
-        "file",
+        "file", consts,
         inputs={"path": str(args.path), "bit_order": args.bit_order,
                 "markov_order": args.markov_order, "epsilon": epsilon, "units": consts.mode},
     )
     report.add("length", stats.length, "bit")
     report.add("ones", stats.ones, "bit")
-    report.add("p_hat", stats.p_hat, "1")
-    report.add("info_iid", float(stats.info_iid), "nat")
+    report.add("p_hat", stats.p_hat)
+    report.add("info_iid", stats.info_iid)
     report.add("info_iid_bits", stats.info_iid.bits, "bit")
     if stats.info_rate_markov is not None:
         report.add("info_rate_markov", stats.info_rate_markov, "nat/bit")
-    report.add("correlation_lag1", stats.correlation_lag1, "1")
+    report.add("correlation_lag1", stats.correlation_lag1)
     report.verdicts["equilibrium"] = stats.equilibrium
     if stats.equilibrium == bitstream.RANDOM:
-        report.add("file_temperature", float(bitstream.file_temperature(epsilon, consts)), _temp_unit(consts))
-        report.add("average_nat_energy", bitstream.average_nat_energy(epsilon), _energy_unit(consts))
+        report.add("file_temperature", bitstream.file_temperature(epsilon, consts))
+        report.add("average_nat_energy", Energy(bitstream.average_nat_energy(epsilon)))
         heat, entropy = bitstream.file_heat_and_entropy(stats.length, epsilon)
-        report.add("heat", float(heat), _energy_unit(consts))
-        report.add("entropy", float(entropy), "k")
+        report.add("heat", heat)
+        report.add("entropy", entropy)
     return report
 
 
@@ -258,19 +266,22 @@ def _cmd_broadcast(args) -> Report:
     epsilon, consts = _resolve_epsilon(args)
     result = ledger.broadcast_balance(stats, epsilon, args.receivers, consts)
     report = Report(
-        "broadcast",
+        "broadcast", consts,
         inputs={"file": str(args.file), "receivers": args.receivers,
                 "markov_order": args.markov_order, "epsilon": epsilon, "units": consts.mode},
     )
     report.add("length", stats.length, "bit")
-    report.add("t_hot", float(result.t_hot), _temp_unit(consts))
-    report.add("t_cold", float(result.t_cold), _temp_unit(consts))
-    report.add("info_sent", float(result.info_sent), "nat")
-    report.add("entropy_removed", float(result.entropy_removed), "k")
-    report.add("entropy_deposited", float(result.entropy_deposited), "k")
-    report.add("net_gain", float(result.net_gain), "k")
-    report.add("clausius_margin", float(result.clausius_margin), "k")
-    check = ledger.clausius_check(result.entropy_deposited, float(result.info_sent) * args.receivers)
+    report.add("t_hot", result.t_hot)
+    report.add("t_cold", result.t_cold)
+    report.add("info_sent", result.info_sent)
+    report.add("entropy_removed", result.entropy_removed)
+    report.add("entropy_deposited", result.entropy_deposited)
+    report.add("net_gain", result.net_gain)
+    report.add("clausius_margin", result.clausius_margin)
+    # The receivers absorb the file's heat, worth k L ln 2 of entropy each;
+    # that must cover the k dI deposited with them.
+    _, heat_entropy = bitstream.file_heat_and_entropy(stats.length, epsilon)
+    check = ledger.clausius_check(args.receivers * float(heat_entropy), result.entropy_deposited)
     report.verdicts["equilibrium"] = stats.equilibrium
     report.verdicts["clausius"] = check.verdict
     return report
@@ -289,12 +300,12 @@ def _cmd_ledger_combined(args) -> Report:
     result = ledger.combined_balance(args.heat, args.temperature, args.info,
                                      args.entropy_actual, consts)
     report = Report(
-        "ledger combined",
+        "ledger combined", consts,
         inputs={"heat": args.heat, "temperature": args.temperature, "info": args.info,
                 "entropy_actual": args.entropy_actual, "units": consts.mode},
     )
-    report.add("entropy_lower_bound", float(result.entropy_lower_bound), "k")
-    report.add("entropy_actual", float(result.entropy_actual), "k")
+    report.add("entropy_lower_bound", result.entropy_lower_bound)
+    report.add("entropy_actual", result.entropy_actual)
     report.verdicts["clausius"] = result.verdict
     return report
 
@@ -306,23 +317,23 @@ def _cmd_fiber_simulate(args) -> Report:
                                  file_length=args.file_length)
     chain = fiber.simulate_chain(cfg, consts)
     report = Report(
-        "fiber simulate",
+        "fiber simulate", consts,
         inputs={"epsilon0": epsilon0, "alpha": args.alpha, "span_km": args.span_km,
                 "spans": args.spans, "file_length": args.file_length, "units": consts.mode},
     )
-    report.add("attenuation_g", cfg.attenuation, "1")
-    report.add("span_efficiency", chain.span_efficiency, "1")
-    report.add("info", float(chain.info), "nat")
-    report.add("total_work", float(chain.total_work), _energy_unit(consts))
-    report.add("total_heat_hot", float(chain.total_heat_hot), _energy_unit(consts))
-    report.add("total_heat_cold", float(chain.total_heat_cold), _energy_unit(consts))
+    report.add("attenuation_g", cfg.attenuation)
+    report.add("span_efficiency", chain.span_efficiency)
+    report.add("info", chain.info)
+    report.add("total_work", chain.total_work)
+    report.add("total_heat_hot", chain.total_heat_hot)
+    report.add("total_heat_cold", chain.total_heat_cold)
     if chain.records:
         first = chain.records[0]
-        report.add("t_hot", float(first.t_hot), _temp_unit(consts))
-        report.add("t_cold", float(first.t_cold), _temp_unit(consts))
-        report.add("q_hot_per_span", float(first.q_hot), _energy_unit(consts))
-        report.add("q_cold_per_span", float(first.q_cold), _energy_unit(consts))
-        report.add("work_per_span", float(first.work_in), _energy_unit(consts))
+        report.add("t_hot", first.t_hot)
+        report.add("t_cold", first.t_cold)
+        report.add("q_hot_per_span", first.q_hot)
+        report.add("q_cold_per_span", first.q_cold)
+        report.add("work_per_span", first.work_in)
         audit = fiber.amplifier_entropy_balance(first.q_cold, first.t_hot, first.t_cold,
                                                 first.work_in, consts)
         report.verdicts["second_law"] = audit.verdict
@@ -335,7 +346,7 @@ def _cmd_fiber_simulate(args) -> Report:
 def _cmd_fiber_efficiency(args) -> Report:
     eta = fiber.carnot_efficiency(args.t_hot, args.t_cold)
     report = Report("fiber efficiency", inputs={"t_hot": args.t_hot, "t_cold": args.t_cold})
-    report.add("efficiency", eta, "1")
+    report.add("efficiency", eta)
     return report
 
 
@@ -343,13 +354,13 @@ def _cmd_fiber_amplifier(args) -> Report:
     consts = SI if args.units == "si" else REDUCED
     q_hot, work = fiber.amplifier_work(args.q_cold, args.t_hot, args.t_cold)
     report = Report(
-        "fiber amplifier",
+        "fiber amplifier", consts,
         inputs={"q_cold": args.q_cold, "t_hot": args.t_hot, "t_cold": args.t_cold,
                 "units": consts.mode},
     )
-    report.add("q_hot", float(q_hot), _energy_unit(consts))
-    report.add("work_required", float(work), _energy_unit(consts))
-    report.add("efficiency", fiber.carnot_efficiency(args.t_hot, args.t_cold), "1")
+    report.add("q_hot", q_hot)
+    report.add("work_required", work)
+    report.add("efficiency", fiber.carnot_efficiency(args.t_hot, args.t_cold))
     applied = float(work) if args.work is None else args.work
     audit = fiber.amplifier_entropy_balance(args.q_cold, args.t_hot, args.t_cold, applied, consts)
     report.inputs["work"] = applied
@@ -362,22 +373,37 @@ def _cmd_landauer(args) -> Report:
     if args.noise_temp is None and args.bit_rate is None:
         raise ValueError("landauer needs --noise-temp and/or --bit-rate")
     report = Report(
-        "landauer",
+        "landauer", SI,
         inputs={"power": args.power, "noise_temp": args.noise_temp,
                 "margin": args.margin, "bit_rate": args.bit_rate},
     )
     if args.bit_rate is not None:
-        report.add("device_temperature", float(landauer.device_temperature(args.power, args.bit_rate)), "K")
+        report.add("device_temperature", landauer.device_temperature(args.power, args.bit_rate))
         report.add("energy_per_bit", landauer.energy_per_bit(args.power, args.bit_rate), "J")
     if args.noise_temp is not None:
         f_max = landauer.max_bit_rate(args.power, args.noise_temp, args.margin)
         report.add("f_max", f_max, "1/s")
-        report.add("device_temperature_at_f_max", float(landauer.device_temperature(args.power, f_max)), "K")
+        report.add("device_temperature_at_f_max", landauer.device_temperature(args.power, f_max))
         report.add("energy_per_bit_at_f_max", landauer.energy_per_bit(args.power, f_max), "J")
     return report
 
 
 # --- parser ---------------------------------------------------------------
+
+def _finite(text: str) -> float:
+    """The type of every float flag: NaN and infinities are input errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+#: The store_true flags; a config file sets them with ``true`` or ``false``.
+_SWITCHES = ("json",)
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit the report as one JSON document")
@@ -387,9 +413,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_units(parser: argparse.ArgumentParser, name: str = "epsilon", default: float = 1.0) -> None:
     flag = name.replace("_", "-")
     parser.add_argument("--units", choices=("reduced", "si"), default="reduced")
-    parser.add_argument(f"--{flag}", type=float, default=default,
+    parser.add_argument(f"--{flag}", type=_finite, default=default,
                         help=f"{flag} in reduced units (default {default})")
-    parser.add_argument(f"--{flag}-joules", type=float, default=None,
+    parser.add_argument(f"--{flag}-joules", type=_finite, default=None,
                         help=f"{flag} in joules, required with --units si")
 
 
@@ -416,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = gas_sub.add_parser("occupation", help="expected occupation at a temperature")
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--temperature", type=float, required=True)
+    p.add_argument("--temperature", type=_finite, required=True)
     _add_units(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_gas_occupation)
@@ -431,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = gas_sub.add_parser("metropolis", help="Monte Carlo occupation sampler")
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--kt", type=float, required=True)
+    p.add_argument("--epsilon", type=_finite, default=1.0)
+    p.add_argument("--kt", type=_finite, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--burn-in", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -451,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=bitstream.GENERATOR_KINDS, required=True)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p", type=float, default=None, help="ones probability (bernoulli)")
-    p.add_argument("--q", type=float, default=None, help="flip probability (markov)")
+    p.add_argument("--p", type=_finite, default=None, help="ones probability (bernoulli)")
+    p.add_argument("--q", type=_finite, default=None, help="flip probability (markov)")
     p.add_argument("--out", required=True)
     p.add_argument("--bit-order", choices=bitstream.BIT_ORDERS, default="msb_first")
     _add_common(p)
@@ -471,16 +497,16 @@ def build_parser() -> argparse.ArgumentParser:
     led_sub = led.add_subparsers(dest="subcommand", required=True)
 
     p = led_sub.add_parser("check", help="informatic Clausius check dS >= k dI")
-    p.add_argument("--entropy", type=float, required=True, help="entropy change in k units")
-    p.add_argument("--info", type=float, required=True, help="information change in nats")
+    p.add_argument("--entropy", type=_finite, required=True, help="entropy change in k units")
+    p.add_argument("--info", type=_finite, required=True, help="information change in nats")
     _add_common(p)
     p.set_defaults(handler=_cmd_ledger_check)
 
     p = led_sub.add_parser("combined", help="combined thermal+informatic audit")
-    p.add_argument("--heat", type=float, required=True)
-    p.add_argument("--temperature", type=float, required=True)
-    p.add_argument("--info", type=float, required=True)
-    p.add_argument("--entropy-actual", type=float, required=True)
+    p.add_argument("--heat", type=_finite, required=True)
+    p.add_argument("--temperature", type=_finite, required=True)
+    p.add_argument("--info", type=_finite, required=True)
+    p.add_argument("--entropy-actual", type=_finite, required=True)
     p.add_argument("--units", choices=("reduced", "si"), default="reduced")
     _add_common(p)
     p.set_defaults(handler=_cmd_ledger_combined)
@@ -489,8 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     fib_sub = fib.add_subparsers(dest="subcommand", required=True)
 
     p = fib_sub.add_parser("simulate", help="multi-span chain simulation")
-    p.add_argument("--alpha", type=float, required=True, help="attenuation per km")
-    p.add_argument("--span-km", type=float, required=True)
+    p.add_argument("--alpha", type=_finite, required=True, help="attenuation per km")
+    p.add_argument("--span-km", type=_finite, required=True)
     p.add_argument("--spans", type=int, required=True)
     p.add_argument("--file-length", type=int, required=True)
     p.add_argument("--csv", default=None, help="write per-span CSV to this path")
@@ -499,26 +525,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_fiber_simulate)
 
     p = fib_sub.add_parser("efficiency", help="Carnot efficiency of two baths")
-    p.add_argument("--t-hot", type=float, required=True)
-    p.add_argument("--t-cold", type=float, required=True)
+    p.add_argument("--t-hot", type=_finite, required=True)
+    p.add_argument("--t-cold", type=_finite, required=True)
     _add_common(p)
     p.set_defaults(handler=_cmd_fiber_efficiency)
 
     p = fib_sub.add_parser("amplifier", help="entropy-conserving amplifier work")
-    p.add_argument("--q-cold", type=float, required=True)
-    p.add_argument("--t-hot", type=float, required=True)
-    p.add_argument("--t-cold", type=float, required=True)
-    p.add_argument("--work", type=float, default=None,
+    p.add_argument("--q-cold", type=_finite, required=True)
+    p.add_argument("--t-hot", type=_finite, required=True)
+    p.add_argument("--t-cold", type=_finite, required=True)
+    p.add_argument("--work", type=_finite, default=None,
                    help="audit this work input instead of the ideal one")
     p.add_argument("--units", choices=("reduced", "si"), default="reduced")
     _add_common(p)
     p.set_defaults(handler=_cmd_fiber_amplifier)
 
     p = sub.add_parser("landauer", help="computing-power bound (SI units)")
-    p.add_argument("--power", type=float, required=True, help="watts")
-    p.add_argument("--noise-temp", type=float, default=None, help="kelvin")
-    p.add_argument("--margin", type=float, default=landauer.DEFAULT_MARGIN)
-    p.add_argument("--bit-rate", type=float, default=None, help="1/s")
+    p.add_argument("--power", type=_finite, required=True, help="watts")
+    p.add_argument("--noise-temp", type=_finite, default=None, help="kelvin")
+    p.add_argument("--margin", type=_finite, default=landauer.DEFAULT_MARGIN)
+    p.add_argument("--bit-rate", type=_finite, default=None, help="1/s")
     _add_common(p)
     p.set_defaults(handler=_cmd_landauer)
 
@@ -546,7 +572,12 @@ def _inject_config(argv: list[str]) -> list[str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in explicit:
+            if key in _SWITCHES:
+                if value not in ("true", "false"):
+                    raise ValueError(f"{path}:{lineno}: {key} takes true or false, got {value!r}")
+                if value == "true" and key not in explicit:
+                    extra.append(f"--{key}")
+            elif key not in explicit:
                 extra.extend([f"--{key}", value])
     return argv + extra
 

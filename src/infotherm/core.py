@@ -1,4 +1,4 @@
-"""Physical constants, unit modes, and information/entropy conversions.
+"""Physical constants, unit modes, and quantity types.
 
 Two unit modes are supported:
 
@@ -123,27 +123,3 @@ class Energy:
 
     def __float__(self) -> float:
         return float(self.value)
-
-
-def bits_to_nats(b: float) -> Information:
-    """Convert a bit count to nats (1 bit = ln 2 nat)."""
-    if b < 0:
-        raise ValueError("bit count must be non-negative")
-    return Information(b * LN2)
-
-
-def nats_to_bits(i: Information | float) -> float:
-    """Convert nats back to a (real-valued) bit count."""
-    nats = float(i)
-    if nats < 0:
-        raise ValueError("information must be non-negative")
-    return nats / LN2
-
-
-def entropy_from_information(i: Information | float) -> Entropy:
-    """Entropy contributed by information: S = k*I, so the k-unit value
-    equals the nat count."""
-    nats = float(i)
-    if nats < 0:
-        raise ValueError("information must be non-negative")
-    return Entropy(nats)

@@ -30,8 +30,6 @@ ADIABATIC_ATTENUATION = "adiabatic_attenuation"
 ISOTHERMAL_READ = "isothermal_read"
 ADIABATIC_AMPLIFICATION = "adiabatic_amplification"
 
-STEP_TAGS = (ISOTHERMAL_WRITE, ADIABATIC_ATTENUATION, ISOTHERMAL_READ, ADIABATIC_AMPLIFICATION)
-
 
 def carnot_efficiency(t_hot: Temperature | float, t_cold: Temperature | float) -> float:
     """Reversible work bound between two baths: eta = 1 - T_cold/T_hot."""
@@ -110,7 +108,6 @@ class StepRecord:
 class CycleRecord:
     """Four-step bookkeeping of one amplifier span."""
 
-    span_index: int
     steps: tuple[StepRecord, ...]
     t_hot: Temperature
     t_cold: Temperature
@@ -151,7 +148,8 @@ class FiberChainConfig:
 
 @dataclass(frozen=True)
 class ChainResult:
-    """All spans plus chain totals."""
+    """All spans plus chain totals. ``records`` holds one record per span;
+    every span runs the same cycle, so it is the same object each time."""
 
     config: FiberChainConfig
     records: tuple[CycleRecord, ...]
@@ -168,7 +166,7 @@ def simulate_chain(cfg: FiberChainConfig, consts: PhysConstants = REDUCED) -> Ch
     The file is assumed random, so it carries info = L ln 2 nats and heat
     Q_hot = L eps0 / 2 per span. Amplification restores the launch energy
     exactly, so every span repeats the same reversible cycle with
-    efficiency W/Q_hot = 1 - g.
+    efficiency W/Q_hot = 1 - g; that cycle is built once.
     """
     g = cfg.attenuation
     eps0 = cfg.epsilon0
@@ -178,8 +176,9 @@ def simulate_chain(cfg: FiberChainConfig, consts: PhysConstants = REDUCED) -> Ch
     t_cold = Temperature(g * float(t_hot))
     q_hot = cfg.file_length * eps0 / 2.0
     q_cold = g * q_hot
-    records = []
-    for span in range(cfg.n_spans):
+    n = cfg.n_spans
+    records = ()
+    if n:
         _, work = amplifier_work(q_cold, t_hot, t_cold)
         steps = (
             StepRecord(ISOTHERMAL_WRITE, eps0, eps0, float(t_hot), float(t_hot),
@@ -191,8 +190,7 @@ def simulate_chain(cfg: FiberChainConfig, consts: PhysConstants = REDUCED) -> Ch
             StepRecord(ADIABATIC_AMPLIFICATION, eps_low, eps0, float(t_cold), float(t_hot),
                        heat=0.0, work=float(work), info_nats=info),
         )
-        records.append(CycleRecord(
-            span_index=span,
+        cycle = CycleRecord(
             steps=steps,
             t_hot=t_hot,
             t_cold=t_cold,
@@ -200,12 +198,12 @@ def simulate_chain(cfg: FiberChainConfig, consts: PhysConstants = REDUCED) -> Ch
             q_cold=Energy(q_cold),
             work_in=work,
             info=Information(info),
-        ))
-    n = len(records)
+        )
+        records = (cycle,) * n
     total_work = n * float(records[0].work_in) if n else 0.0
     return ChainResult(
         config=cfg,
-        records=tuple(records),
+        records=records,
         total_work=Energy(total_work),
         total_heat_hot=Energy(n * q_hot),
         total_heat_cold=Energy(n * q_cold),

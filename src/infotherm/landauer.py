@@ -15,31 +15,9 @@ Everything here is SI only; the bound is meaningless in reduced units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import K_BOLTZMANN_SI, LN2, Temperature
 
 DEFAULT_MARGIN = 10.0
-
-
-@dataclass(frozen=True)
-class BoundQuery:
-    """Inputs for the computing-power bound."""
-
-    power_w: float
-    noise_temperature_k: float
-    margin: float = DEFAULT_MARGIN
-    bit_rate_hz: float | None = None
-
-    def __post_init__(self):
-        if not self.power_w > 0:
-            raise ValueError("power must be positive")
-        if not self.noise_temperature_k > 0:
-            raise ValueError("noise temperature must be positive")
-        if not self.margin >= 1:
-            raise ValueError("margin must be at least 1")
-        if self.bit_rate_hz is not None and not self.bit_rate_hz > 0:
-            raise ValueError("bit rate must be positive")
 
 
 def device_temperature(power_w: float, bit_rate_hz: float) -> Temperature:

@@ -1,12 +1,13 @@
 """CLI: exit codes, report structure, library equivalence, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from infotherm import cli, fiber, landauer, ledger
+from infotherm import bitstream, cli, fiber, landauer, ledger
 from infotherm.bitstream import GeneratorSpec, generate, write_bitstream
 
 LN2 = 0.6931471805599453
@@ -78,6 +79,21 @@ def test_broadcast_single_receiver(random_file, capsys):
     doc = json.loads(out)
     assert doc["results"]["net_gain"]["value"] == 0.0
     assert doc["verdicts"]["equilibrium"] == "random"
+
+
+def test_broadcast_clausius_verdict_can_fail(random_file, monkeypatch, capsys):
+    """An information estimate above ln 2 per bit is more than the
+    receivers' heat can account for: the verdict is violated, exit 1."""
+    real_analyze = bitstream.analyze
+
+    def inflated(stream, markov_order=3):
+        stats = real_analyze(stream, markov_order)
+        return dataclasses.replace(stats, equilibrium=bitstream.ORDERED, info_rate_markov=0.8)
+
+    monkeypatch.setattr(bitstream, "analyze", inflated)
+    status, out = run_capture(["broadcast", "--file", str(random_file), "--receivers", "3"], capsys)
+    assert status == 1
+    assert "verdict clausius = violated" in out
 
 
 def test_generate_then_analyze_round_trip(tmp_path, capsys):
@@ -181,6 +197,26 @@ def test_undefined_std_error_is_json_null(capsys):
     assert "result  std_error = nan 1" in text
 
 
+@pytest.mark.parametrize("argv", [
+    ["ledger", "check", "--entropy", "nan", "--info", "1"],
+    ["fiber", "efficiency", "--t-hot", "inf", "--t-cold", "1"],
+    ["gas", "occupation", "--length", "1000", "--temperature", "nan"],
+    ["landauer", "--power", "1e-9", "--noise-temp=-inf"],
+], ids=["ledger-check-nan", "fiber-efficiency-inf", "gas-occupation-nan", "landauer-minus-inf"])
+def test_non_finite_flag_exits_2(argv, capsys):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
+def test_non_finite_config_value_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("entropy=nan\n")
+    assert cli.run(["ledger", "check", "--info", "1", "--config", str(config)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert cli.run(["frobnicate"]) == 2
 
@@ -256,6 +292,27 @@ def test_config_flags_win(tmp_path, capsys):
         capsys)
     assert status == 0
     assert json.loads(out)["results"]["f_max"]["value"] == landauer.max_bit_rate(1e-9, 300.0, 10.0)
+
+
+@pytest.mark.parametrize("value, is_json", [("true", True), ("false", False)])
+def test_config_sets_json_switch(value, is_json, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"json={value}\n")
+    status, out = run_capture(["fiber", "efficiency", "--t-hot", "2", "--t-cold", "1",
+                               "--config", str(config)], capsys)
+    assert status == 0
+    assert out.startswith("{") == is_json
+    if is_json:
+        assert json.loads(out)["results"]["efficiency"]["value"] == 0.5
+
+
+def test_config_switch_rejects_other_values(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("json=yes\n")
+    assert cli.run(["fiber", "efficiency", "--t-hot", "2", "--t-cold", "1",
+                    "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "json" in err and "true or false" in err
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):

@@ -8,52 +8,24 @@ from hypothesis import given, strategies as st
 from infotherm import core
 
 
-def test_bits_to_nats_zero():
-    assert float(core.bits_to_nats(0)) == 0.0
-
-
-def test_bits_to_nats_single_bit():
-    assert float(core.bits_to_nats(1)) == pytest.approx(0.6931471805599453, rel=1e-15)
-
-
-def test_bits_to_nats_byte():
-    assert float(core.bits_to_nats(8)) == pytest.approx(5.545177444479562, rel=1e-15)
-
-
-def test_bits_to_nats_rejects_negative():
-    with pytest.raises(ValueError, match="non-negative"):
-        core.bits_to_nats(-1)
-
-
 def test_nats_to_bits_zero_and_identity():
-    assert core.nats_to_bits(0.0) == 0.0
-    assert core.nats_to_bits(math.log(2)) == pytest.approx(1.0, rel=1e-15)
+    assert core.Information(0.0).bits == 0.0
+    assert core.Information(math.log(2)).bits == pytest.approx(1.0, rel=1e-15)
 
 
 def test_nats_to_bits_inverse_example():
-    assert core.nats_to_bits(5.545177444479562) == pytest.approx(8.0, rel=1e-15)
-
-
-def test_nats_to_bits_rejects_negative():
-    with pytest.raises(ValueError, match="non-negative"):
-        core.nats_to_bits(-0.1)
+    assert core.Information(5.545177444479562).bits == pytest.approx(8.0, rel=1e-15)
 
 
 @given(st.integers(min_value=0, max_value=10**9))
 def test_bit_nat_round_trip(b):
     """Round trip is the identity to 1e-12 relative over [0, 1e9]."""
-    back = core.nats_to_bits(core.bits_to_nats(b))
+    back = core.Information(b * core.LN2).bits
     assert back == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
-def test_entropy_from_information():
-    assert float(core.entropy_from_information(0.0)) == 0.0
-    assert float(core.entropy_from_information(100 * math.log(2))) == pytest.approx(69.3147, abs=1e-4)
-    assert float(core.entropy_from_information(math.log(2))) == pytest.approx(0.6931, abs=1e-4)
-
-
 def test_entropy_to_physical():
-    s = core.entropy_from_information(math.log(2))
+    s = core.Entropy(math.log(2))
     assert s.to_physical(core.SI) == pytest.approx(core.K_BOLTZMANN_SI * math.log(2), rel=1e-15)
     assert s.to_physical(core.REDUCED) == float(s)
 

@@ -5,8 +5,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from infotherm import fiber
 from infotherm.fiber import (
-    STEP_TAGS,
+    ADIABATIC_AMPLIFICATION,
+    ADIABATIC_ATTENUATION,
+    ISOTHERMAL_READ,
+    ISOTHERMAL_WRITE,
     FiberChainConfig,
     amplifier_entropy_balance,
     amplifier_work,
@@ -80,7 +84,8 @@ def test_chain_totals_and_info_invariance():
 def test_chain_step_tags_and_temperatures():
     chain = simulate_chain(half_loss_config())
     rec = chain.records[0]
-    assert tuple(s.kind for s in rec.steps) == STEP_TAGS
+    assert tuple(s.kind for s in rec.steps) == (
+        ISOTHERMAL_WRITE, ADIABATIC_ATTENUATION, ISOTHERMAL_READ, ADIABATIC_AMPLIFICATION)
     assert float(rec.t_hot) == pytest.approx(1 / (2 * LN2), rel=1e-12)
     assert float(rec.t_cold) == pytest.approx(0.5 / (2 * LN2), rel=1e-12)
     write, attenuate, read, amplify = rec.steps
@@ -104,6 +109,24 @@ def test_chain_first_and_second_law_over_loss_grid():
         assert q_hot / float(rec.t_hot) == pytest.approx(q_cold / float(rec.t_cold), rel=1e-12)
         assert work / q_hot == pytest.approx(carnot_efficiency(rec.t_hot, rec.t_cold), rel=1e-12)
         assert work / q_hot == pytest.approx(1 - g, rel=1e-9)
+
+
+@pytest.mark.parametrize("n_spans", [1, 2, 100_000])
+def test_chain_builds_one_cycle(n_spans, monkeypatch):
+    """Every span is the same cycle: one amplifier_work call, one record
+    repeated once per span."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return amplifier_work(*args)
+
+    monkeypatch.setattr(fiber, "amplifier_work", counted)
+    chain = simulate_chain(half_loss_config(n_spans=n_spans))
+    assert len(calls) == 1
+    assert len(chain.records) == n_spans
+    assert all(rec is chain.records[0] for rec in chain.records)
+    assert float(chain.total_work) == n_spans * float(chain.records[0].work_in)
 
 
 def test_empty_chain():

@@ -4,7 +4,6 @@ import pytest
 
 from infotherm.core import K_BOLTZMANN_SI, LN2
 from infotherm.landauer import (
-    BoundQuery,
     device_temperature,
     energy_per_bit,
     max_bit_rate,
@@ -57,14 +56,3 @@ def test_input_validation():
         max_bit_rate(1e-9, -1.0)
     with pytest.raises(ValueError, match="margin"):
         max_bit_rate(1e-9, 300.0, margin=0.5)
-
-
-def test_bound_query_validation():
-    q = BoundQuery(power_w=1e-9, noise_temperature_k=300.0)
-    assert q.margin == 10.0
-    with pytest.raises(ValueError, match="margin"):
-        BoundQuery(power_w=1e-9, noise_temperature_k=300.0, margin=0.0)
-    with pytest.raises(ValueError, match="power"):
-        BoundQuery(power_w=0.0, noise_temperature_k=300.0)
-    with pytest.raises(ValueError, match="bit rate"):
-        BoundQuery(power_w=1e-9, noise_temperature_k=300.0, bit_rate_hz=0.0)
