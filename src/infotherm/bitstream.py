@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LN2, REDUCED, Energy, Entropy, Information, PhysConstants, Temperature
-from .rng import uniforms
+from .rng import random_words, splitmix64
 
 RANDOM = "random"
 ORDERED = "ordered"
@@ -39,6 +39,10 @@ MIN_TEST_LENGTH = 64
 MIN_SAMPLES_PER_CONTEXT = 64
 
 MAX_MARKOV_ORDER = 16
+
+#: Words the generators draw at a time: a block and the generator's
+#: scratch copy (512 KiB each) stay in L2 cache.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +127,24 @@ class GeneratorSpec:
         return f"generated:{self.kind}({inner}length={self.length})"
 
 
+def _threshold(p: float) -> int:
+    """The integer t with u < p exactly when (w >> 11) < t, for a stream
+    word w and its uniform u: u is the 53-bit integer w >> 11 times 2^-53,
+    and p * 2^53 is exact, so t = ceil(p * 2^53)."""
+    return math.ceil(p * 2.0**53)
+
+
+def _draws_below(seed: int, p: float, bits: np.ndarray) -> None:
+    """Set ``bits[t]`` to u_(t+1) < p for every t, comparing the stream's
+    words with the integer threshold ``_BLOCK`` words at a time."""
+    threshold = np.uint64(_threshold(p))
+    flags = bits.view(np.bool_)
+    for start in range(0, bits.size, _BLOCK):
+        top = random_words(seed, min(_BLOCK, bits.size - start), start)
+        top >>= np.uint64(11)
+        np.less(top, threshold, out=flags[start : start + top.size])
+
+
 def generate(spec: GeneratorSpec) -> Bitstream:
     """Deterministically generate the stream described by ``spec``.
 
@@ -130,16 +152,13 @@ def generate(spec: GeneratorSpec) -> Bitstream:
     order, so output is bit-identical across runs and platforms.
     """
     L = spec.length
-    if spec.kind == "bernoulli":
-        bits = (uniforms(spec.seed, L) < spec.p).astype(np.uint8)
-    elif spec.kind == "markov":
-        u = uniforms(spec.seed, L)
-        first = np.uint8(u[0] < 0.5)
-        flips = (u[1:] < spec.q).astype(np.uint8)
+    if spec.kind in ("bernoulli", "markov"):
         bits = np.empty(L, dtype=np.uint8)
-        bits[0] = first
-        if L > 1:
-            bits[1:] = (first + np.cumsum(flips, dtype=np.int64)) % 2
+        _draws_below(spec.seed, spec.p if spec.kind == "bernoulli" else spec.q, bits)
+        if spec.kind == "markov":
+            # bit t is the first bit (u_1 < 1/2) xor the flips u_2..u_(t+1) < q
+            bits[0] = (splitmix64(spec.seed, 1) >> 11) < _threshold(0.5)
+            np.bitwise_xor.accumulate(bits, out=bits)
     elif spec.kind == "ordered_block":
         bits = np.zeros(L, dtype=np.uint8)
         bits[: L // 2] = 1
@@ -208,16 +227,45 @@ def conditional_entropy_rate(stream: Bitstream, order: int) -> float:
         return binary_entropy(float(bits.mean()))
     if L < order + 1:
         raise ValueError("stream shorter than the block size")
-    extended = np.concatenate([bits, bits[:order]])
-    code = np.zeros(L, dtype=np.int64)
-    for j in range(order + 1):
-        code = (code << 1) | extended[j : L + j]
-    counts = np.bincount(code, minlength=2 ** (order + 1)).astype(np.float64)
+    counts = _window_counts(bits, order + 1).astype(np.float64)
     context = counts.reshape(-1, 2).sum(axis=1)
     ctx_rep = np.repeat(context, 2)
     mask = counts > 0
     h = np.sum(counts[mask] * (np.log(ctx_rep[mask]) - np.log(counts[mask])))
     return float(h / L)
+
+
+def _window_counts(bits: np.ndarray, width: int) -> np.ndarray:
+    """How often each cyclic ``width``-bit window (2 <= width <= 17) of
+    ``bits`` occurs, indexed by the window read MSB-first.
+
+    The stream and its first width-1 bits are packed MSB-first. The window
+    at bit 8j + s is then bits s..s+width-1 of the big-endian key of bytes
+    j, j+1 (and j+2 when width > 9): one shift and mask. Each of the
+    L // 8 whole bytes starts eight windows; a partial last byte starts
+    L % 8. For 16-bit keys the key histogram is summed down to each
+    offset's windows; for 24-bit keys each offset is counted on its own.
+    """
+    full, rest = divmod(bits.size, 8)
+    tail = np.concatenate([bits[8 * full :], bits[: width - 1]])
+    packed = np.concatenate([np.packbits(bits[: 8 * full]), np.packbits(tail), np.zeros(2, np.uint8)])
+    key_bits = 16 if width <= 9 else 24
+    keys = np.zeros(full + 1, dtype=np.intp)
+    for i in range(key_bits // 8):
+        keys <<= 8
+        keys |= packed[i : i + full + 1]
+    mask = (1 << width) - 1
+    if key_bits == 16:
+        hist = np.bincount(keys[:full], minlength=1 << 16)
+        counts = sum(hist.reshape(1 << s, 1 << width, -1).sum(axis=(0, 2)) for s in range(8))
+    else:
+        counts = np.zeros(1 << width, dtype=np.intp)
+        for s in range(8):
+            counts += np.bincount((keys[:full] >> (key_bits - width - s)) & mask, minlength=1 << width)
+    last = int(keys[full])
+    for s in range(rest):
+        counts[(last >> (key_bits - width - s)) & mask] += 1
+    return counts
 
 
 def randomness_test(stream: Bitstream) -> str:
@@ -230,9 +278,15 @@ def randomness_test(stream: Bitstream) -> str:
     L = stream.length
     if L < MIN_TEST_LENGTH:
         raise ValueError(f"stream too short to test (need {MIN_TEST_LENGTH} bits)")
+    return _verdict(L, stream.ones, lag1_autocorrelation(stream))
+
+
+def _verdict(L: int, ones: int, lag1: float) -> str:
+    """The randomness verdict from a stream's length, ones and lag-1
+    autocorrelation (see ``randomness_test``)."""
     sqrt_l = math.sqrt(L)
-    dev_p = abs(stream.ones / L - 0.5)
-    dev_r = abs(lag1_autocorrelation(stream))
+    dev_p = abs(ones / L - 0.5)
+    dev_r = abs(lag1)
     sigma_p = 0.5 / sqrt_l
     sigma_r = 1.0 / sqrt_l
     if dev_p <= 3 * sigma_p and dev_r <= 3 * sigma_r:
@@ -258,7 +312,8 @@ def analyze(stream: Bitstream, markov_order: int = 3) -> FileStats:
     rate = None
     if L >= MIN_SAMPLES_PER_CONTEXT * (2 ** markov_order):
         rate = conditional_entropy_rate(stream, markov_order)
-    verdict = randomness_test(stream) if L >= MIN_TEST_LENGTH else UNDECIDED
+    lag1 = lag1_autocorrelation(stream)
+    verdict = _verdict(L, n, lag1) if L >= MIN_TEST_LENGTH else UNDECIDED
     return FileStats(
         length=L,
         ones=n,
@@ -267,7 +322,7 @@ def analyze(stream: Bitstream, markov_order: int = 3) -> FileStats:
         info_rate_markov=rate,
         markov_order=markov_order,
         equilibrium=verdict,
-        correlation_lag1=lag1_autocorrelation(stream),
+        correlation_lag1=lag1,
     )
 
 

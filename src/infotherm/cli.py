@@ -551,18 +551,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _inject_config(argv: list[str]) -> list[str]:
-    """Append config-file pairs as flags so argparse applies its own types
-    and required checks; flags already on the command line win."""
+def _command(parser: argparse.ArgumentParser, argv: list[str]) -> tuple[argparse.ArgumentParser, int]:
+    """The subparser that reads the options of ``argv``, found by following
+    the command words, and the index of the first token after them."""
+    start = 0
+    while start < len(argv):
+        subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subparsers or argv[start] not in subparsers[0].choices:
+            break
+        parser = subparsers[0].choices[argv[start]]
+        start += 1
+    return parser, start
+
+
+def _config_path(parser: argparse.ArgumentParser, tokens: list[str]) -> str | None:
+    """The value of the last ``--config`` in ``tokens``, read as argparse
+    reads them: a long option may be a unique prefix of its name, the token
+    after an option that takes a value is that value, and every token after
+    ``--`` is positional."""
+    options = parser._option_string_actions
     path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
+    tokens = iter(tokens)
+    for token in tokens:
+        if token == "--":
+            break
+        if not token.startswith("--"):
+            continue
+        name, eq, value = token.partition("=")
+        matches = [option for option in options if option.startswith(name)]
+        action = options.get(name) or (options[matches[0]] if len(matches) == 1 else None)
+        if action is None or action.nargs == 0:
+            continue
+        if not eq:
+            value = next(tokens, None)
+        if action.dest == "config":
+            path = value
+    return path
+
+
+def _inject_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Insert config-file pairs as flags right after the command words, so
+    argparse applies its own types and required checks, and flags on the
+    command line, which come later, win as argparse's last occurrence."""
+    parser, start = _command(parser, argv)
+    path = _config_path(parser, argv[start:])
     if path is None:
         return argv
-    explicit = {token[2:].split("=", 1)[0] for token in argv if token.startswith("--")}
     extra: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -575,17 +609,17 @@ def _inject_config(argv: list[str]) -> list[str]:
             if key in _SWITCHES:
                 if value not in ("true", "false"):
                     raise ValueError(f"{path}:{lineno}: {key} takes true or false, got {value!r}")
-                if value == "true" and key not in explicit:
+                if value == "true":
                     extra.append(f"--{key}")
-            elif key not in explicit:
-                extra.extend([f"--{key}", value])
-    return argv + extra
+            else:
+                extra.append(f"--{key}={value}")
+    return argv[:start] + extra + argv[start:]
 
 
 def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        full_argv = _inject_config(list(argv))
+        full_argv = _inject_config(parser, list(argv))
         args = parser.parse_args(full_argv)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -139,6 +139,10 @@ class FiberChainConfig:
             raise ValueError("span count must be non-negative")
         if self.file_length < 1:
             raise ValueError("file length must be positive")
+        if not 0.0 < self.attenuation < 1.0:
+            raise ValueError(f"alpha_per_km*span_km = {self.alpha_per_km * self.span_km!r} makes "
+                             "the span attenuation exp(-alpha_per_km*span_km) round to "
+                             f"{self.attenuation!r}; it must lie strictly between 0 and 1")
 
     @property
     def attenuation(self) -> float:

@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from infotherm import core
+from infotherm import bitstream, core
 from infotherm.bitstream import (
     Bitstream,
     GeneratorSpec,
@@ -22,6 +22,7 @@ from infotherm.bitstream import (
     read_bitstream,
     write_bitstream,
 )
+from infotherm.rng import uniforms
 
 LN2 = math.log(2)
 H_Q01 = 0.3250829733914482  # -0.1 ln 0.1 - 0.9 ln 0.9, frozen by hand
@@ -263,3 +264,98 @@ def test_file_heat_entropy_ratio_is_temperature():
 def test_file_heat_rejects_empty():
     with pytest.raises(ValueError, match="positive"):
         file_heat_and_entropy(0, 1.0)
+
+
+# --- the blocked integer generators and the packed-window counter ---------
+
+def reference_generate(spec):
+    """The float-uniform generators: bit t compares u_(t+1) with p, or is
+    the first bit plus the running count of flips, modulo 2."""
+    u = uniforms(spec.seed, spec.length)
+    if spec.kind == "bernoulli":
+        return (u < spec.p).astype(np.uint8)
+    first = np.uint8(u[0] < 0.5)
+    flips = (u[1:] < spec.q).astype(np.uint8)
+    bits = np.empty(spec.length, dtype=np.uint8)
+    bits[0] = first
+    if spec.length > 1:
+        bits[1:] = (first + np.cumsum(flips, dtype=np.int64)) % 2
+    return bits
+
+
+def reference_window_counts(bits, order):
+    """Cyclic (order+1)-gram counts from one int64 code per bit."""
+    L = bits.size
+    extended = np.concatenate([bits, bits[:order]])
+    code = np.zeros(L, dtype=np.int64)
+    for j in range(order + 1):
+        code = (code << 1) | extended[j : L + j]
+    return np.bincount(code, minlength=2 ** (order + 1))
+
+
+def reference_conditional_entropy_rate(bits, order):
+    """The plug-in rate computed from ``reference_window_counts``."""
+    if order == 0:
+        return binary_entropy(float(bits.mean()))
+    counts = reference_window_counts(bits, order).astype(np.float64)
+    context = counts.reshape(-1, 2).sum(axis=1)
+    ctx_rep = np.repeat(context, 2)
+    mask = counts > 0
+    h = np.sum(counts[mask] * (np.log(ctx_rep[mask]) - np.log(counts[mask])))
+    return float(h / bits.size)
+
+
+EDGE_P = (0.0, 1.0, 2.0**-53, 1 - 2.0**-53, 5e-324, 0.3)
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "markov"])
+@pytest.mark.parametrize("length", [1, 2, bitstream._BLOCK - 1, bitstream._BLOCK, bitstream._BLOCK + 1])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("p", EDGE_P)
+def test_generate_matches_float_reference(kind, length, seed, p):
+    spec = GeneratorSpec(kind=kind, length=length, seed=seed, **{"p" if kind == "bernoulli" else "q": p})
+    bits = generate(spec).bits
+    assert bits.dtype == np.uint8
+    np.testing.assert_array_equal(bits, reference_generate(spec))
+
+
+@given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=0, max_value=2**53 - 1))
+@example(p=2.0**-53, m=0)
+@example(p=2.0**-53, m=1)
+@example(p=5e-324, m=0)
+@example(p=5e-324, m=1)
+@example(p=1 - 2.0**-53, m=2**53 - 2)
+@example(p=1 - 2.0**-53, m=2**53 - 1)
+@example(p=0.1, m=bitstream._threshold(0.1) - 1)
+@example(p=0.1, m=bitstream._threshold(0.1))
+def test_integer_threshold_is_float_compare(p, m):
+    """(w >> 11) < ceil(p 2^53) is exactly u < p for u = (w >> 11) 2^-53."""
+    assert (m < bitstream._threshold(p)) == (m * 2.0**-53 < p)
+
+
+@given(length=st.integers(min_value=1, max_value=70_000), order=st.integers(min_value=0, max_value=16),
+       p=st.floats(min_value=0.0, max_value=1.0), seed=st.integers(min_value=0, max_value=2**32))
+@example(length=1, order=0, p=0.5, seed=0)
+@example(length=2, order=1, p=0.5, seed=1)
+@example(length=17, order=16, p=0.5, seed=2)
+@example(length=10, order=9, p=0.5, seed=3)
+@example(length=9, order=8, p=0.5, seed=4)
+@example(length=23, order=5, p=0.5, seed=5)
+@example(length=24, order=16, p=0.5, seed=6)
+@example(length=69_999, order=16, p=0.3, seed=7)
+@example(length=70_000, order=8, p=0.7, seed=8)
+@settings(max_examples=60, deadline=None)
+def test_conditional_rate_matches_code_array_reference(length, order, p, seed):
+    """Packed-window counts equal the int64 code-array counts, and so the
+    rate is equal bit for bit, at every order and length."""
+    bits = (np.random.default_rng(seed).random(length) < p).astype(np.uint8)
+    stream = Bitstream(bits=bits)
+    if length < order + 1:
+        with pytest.raises(ValueError, match="shorter than the block"):
+            conditional_entropy_rate(stream, order)
+        return
+    if order:
+        np.testing.assert_array_equal(bitstream._window_counts(bits, order + 1),
+                                      reference_window_counts(bits, order))
+    assert conditional_entropy_rate(stream, order) == reference_conditional_entropy_rate(bits, order)
+

@@ -217,6 +217,13 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+def test_overridden_config_value_is_still_checked(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("entropy=nan\n")
+    assert cli.run(["ledger", "check", "--entropy", "1", "--info", "1", "--config", str(config)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert cli.run(["frobnicate"]) == 2
 
@@ -244,6 +251,15 @@ def test_fiber_simulate_report_and_csv(tmp_path, capsys):
     assert lines[0] == "span,epsilon_in,epsilon_out,t_hot,t_cold,q_hot,q_cold,work,info_nats"
     assert len(lines) == 11
     assert all(line.split(",")[7] == "25" for line in lines[1:])
+
+
+@pytest.mark.parametrize("alpha, spans", [("1e-20", "1"), ("1000", "1"), ("1e-20", "0")])
+def test_fiber_simulate_rejects_attenuation_rounding_to_0_or_1(alpha, spans, capsys):
+    assert cli.run(["fiber", "simulate", "--alpha", alpha, "--span-km", "1", "--spans", spans,
+                    "--file-length", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "alpha_per_km*span_km" in captured.err
 
 
 def test_fiber_amplifier_audit(capsys):
@@ -292,6 +308,49 @@ def test_config_flags_win(tmp_path, capsys):
         capsys)
     assert status == 0
     assert json.loads(out)["results"]["f_max"]["value"] == landauer.max_bit_rate(1e-9, 300.0, 10.0)
+
+
+@pytest.mark.parametrize("flags", [["--markov", "0"], ["--markov-order=0"], ["--mark=0"]],
+                         ids=["prefix", "equals", "prefix-equals"])
+def test_config_loses_to_abbreviated_flag(flags, random_file, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("markov-order=3\n")
+    status, out = run_capture(["file", str(random_file), *flags, "--config", str(config), "--json"],
+                              capsys)
+    assert status == 0
+    assert json.loads(out)["inputs"]["markov_order"] == 0
+
+
+@pytest.mark.parametrize("flag", [["--conf", "{}"], ["--con={}"]], ids=["prefix", "prefix-equals"])
+def test_config_flag_abbreviated(flag, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("power=1e-9\nnoise-temp=300\n")
+    flag = [token.format(config) for token in flag]
+    status, out = run_capture(["landauer", *flag, "--json"], capsys)
+    assert status == 0
+    assert json.loads(out)["results"]["f_max"]["value"] == landauer.max_bit_rate(1e-9, 300.0, 10.0)
+
+
+def test_config_value_may_start_with_a_dash(tmp_path, capsys):
+    """argparse reads ``-1e-3`` after a flag as an option, not a value; a
+    config value is passed joined to its flag, so it arrives intact."""
+    config = tmp_path / "run.cfg"
+    config.write_text("entropy=-1e-3\n")
+    status, out = run_capture(["ledger", "check", "--info", "0", "--config", str(config), "--json"],
+                              capsys)
+    assert status == 1
+    assert json.loads(out)["inputs"]["entropy"] == -1e-3
+
+
+def test_config_token_as_option_value_is_not_the_flag(tmp_path, capsys):
+    """A ``--config`` that stands where ``--out`` needs its value is not
+    read as a config flag: argparse reports the missing value."""
+    missing = tmp_path / "missing.cfg"
+    assert cli.run(["generate", "--kind", "alternating", "--length", "8",
+                    "--out", "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert "--out: expected one argument" in err
+    assert "No such file" not in err
 
 
 @pytest.mark.parametrize("value, is_json", [("true", True), ("false", False)])

@@ -146,6 +146,14 @@ def test_config_validation():
         FiberChainConfig(epsilon0=1.0, alpha_per_km=1.0, span_km=1.0, n_spans=1, file_length=0)
 
 
+@pytest.mark.parametrize("alpha", [1e-20, 1000.0, 1e300])
+@pytest.mark.parametrize("n_spans", [0, 1, 10])
+def test_config_rejects_attenuation_rounding_to_0_or_1(alpha, n_spans):
+    with pytest.raises(ValueError, match=r"alpha_per_km\*span_km = .* round to (1\.0|0\.0)"):
+        FiberChainConfig(epsilon0=1.0, alpha_per_km=alpha, span_km=1e10 if alpha == 1e300 else 1.0,
+                         n_spans=n_spans, file_length=8)
+
+
 def test_attenuation_in_unit_interval():
     cfg = half_loss_config()
     assert 0 < cfg.attenuation < 1

@@ -68,6 +68,13 @@ def test_log_multiplicity_rejects_out_of_range():
         log_multiplicity(0, 0)
 
 
+@given(st.integers(min_value=1, max_value=10**6), st.data())
+def test_log_multiplicity_symmetry(length, data):
+    """ln W(L, n) = ln W(L, L-n) exactly, up to L = 10^6."""
+    excited = data.draw(st.integers(min_value=0, max_value=length))
+    assert log_multiplicity(length, excited) == log_multiplicity(length, length - excited)
+
+
 def test_entropy_exact_values():
     assert float(entropy_exact(TwoLevelGas(6, 2))) == pytest.approx(math.log(15), rel=1e-12)
     assert float(entropy_exact(TwoLevelGas(10, 0))) == 0.0
