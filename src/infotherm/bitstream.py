@@ -47,10 +47,9 @@ _BLOCK = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class Bitstream:
-    """An ordered bit sequence plus a provenance note."""
+    """An ordered bit sequence."""
 
     bits: np.ndarray
-    source: str = "unknown"
 
     def __post_init__(self):
         bits = np.ascontiguousarray(self.bits, dtype=np.uint8)
@@ -118,14 +117,6 @@ class GeneratorSpec:
             if self.q is None or not 0 <= self.q <= 1:
                 raise ValueError("markov requires flip probability q in [0, 1]")
 
-    def describe(self) -> str:
-        params = {"bernoulli": f"p={self.p},seed={self.seed}",
-                  "markov": f"q={self.q},seed={self.seed}",
-                  "ordered_block": "",
-                  "alternating": ""}[self.kind]
-        inner = f"{params}," if params else ""
-        return f"generated:{self.kind}({inner}length={self.length})"
-
 
 def _threshold(p: float) -> int:
     """The integer t with u < p exactly when (w >> 11) < t, for a stream
@@ -164,7 +155,7 @@ def generate(spec: GeneratorSpec) -> Bitstream:
         bits[: L // 2] = 1
     else:  # alternating
         bits = (np.arange(L, dtype=np.int64) % 2).astype(np.uint8)
-    return Bitstream(bits=bits, source=spec.describe())
+    return Bitstream(bits=bits)
 
 
 def read_bitstream(path: str | os.PathLike, bit_order: str = "msb_first") -> Bitstream:
@@ -175,7 +166,7 @@ def read_bitstream(path: str | os.PathLike, bit_order: str = "msb_first") -> Bit
     if data.size == 0:
         raise ValueError(f"file {path!s} is empty")
     order = "big" if bit_order == "msb_first" else "little"
-    return Bitstream(bits=np.unpackbits(data, bitorder=order), source=f"file:{path}")
+    return Bitstream(bits=np.unpackbits(data, bitorder=order))
 
 
 def write_bitstream(stream: Bitstream, path: str | os.PathLike, bit_order: str = "msb_first") -> None:

@@ -48,7 +48,6 @@ class Report:
     inputs: dict = field(default_factory=dict)
     results: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
 
     def add(self, name: str, value, unit: str | None = None) -> None:
         """Record a result. A quantity carries its own unit; a plain number
@@ -58,7 +57,7 @@ class Report:
 
     def to_json(self) -> str:
         doc = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "inputs": self.inputs,
             "results": self.results,
@@ -113,16 +112,6 @@ def _value_and_unit(value, consts: PhysConstants) -> tuple[object, str]:
     return value, "1"
 
 
-def _resolve_epsilon(args, name: str = "epsilon") -> tuple[float, PhysConstants]:
-    """Pick the bit/level energy and constants for the chosen unit mode."""
-    if args.units == "si":
-        value = getattr(args, f"{name}_joules")
-        if value is None:
-            raise ValueError(f"--units si requires --{name.replace('_', '-')}-joules")
-        return value, SI
-    return getattr(args, name), REDUCED
-
-
 def export_csv(records, path) -> None:
     """Write one CSV row per span, numbered from 0, 12 significant digits
     per number. A record repeated in a row is formatted once."""
@@ -144,69 +133,45 @@ def export_csv(records, path) -> None:
 
 
 # --- handlers -------------------------------------------------------------
+#
+# ``run`` builds each report from the parse: command words, unit mode and
+# inputs. A handler only computes and adds results and verdicts.
 
-def _cmd_gas_entropy(args) -> Report:
+def _cmd_gas_entropy(args, report: Report) -> None:
     gas = twolevel.TwoLevelGas(length=args.length, excited=args.excited)
-    report = Report("gas entropy", inputs={"length": args.length, "excited": args.excited})
     report.add("log_multiplicity", twolevel.log_multiplicity(args.length, args.excited))
     report.add("entropy_exact", twolevel.entropy_exact(gas))
     if 0 < args.excited < args.length:
         report.add("entropy_stirling", twolevel.entropy_stirling(gas))
-    return report
 
 
-def _cmd_gas_temperature(args) -> Report:
-    epsilon, consts = _resolve_epsilon(args)
-    gas = twolevel.TwoLevelGas(length=args.length, excited=args.excited, epsilon=epsilon)
-    report = Report(
-        "gas temperature", consts,
-        inputs={"length": args.length, "excited": args.excited,
-                "epsilon": epsilon, "units": consts.mode},
-    )
-    report.add("temperature_closed", twolevel.temperature_closed(gas, consts))
+def _cmd_gas_temperature(args, report: Report) -> None:
+    gas = twolevel.TwoLevelGas(length=args.length, excited=args.excited, epsilon=args.epsilon)
+    report.add("temperature_closed", twolevel.temperature_closed(gas, report.consts))
     if gas.length >= 4 and 1 <= gas.excited <= gas.length - 1:
-        report.add("temperature_numeric", twolevel.temperature_numeric(gas, consts))
-    return report
+        report.add("temperature_numeric", twolevel.temperature_numeric(gas, report.consts))
 
 
-def _cmd_gas_occupation(args) -> Report:
-    epsilon, consts = _resolve_epsilon(args)
-    expected = twolevel.occupation_from_temperature(args.length, epsilon, args.temperature, consts)
-    report = Report(
-        "gas occupation", consts,
-        inputs={"length": args.length, "epsilon": epsilon,
-                "temperature": args.temperature, "units": consts.mode},
-    )
+def _cmd_gas_occupation(args, report: Report) -> None:
+    expected = twolevel.occupation_from_temperature(args.length, args.epsilon, args.temperature,
+                                                    report.consts)
     report.add("expected_n", expected)
     report.add("expected_fraction", expected / args.length)
-    return report
 
 
-def _cmd_gas_transfer(args) -> Report:
-    epsilon, consts = _resolve_epsilon(args)
-    record = twolevel.transfer_balance(args.length, args.n_hot, args.n_cold, epsilon)
-    report = Report(
-        "gas transfer", consts,
-        inputs={"length": args.length, "n_hot": args.n_hot, "n_cold": args.n_cold,
-                "epsilon": epsilon, "units": consts.mode},
-    )
+def _cmd_gas_transfer(args, report: Report) -> None:
+    record = twolevel.transfer_balance(args.length, args.n_hot, args.n_cold, args.epsilon)
     report.add("gas_heat", record.gas_heat)
     report.add("entropy_removed_hot", record.entropy_removed_hot)
     report.add("entropy_added_cold", record.entropy_added_cold)
     report.add("net", record.net)
     report.add("clausius_lower_bound", record.clausius_lower_bound)
     report.verdicts["clausius"] = record.verdict
-    return report
 
 
-def _cmd_gas_metropolis(args) -> Report:
+def _cmd_gas_metropolis(args, report: Report) -> None:
     cfg = twolevel.McConfig(steps=args.steps, burn_in=args.burn_in, seed=args.seed, kT=args.kt)
     result = twolevel.metropolis_sample(args.length, args.epsilon, cfg)
-    report = Report(
-        "gas metropolis",
-        inputs={"length": args.length, "epsilon": args.epsilon, "kt": args.kt,
-                "steps": args.steps, "burn_in": args.burn_in, "seed": args.seed},
-    )
     report.add("mean_n", result.mean_n)
     report.add("std_error", result.std_error)
     report.add("mean_fraction", result.mean_fraction(args.length))
@@ -214,18 +179,11 @@ def _cmd_gas_metropolis(args) -> Report:
     report.add("samples", result.samples)
     report.add("analytic_mean_n",
                twolevel.occupation_from_temperature(args.length, args.epsilon, args.kt, REDUCED))
-    return report
 
 
-def _cmd_file(args) -> Report:
+def _cmd_file(args, report: Report) -> None:
     stream = bitstream.read_bitstream(args.path, bit_order=args.bit_order)
     stats = bitstream.analyze(stream, markov_order=args.markov_order)
-    epsilon, consts = _resolve_epsilon(args)
-    report = Report(
-        "file", consts,
-        inputs={"path": str(args.path), "bit_order": args.bit_order,
-                "markov_order": args.markov_order, "epsilon": epsilon, "units": consts.mode},
-    )
     report.add("length", stats.length, "bit")
     report.add("ones", stats.ones, "bit")
     report.add("p_hat", stats.p_hat)
@@ -236,40 +194,28 @@ def _cmd_file(args) -> Report:
     report.add("correlation_lag1", stats.correlation_lag1)
     report.verdicts["equilibrium"] = stats.equilibrium
     if stats.equilibrium == bitstream.RANDOM:
-        report.add("file_temperature", bitstream.file_temperature(epsilon, consts))
-        report.add("average_nat_energy", Energy(bitstream.average_nat_energy(epsilon)))
-        heat, entropy = bitstream.file_heat_and_entropy(stats.length, epsilon)
+        report.add("file_temperature", bitstream.file_temperature(args.epsilon, report.consts))
+        report.add("average_nat_energy", Energy(bitstream.average_nat_energy(args.epsilon)))
+        heat, entropy = bitstream.file_heat_and_entropy(stats.length, args.epsilon)
         report.add("heat", heat)
         report.add("entropy", entropy)
-    return report
 
 
-def _cmd_generate(args) -> Report:
+def _cmd_generate(args, report: Report) -> None:
     spec = bitstream.GeneratorSpec(kind=args.kind, length=args.length, seed=args.seed,
                                    p=args.p, q=args.q)
     stream = bitstream.generate(spec)
     bitstream.write_bitstream(stream, args.out, bit_order=args.bit_order)
-    report = Report(
-        "generate",
-        inputs={"kind": args.kind, "length": args.length, "seed": args.seed,
-                "p": args.p, "q": args.q, "out": str(args.out), "bit_order": args.bit_order},
-    )
     report.add("length", stream.length, "bit")
     report.add("ones", stream.ones, "bit")
     report.add("bytes_written", stream.length // 8, "byte")
-    return report
 
 
-def _cmd_broadcast(args) -> Report:
+def _cmd_broadcast(args, report: Report) -> None:
+    del report.inputs["bit_order"]
     stream = bitstream.read_bitstream(args.file, bit_order=args.bit_order)
     stats = bitstream.analyze(stream, markov_order=args.markov_order)
-    epsilon, consts = _resolve_epsilon(args)
-    result = ledger.broadcast_balance(stats, epsilon, args.receivers, consts)
-    report = Report(
-        "broadcast", consts,
-        inputs={"file": str(args.file), "receivers": args.receivers,
-                "markov_order": args.markov_order, "epsilon": epsilon, "units": consts.mode},
-    )
+    result = ledger.broadcast_balance(stats, args.epsilon, args.receivers, report.consts)
     report.add("length", stats.length, "bit")
     report.add("t_hot", result.t_hot)
     report.add("t_cold", result.t_cold)
@@ -280,47 +226,31 @@ def _cmd_broadcast(args) -> Report:
     report.add("clausius_margin", result.clausius_margin)
     # The receivers absorb the file's heat, worth k L ln 2 of entropy each;
     # that must cover the k dI deposited with them.
-    _, heat_entropy = bitstream.file_heat_and_entropy(stats.length, epsilon)
+    _, heat_entropy = bitstream.file_heat_and_entropy(stats.length, args.epsilon)
     check = ledger.clausius_check(args.receivers * float(heat_entropy), result.entropy_deposited)
     report.verdicts["equilibrium"] = stats.equilibrium
     report.verdicts["clausius"] = check.verdict
-    return report
 
 
-def _cmd_ledger_check(args) -> Report:
+def _cmd_ledger_check(args, report: Report) -> None:
     check = ledger.clausius_check(args.entropy, args.info)
-    report = Report("ledger check", inputs={"entropy": args.entropy, "info": args.info})
     report.add("margin", check.margin_k, "k")
     report.verdicts["clausius"] = check.verdict
-    return report
 
 
-def _cmd_ledger_combined(args) -> Report:
-    consts = SI if args.units == "si" else REDUCED
+def _cmd_ledger_combined(args, report: Report) -> None:
     result = ledger.combined_balance(args.heat, args.temperature, args.info,
-                                     args.entropy_actual, consts)
-    report = Report(
-        "ledger combined", consts,
-        inputs={"heat": args.heat, "temperature": args.temperature, "info": args.info,
-                "entropy_actual": args.entropy_actual, "units": consts.mode},
-    )
+                                     args.entropy_actual, report.consts)
     report.add("entropy_lower_bound", result.entropy_lower_bound)
     report.add("entropy_actual", result.entropy_actual)
     report.verdicts["clausius"] = result.verdict
-    return report
 
 
-def _cmd_fiber_simulate(args) -> Report:
-    epsilon0, consts = _resolve_epsilon(args, "epsilon0")
-    cfg = fiber.FiberChainConfig(epsilon0=epsilon0, alpha_per_km=args.alpha,
+def _cmd_fiber_simulate(args, report: Report) -> None:
+    cfg = fiber.FiberChainConfig(epsilon0=args.epsilon0, alpha_per_km=args.alpha,
                                  span_km=args.span_km, n_spans=args.spans,
                                  file_length=args.file_length)
-    chain = fiber.simulate_chain(cfg, consts)
-    report = Report(
-        "fiber simulate", consts,
-        inputs={"epsilon0": epsilon0, "alpha": args.alpha, "span_km": args.span_km,
-                "spans": args.spans, "file_length": args.file_length, "units": consts.mode},
-    )
+    chain = fiber.simulate_chain(cfg, report.consts)
     report.add("attenuation_g", cfg.attenuation)
     report.add("span_efficiency", chain.span_efficiency)
     report.add("info", chain.info)
@@ -335,48 +265,33 @@ def _cmd_fiber_simulate(args) -> Report:
         report.add("q_cold_per_span", first.q_cold)
         report.add("work_per_span", first.work_in)
         audit = fiber.amplifier_entropy_balance(first.q_cold, first.t_hot, first.t_cold,
-                                                first.work_in, consts)
+                                                first.work_in, report.consts)
         report.verdicts["second_law"] = audit.verdict
-    if args.csv is not None:
+    if "csv" in args:
         export_csv(chain.records, args.csv)
-        report.inputs["csv"] = str(args.csv)
-    return report
 
 
-def _cmd_fiber_efficiency(args) -> Report:
-    eta = fiber.carnot_efficiency(args.t_hot, args.t_cold)
-    report = Report("fiber efficiency", inputs={"t_hot": args.t_hot, "t_cold": args.t_cold})
-    report.add("efficiency", eta)
-    return report
+def _cmd_fiber_efficiency(args, report: Report) -> None:
+    report.add("efficiency", fiber.carnot_efficiency(args.t_hot, args.t_cold))
 
 
-def _cmd_fiber_amplifier(args) -> Report:
-    consts = SI if args.units == "si" else REDUCED
+def _cmd_fiber_amplifier(args, report: Report) -> None:
     q_hot, work = fiber.amplifier_work(args.q_cold, args.t_hot, args.t_cold)
-    report = Report(
-        "fiber amplifier", consts,
-        inputs={"q_cold": args.q_cold, "t_hot": args.t_hot, "t_cold": args.t_cold,
-                "units": consts.mode},
-    )
     report.add("q_hot", q_hot)
     report.add("work_required", work)
     report.add("efficiency", fiber.carnot_efficiency(args.t_hot, args.t_cold))
     applied = float(work) if args.work is None else args.work
-    audit = fiber.amplifier_entropy_balance(args.q_cold, args.t_hot, args.t_cold, applied, consts)
+    audit = fiber.amplifier_entropy_balance(args.q_cold, args.t_hot, args.t_cold, applied,
+                                            report.consts)
     report.inputs["work"] = applied
     report.add("entropy_balance", audit.entropy_balance_k, "k")
     report.verdicts["second_law"] = audit.verdict
-    return report
 
 
-def _cmd_landauer(args) -> Report:
+def _cmd_landauer(args, report: Report) -> None:
     if args.noise_temp is None and args.bit_rate is None:
         raise ValueError("landauer needs --noise-temp and/or --bit-rate")
-    report = Report(
-        "landauer", SI,
-        inputs={"power": args.power, "noise_temp": args.noise_temp,
-                "margin": args.margin, "bit_rate": args.bit_rate},
-    )
+    report.consts = SI
     if args.bit_rate is not None:
         report.add("device_temperature", landauer.device_temperature(args.power, args.bit_rate))
         report.add("energy_per_bit", landauer.energy_per_bit(args.power, args.bit_rate), "J")
@@ -385,7 +300,6 @@ def _cmd_landauer(args) -> Report:
         report.add("f_max", f_max, "1/s")
         report.add("device_temperature_at_f_max", landauer.device_temperature(args.power, f_max))
         report.add("energy_per_bit_at_f_max", landauer.energy_per_bit(args.power, f_max), "J")
-    return report
 
 
 # --- parser ---------------------------------------------------------------
@@ -405,18 +319,27 @@ def _finite(text: str) -> float:
 _SWITCHES = ("json",)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="emit the report as one JSON document")
-    parser.add_argument("--config", default=None, help="key=value file of defaults; flags win")
+def _leaf(sub, name: str, handler, help: str) -> argparse.ArgumentParser:
+    """A command that runs ``handler``. Its own options are declared in
+    the order its report lists them; the options every command takes are
+    listed apart."""
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(handler=handler)
+    common = parser.add_argument_group("common options")
+    common.add_argument("--json", action="store_true", help="emit the report as one JSON document")
+    common.add_argument("--config", default=None, help="key=value file of defaults; flags win")
+    return parser
 
 
-def _add_units(parser: argparse.ArgumentParser, name: str = "epsilon", default: float = 1.0) -> None:
-    flag = name.replace("_", "-")
+def _add_energy(parser: argparse.ArgumentParser, name: str = "epsilon") -> None:
+    parser.add_argument(f"--{name}", type=_finite, default=1.0,
+                        help=f"{name} in reduced units (default 1.0)")
+    parser.add_argument(f"--{name}-joules", type=_finite, default=None,
+                        help=f"{name} in joules, required with --units si")
+
+
+def _add_units(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--units", choices=("reduced", "si"), default="reduced")
-    parser.add_argument(f"--{flag}", type=_finite, default=default,
-                        help=f"{flag} in reduced units (default {default})")
-    parser.add_argument(f"--{flag}-joules", type=_finite, default=None,
-                        help=f"{flag} in joules, required with --units si")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,53 +350,46 @@ def build_parser() -> argparse.ArgumentParser:
     gas = sub.add_parser("gas", help="two-level gas computations")
     gas_sub = gas.add_subparsers(dest="subcommand", required=True)
 
-    p = gas_sub.add_parser("entropy", help="multiplicity and entropy")
+    p = _leaf(gas_sub, "entropy", _cmd_gas_entropy, "multiplicity and entropy")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--excited", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_gas_entropy)
 
-    p = gas_sub.add_parser("temperature", help="closed-form and finite-difference temperature")
+    p = _leaf(gas_sub, "temperature", _cmd_gas_temperature,
+              "closed-form and finite-difference temperature")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--excited", type=int, required=True)
+    _add_energy(p)
     _add_units(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_gas_temperature)
 
-    p = gas_sub.add_parser("occupation", help="expected occupation at a temperature")
+    p = _leaf(gas_sub, "occupation", _cmd_gas_occupation, "expected occupation at a temperature")
     p.add_argument("--length", type=int, required=True)
+    _add_energy(p)
     p.add_argument("--temperature", type=_finite, required=True)
     _add_units(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_gas_occupation)
 
-    p = gas_sub.add_parser("transfer", help="hot-to-cold transfer entropy balance")
+    p = _leaf(gas_sub, "transfer", _cmd_gas_transfer, "hot-to-cold transfer entropy balance")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--n-hot", type=int, required=True)
     p.add_argument("--n-cold", type=int, required=True)
+    _add_energy(p)
     _add_units(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_gas_transfer)
 
-    p = gas_sub.add_parser("metropolis", help="Monte Carlo occupation sampler")
+    p = _leaf(gas_sub, "metropolis", _cmd_gas_metropolis, "Monte Carlo occupation sampler")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--epsilon", type=_finite, default=1.0)
     p.add_argument("--kt", type=_finite, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--burn-in", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_gas_metropolis)
 
-    p = sub.add_parser("file", help="analyze a binary file")
+    p = _leaf(sub, "file", _cmd_file, "analyze a binary file")
     p.add_argument("path")
-    p.add_argument("--markov-order", type=int, default=3)
     p.add_argument("--bit-order", choices=bitstream.BIT_ORDERS, default="msb_first")
+    p.add_argument("--markov-order", type=int, default=3)
+    _add_energy(p)
     _add_units(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_file)
 
-    p = sub.add_parser("generate", help="write a synthetic corpus")
+    p = _leaf(sub, "generate", _cmd_generate, "write a synthetic corpus")
     p.add_argument("--kind", choices=bitstream.GENERATOR_KINDS, required=True)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -481,72 +397,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_finite, default=None, help="flip probability (markov)")
     p.add_argument("--out", required=True)
     p.add_argument("--bit-order", choices=bitstream.BIT_ORDERS, default="msb_first")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_generate)
 
-    p = sub.add_parser("broadcast", help="one-to-N broadcast Clausius audit")
+    p = _leaf(sub, "broadcast", _cmd_broadcast, "one-to-N broadcast Clausius audit")
     p.add_argument("--file", required=True)
     p.add_argument("--receivers", type=int, required=True)
     p.add_argument("--markov-order", type=int, default=3)
     p.add_argument("--bit-order", choices=bitstream.BIT_ORDERS, default="msb_first")
+    _add_energy(p)
     _add_units(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_broadcast)
 
     led = sub.add_parser("ledger", help="Clausius inequality audits")
     led_sub = led.add_subparsers(dest="subcommand", required=True)
 
-    p = led_sub.add_parser("check", help="informatic Clausius check dS >= k dI")
+    p = _leaf(led_sub, "check", _cmd_ledger_check, "informatic Clausius check dS >= k dI")
     p.add_argument("--entropy", type=_finite, required=True, help="entropy change in k units")
     p.add_argument("--info", type=_finite, required=True, help="information change in nats")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_ledger_check)
 
-    p = led_sub.add_parser("combined", help="combined thermal+informatic audit")
+    p = _leaf(led_sub, "combined", _cmd_ledger_combined, "combined thermal+informatic audit")
     p.add_argument("--heat", type=_finite, required=True)
     p.add_argument("--temperature", type=_finite, required=True)
     p.add_argument("--info", type=_finite, required=True)
     p.add_argument("--entropy-actual", type=_finite, required=True)
-    p.add_argument("--units", choices=("reduced", "si"), default="reduced")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_ledger_combined)
+    _add_units(p)
 
     fib = sub.add_parser("fiber", help="amplifier Carnot cycle")
     fib_sub = fib.add_subparsers(dest="subcommand", required=True)
 
-    p = fib_sub.add_parser("simulate", help="multi-span chain simulation")
+    p = _leaf(fib_sub, "simulate", _cmd_fiber_simulate, "multi-span chain simulation")
+    _add_energy(p, "epsilon0")
     p.add_argument("--alpha", type=_finite, required=True, help="attenuation per km")
     p.add_argument("--span-km", type=_finite, required=True)
     p.add_argument("--spans", type=int, required=True)
     p.add_argument("--file-length", type=int, required=True)
-    p.add_argument("--csv", default=None, help="write per-span CSV to this path")
-    _add_units(p, "epsilon0")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_fiber_simulate)
+    _add_units(p)
+    p.add_argument("--csv", default=argparse.SUPPRESS, help="write per-span CSV to this path")
 
-    p = fib_sub.add_parser("efficiency", help="Carnot efficiency of two baths")
+    p = _leaf(fib_sub, "efficiency", _cmd_fiber_efficiency, "Carnot efficiency of two baths")
     p.add_argument("--t-hot", type=_finite, required=True)
     p.add_argument("--t-cold", type=_finite, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_fiber_efficiency)
 
-    p = fib_sub.add_parser("amplifier", help="entropy-conserving amplifier work")
+    p = _leaf(fib_sub, "amplifier", _cmd_fiber_amplifier, "entropy-conserving amplifier work")
     p.add_argument("--q-cold", type=_finite, required=True)
     p.add_argument("--t-hot", type=_finite, required=True)
     p.add_argument("--t-cold", type=_finite, required=True)
+    _add_units(p)
     p.add_argument("--work", type=_finite, default=None,
                    help="audit this work input instead of the ideal one")
-    p.add_argument("--units", choices=("reduced", "si"), default="reduced")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_fiber_amplifier)
 
-    p = sub.add_parser("landauer", help="computing-power bound (SI units)")
+    p = _leaf(sub, "landauer", _cmd_landauer, "computing-power bound (SI units)")
     p.add_argument("--power", type=_finite, required=True, help="watts")
     p.add_argument("--noise-temp", type=_finite, default=None, help="kelvin")
     p.add_argument("--margin", type=_finite, default=landauer.DEFAULT_MARGIN)
     p.add_argument("--bit-rate", type=_finite, default=None, help="1/s")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_landauer)
 
     return parser
 
@@ -589,11 +491,11 @@ def _config_path(parser: argparse.ArgumentParser, tokens: list[str]) -> str | No
     return path
 
 
-def _inject_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Insert config-file pairs as flags right after the command words, so
-    argparse applies its own types and required checks, and flags on the
-    command line, which come later, win as argparse's last occurrence."""
-    parser, start = _command(parser, argv)
+def _inject_config(parser: argparse.ArgumentParser, argv: list[str], start: int) -> list[str]:
+    """Insert config-file pairs as flags right after the command words
+    ``argv[:start]`` of the command ``parser``, so argparse applies its own
+    types and required checks, and flags on the command line, which come
+    later, win as argparse's last occurrence."""
     path = _config_path(parser, argv[start:])
     if path is None:
         return argv
@@ -616,19 +518,42 @@ def _inject_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str
     return argv[:start] + extra + argv[start:]
 
 
+#: Options every command takes; no report lists them.
+_COMMON = ("json", "config")
+_JOULES = "_joules"
+
+
+def _report(parser: argparse.ArgumentParser, command: list[str], args) -> Report:
+    """The report of the parsed command ``parser``, named by its command
+    words. Under ``--units si`` each ``--<energy>-joules`` value replaces
+    ``--<energy>``. The inputs are the command's own options in declared
+    order, the joules flags left out, and an option whose default is
+    suppressed only when it was given."""
+    consts = SI if getattr(args, "units", None) == "si" else REDUCED
+    actions = [action for action in parser._actions if action.dest in args]
+    if consts is SI:
+        for action in actions:
+            if action.dest.endswith(_JOULES):
+                value = getattr(args, action.dest)
+                if value is None:
+                    raise ValueError(f"--units si requires {action.option_strings[0]}")
+                setattr(args, action.dest[:-len(_JOULES)], value)
+    inputs = {action.dest: getattr(args, action.dest) for action in actions
+              if action.dest not in _COMMON and not action.dest.endswith(_JOULES)}
+    return Report(" ".join(command), consts, inputs)
+
+
 def run(argv: list[str]) -> int:
     parser = build_parser()
+    argv = list(argv)
+    leaf, start = _command(parser, argv)
     try:
-        full_argv = _inject_config(parser, list(argv))
-        args = parser.parse_args(full_argv)
+        args = parser.parse_args(_inject_config(leaf, argv, start))
+        report = _report(leaf, argv[:start], args)
+        args.handler(args, report)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, OSError) as exc:
-        print(f"infotherm: error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"infotherm: error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(report.to_json() if args.json else report.to_text())

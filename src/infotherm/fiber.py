@@ -19,6 +19,7 @@ for free.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .core import LN2, REDUCED, Energy, Information, PhysConstants, Temperature
@@ -164,53 +165,71 @@ class ChainResult:
     span_efficiency: float
 
 
+#: The smallest normal float64; a positive value below it has underflowed.
+_TINY = sys.float_info.min
+
+
+def _check_range(cfg: FiberChainConfig, consts: PhysConstants, cycle: tuple[float, ...],
+                 totals: tuple[float, ...] = ()) -> None:
+    """Reject a chain whose positive cycle quantities are not normal
+    float64 numbers, or whose totals overflow."""
+    if all(_TINY <= value < math.inf for value in cycle) and all(t < math.inf for t in totals):
+        return
+    raise ValueError(
+        f"epsilon0 = {cfg.epsilon0!r}, alpha_per_km*span_km = {cfg.alpha_per_km * cfg.span_km!r}, "
+        f"file_length = {cfg.file_length!r} and n_spans = {cfg.n_spans!r} make a bit energy, "
+        f"temperature, heat or work of the chain round to 0 or overflow in float64 "
+        f"({consts.mode} units)")
+
+
 def simulate_chain(cfg: FiberChainConfig, consts: PhysConstants = REDUCED) -> ChainResult:
     """Run the file through ``n_spans`` identical amplifier Carnot cycles.
 
     The file is assumed random, so it carries info = L ln 2 nats and heat
     Q_hot = L eps0 / 2 per span. Amplification restores the launch energy
     exactly, so every span repeats the same reversible cycle with
-    efficiency W/Q_hot = 1 - g; that cycle is built once.
+    efficiency W/Q_hot = 1 - g; that cycle is built once. A config whose
+    cycle, at any span count, or chain totals leave float64's normal
+    range is an input error.
     """
     g = cfg.attenuation
     eps0 = cfg.epsilon0
     eps_low = g * eps0
     info = cfg.file_length * LN2
     t_hot = file_temperature(eps0, consts)
-    t_cold = Temperature(g * float(t_hot))
+    t_cold = g * float(t_hot)  # a float until checked: a Temperature cannot be 0
     q_hot = cfg.file_length * eps0 / 2.0
     q_cold = g * q_hot
+    _check_range(cfg, consts, (eps_low, float(t_hot), t_cold, q_hot, q_cold))
+    _, work = amplifier_work(q_cold, t_hot, t_cold)
     n = cfg.n_spans
-    records = ()
-    if n:
-        _, work = amplifier_work(q_cold, t_hot, t_cold)
-        steps = (
-            StepRecord(ISOTHERMAL_WRITE, eps0, eps0, float(t_hot), float(t_hot),
-                       heat=q_hot, work=0.0, info_nats=info),
-            StepRecord(ADIABATIC_ATTENUATION, eps0, eps_low, float(t_hot), float(t_cold),
-                       heat=0.0, work=0.0, info_nats=info),
-            StepRecord(ISOTHERMAL_READ, eps_low, eps_low, float(t_cold), float(t_cold),
-                       heat=q_cold, work=0.0, info_nats=info),
-            StepRecord(ADIABATIC_AMPLIFICATION, eps_low, eps0, float(t_cold), float(t_hot),
-                       heat=0.0, work=float(work), info_nats=info),
-        )
-        cycle = CycleRecord(
-            steps=steps,
-            t_hot=t_hot,
-            t_cold=t_cold,
-            q_hot=Energy(q_hot),
-            q_cold=Energy(q_cold),
-            work_in=work,
-            info=Information(info),
-        )
-        records = (cycle,) * n
-    total_work = n * float(records[0].work_in) if n else 0.0
+    total_work, total_hot, total_cold = n * float(work), n * q_hot, n * q_cold
+    _check_range(cfg, consts, (float(work),), (total_work, total_hot, total_cold))
+    steps = (
+        StepRecord(ISOTHERMAL_WRITE, eps0, eps0, float(t_hot), float(t_hot),
+                   heat=q_hot, work=0.0, info_nats=info),
+        StepRecord(ADIABATIC_ATTENUATION, eps0, eps_low, float(t_hot), t_cold,
+                   heat=0.0, work=0.0, info_nats=info),
+        StepRecord(ISOTHERMAL_READ, eps_low, eps_low, t_cold, t_cold,
+                   heat=q_cold, work=0.0, info_nats=info),
+        StepRecord(ADIABATIC_AMPLIFICATION, eps_low, eps0, t_cold, float(t_hot),
+                   heat=0.0, work=float(work), info_nats=info),
+    )
+    cycle = CycleRecord(
+        steps=steps,
+        t_hot=t_hot,
+        t_cold=Temperature(t_cold),
+        q_hot=Energy(q_hot),
+        q_cold=Energy(q_cold),
+        work_in=work,
+        info=Information(info),
+    )
     return ChainResult(
         config=cfg,
-        records=records,
+        records=(cycle,) * n,
         total_work=Energy(total_work),
-        total_heat_hot=Energy(n * q_hot),
-        total_heat_cold=Energy(n * q_cold),
+        total_heat_hot=Energy(total_hot),
+        total_heat_cold=Energy(total_cold),
         info=Information(info),
         span_efficiency=1.0 - g,
     )

@@ -48,11 +48,6 @@ class TwoLevelGas:
         if not self.epsilon > 0:
             raise ValueError("level energy must be positive")
 
-    @property
-    def internal_energy(self) -> float:
-        """U = n * epsilon."""
-        return self.excited * self.epsilon
-
 
 def log_multiplicity(length: int, excited: int) -> float:
     """ln of the number of ways to place ``excited`` ones in ``length`` sites.
@@ -232,14 +227,12 @@ class McResult:
     std_error: float
     acceptance_rate: float
     samples: int
-    trajectory: tuple[tuple[int, int], ...]
 
     def mean_fraction(self, length: int) -> float:
         return self.mean_n / length
 
 
 _BATCHES = 20
-_TRAJECTORY_POINTS = 256
 _CHUNK = 1 << 16
 #: Largest L for which every occupation is exact in float64.
 _MAX_LENGTH = 1 << 53
@@ -366,8 +359,6 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
     batch_len = kept // batches
     kept_used = batches * batch_len
 
-    stride = max(1, cfg.steps // _TRAJECTORY_POINTS)
-    trajectory = [(0, n)]
     batch_sums = [0.0] * batches
     accepted = 0
 
@@ -387,10 +378,6 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
             piece[0] += batch_sums[b]
             batch_sums[b] = float(np.add.accumulate(piece, out=piece)[-1])
             lo = end
-        # occ[i] is the state at time step + i + 1
-        i0 = stride - 1 - step % stride
-        trajectory.extend(zip(range(step + i0 + 1, step + span + 1, stride),
-                              occ[i0::stride].tolist()))
         n = int(occ[-1])
         step += span
 
@@ -405,5 +392,4 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
         std_error=std_error,
         acceptance_rate=accepted / cfg.steps,
         samples=kept_used,
-        trajectory=tuple(trajectory),
     )

@@ -150,9 +150,23 @@ def test_gas_temperature_si_units(capsys):
     assert doc["results"]["temperature_closed"]["unit"] == "K"
 
 
-def test_si_mode_requires_joules_flag(capsys):
-    assert cli.run(["gas", "temperature", "--length", "1000", "--excited", "100",
-                    "--units", "si"]) == 2
+@pytest.mark.parametrize("argv, flag", [
+    (["gas", "temperature", "--length", "1000", "--excited", "100"], "--epsilon-joules"),
+    (["gas", "occupation", "--length", "1000", "--temperature", "300"], "--epsilon-joules"),
+    (["gas", "transfer", "--length", "1000", "--n-hot", "300", "--n-cold", "100"],
+     "--epsilon-joules"),
+    (["file", "{file}"], "--epsilon-joules"),
+    (["broadcast", "--file", "{file}", "--receivers", "3"], "--epsilon-joules"),
+    (["fiber", "simulate", "--alpha", "0.1", "--span-km", "1", "--spans", "1",
+      "--file-length", "10"], "--epsilon0-joules"),
+], ids=["gas-temperature", "gas-occupation", "gas-transfer", "file", "broadcast",
+        "fiber-simulate"])
+def test_si_mode_requires_joules_flag(argv, flag, random_file, capsys):
+    argv = [token.format(file=random_file) for token in argv]
+    assert cli.run(argv + ["--units", "si"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--units si requires {flag}" in captured.err
 
 
 def test_gas_metropolis_runs(capsys):
@@ -260,6 +274,46 @@ def test_fiber_simulate_rejects_attenuation_rounding_to_0_or_1(alpha, spans, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "alpha_per_km*span_km" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--epsilon0", "1e-300", "--alpha", "700", "--spans", "1", "--file-length", "10"],
+    ["--epsilon0", "1e-300", "--alpha", "700", "--spans", "0", "--file-length", "10"],
+    ["--epsilon0", "1e-310", "--alpha", "0.1", "--spans", "1", "--file-length", "1"],
+    ["--units", "si", "--epsilon0-joules", "1e300", "--alpha", "0.1", "--spans", "1",
+     "--file-length", "1"],
+    ["--epsilon0", "1e300", "--alpha", "0.1", "--spans", "1", "--file-length", "1000000"],
+], ids=["temperature-underflow", "temperature-underflow-zero-spans", "subnormal-epsilon0",
+        "si-temperature-overflow", "work-overflow"])
+def test_fiber_simulate_rejects_cycle_outside_float_range(argv, capsys):
+    """A cycle whose temperatures, heats or work round to 0 or overflow is
+    an input error naming the inputs, in both unit modes and at 0 spans."""
+    assert cli.run(["fiber", "simulate", "--span-km", "1", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    for name in ("epsilon0 = ", "alpha_per_km*span_km = ", "file_length = "):
+        assert name in captured.err
+
+
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["gas", "entropy", "--length", HUGE, "--excited", "1"],
+    ["gas", "occupation", "--length", HUGE, "--temperature", "1"],
+    ["fiber", "simulate", "--alpha", "0.1", "--span-km", "1", "--spans", "1",
+     "--file-length", HUGE],
+    ["fiber", "simulate", "--alpha", "0.1", "--span-km", "1", "--spans", str(10**20),
+     "--file-length", "1"],
+], ids=["gas-entropy-length", "gas-occupation-length", "fiber-file-length", "fiber-spans"])
+def test_integer_too_large_is_an_input_error(argv, capsys):
+    """An integer flag beyond float64 or index range exits 2 with one
+    error line, not a traceback and the verdict exit status 1."""
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("infotherm: error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_fiber_amplifier_audit(capsys):

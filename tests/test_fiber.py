@@ -180,3 +180,11 @@ def test_amplifier_entropy_conservation_property(g, q_cold):
     audit = amplifier_entropy_balance(q_cold, t_hot, g * t_hot, work)
     assert audit.verdict == "satisfied"
     assert float(audit.q_hot) == pytest.approx(float(q_hot), rel=1e-12)
+
+
+def test_chain_rejects_totals_that_overflow():
+    """Each span's cycle is in range, but the chain's total heat is not."""
+    cfg = FiberChainConfig(epsilon0=1e-10, alpha_per_km=0.1, span_km=1.0, n_spans=10**20,
+                           file_length=10**300)
+    with pytest.raises(ValueError, match=r"epsilon0 = .*n_spans = 10{20} .*overflow"):
+        simulate_chain(cfg)

@@ -269,7 +269,6 @@ def test_metropolis_deterministic_for_seed():
     second = metropolis_sample(500, 1.0, cfg)
     assert first.mean_n == second.mean_n
     assert first.std_error == second.std_error
-    assert first.trajectory == second.trajectory
 
 
 def test_metropolis_frozen_ground_state():
@@ -316,7 +315,6 @@ def test_metropolis_rejects_non_finite_epsilon():
 # --- the per-step loop as the oracle for the windowed chain ---------------
 
 _BATCHES = 20
-_TRAJECTORY_POINTS = 256
 _CHUNK = 1 << 16
 
 
@@ -335,8 +333,6 @@ def reference_metropolis_sample(length, epsilon, cfg):
     batch_len = kept // batches
     kept_used = batches * batch_len
 
-    stride = max(1, cfg.steps // _TRAJECTORY_POINTS)
-    trajectory = [(0, n)]
     batch_sums = [0.0] * batches
     accepted = 0
 
@@ -356,8 +352,6 @@ def reference_metropolis_sample(length, epsilon, cfg):
                 j = t - cfg.burn_in - 1
                 if j < kept_used:
                     batch_sums[j // batch_len] += n
-            if t % stride == 0:
-                trajectory.append((t, n))
         step += span
 
     batch_means = np.asarray(batch_sums) / batch_len
@@ -371,12 +365,11 @@ def reference_metropolis_sample(length, epsilon, cfg):
         std_error=std_error,
         acceptance_rate=accepted / cfg.steps,
         samples=kept_used,
-        trajectory=tuple(trajectory),
     )
 
 
 def assert_identical(result, expected):
-    """Whole-result equality, trajectory included; with one retained
+    """Whole-result equality; with one retained
     sample both standard errors must be NaN."""
     if math.isnan(expected.std_error):
         assert math.isnan(result.std_error)
@@ -425,4 +418,3 @@ def test_metropolis_pinned_long_chain(kt, mean_n, std_error, acceptance_rate):
     res = metropolis_sample(10**4, 1.0, cfg)
     assert (res.mean_n, res.std_error, res.acceptance_rate) == (mean_n, std_error, acceptance_rate)
     assert res.samples == 1_800_000
-    assert len(res.trajectory) == 257
