@@ -32,20 +32,11 @@ from .twolevel import (
     temperature_numeric,
     transfer_balance,
 )
-from .bitstream import (
-    Bitstream,
+from .filestats import (
     FileStats,
-    GeneratorSpec,
-    analyze,
     binary_entropy,
-    conditional_entropy_rate,
     file_heat_and_entropy,
     file_temperature,
-    generate,
-    lag1_autocorrelation,
-    randomness_test,
-    read_bitstream,
-    write_bitstream,
 )
 from .ledger import (
     BroadcastResult,
@@ -73,6 +64,32 @@ from .landauer import (
 )
 
 __version__ = "0.1.0"
+
+#: Names of the numpy-backed ``bitstream`` module, imported on first use
+#: so that importing the package does not import numpy.
+_BITSTREAM = frozenset({
+    "Bitstream",
+    "GeneratorSpec",
+    "analyze",
+    "conditional_entropy_rate",
+    "generate",
+    "lag1_autocorrelation",
+    "randomness_test",
+    "read_bitstream",
+    "write_bitstream",
+})
+
+
+def __getattr__(name: str):
+    if name in _BITSTREAM:
+        from . import bitstream
+
+        return getattr(bitstream, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _BITSTREAM)
 
 __all__ = [
     "LN2",

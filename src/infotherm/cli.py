@@ -31,7 +31,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from . import bitstream, fiber, landauer, ledger, twolevel
+from . import fiber, filestats, landauer, ledger, twolevel
 from .core import REDUCED, SI, Energy, Entropy, Information, PhysConstants, Temperature
 from .twolevel import VIOLATED
 
@@ -136,6 +136,8 @@ def export_csv(records, path) -> None:
 #
 # ``run`` builds each report from the parse: command words, unit mode and
 # inputs. A handler only computes and adds results and verdicts.
+# Only the handlers that read or write bits import ``bitstream``, and
+# with it numpy, so every other command starts without numpy.
 
 def _cmd_gas_entropy(args, report: Report) -> None:
     gas = twolevel.TwoLevelGas(length=args.length, excited=args.excited)
@@ -182,6 +184,8 @@ def _cmd_gas_metropolis(args, report: Report) -> None:
 
 
 def _cmd_file(args, report: Report) -> None:
+    from . import bitstream
+
     stream = bitstream.read_bitstream(args.path, bit_order=args.bit_order)
     stats = bitstream.analyze(stream, markov_order=args.markov_order)
     report.add("length", stats.length, "bit")
@@ -193,15 +197,19 @@ def _cmd_file(args, report: Report) -> None:
         report.add("info_rate_markov", stats.info_rate_markov, "nat/bit")
     report.add("correlation_lag1", stats.correlation_lag1)
     report.verdicts["equilibrium"] = stats.equilibrium
-    if stats.equilibrium == bitstream.RANDOM:
-        report.add("file_temperature", bitstream.file_temperature(args.epsilon, report.consts))
-        report.add("average_nat_energy", Energy(bitstream.average_nat_energy(args.epsilon)))
-        heat, entropy = bitstream.file_heat_and_entropy(stats.length, args.epsilon)
+    if stats.equilibrium == filestats.RANDOM:
+        report.add("file_temperature", filestats.file_temperature(args.epsilon, report.consts))
+        report.add("average_nat_energy", Energy(filestats.average_nat_energy(args.epsilon)))
+        heat, entropy = filestats.file_heat_and_entropy(stats.length, args.epsilon)
         report.add("heat", heat)
         report.add("entropy", entropy)
 
 
 def _cmd_generate(args, report: Report) -> None:
+    if args.length % 8:
+        raise ValueError("stream length must be a multiple of 8 to write raw bytes")
+    from . import bitstream
+
     spec = bitstream.GeneratorSpec(kind=args.kind, length=args.length, seed=args.seed,
                                    p=args.p, q=args.q)
     stream = bitstream.generate(spec)
@@ -212,6 +220,8 @@ def _cmd_generate(args, report: Report) -> None:
 
 
 def _cmd_broadcast(args, report: Report) -> None:
+    from . import bitstream
+
     del report.inputs["bit_order"]
     stream = bitstream.read_bitstream(args.file, bit_order=args.bit_order)
     stats = bitstream.analyze(stream, markov_order=args.markov_order)
@@ -226,7 +236,7 @@ def _cmd_broadcast(args, report: Report) -> None:
     report.add("clausius_margin", result.clausius_margin)
     # The receivers absorb the file's heat, worth k L ln 2 of entropy each;
     # that must cover the k dI deposited with them.
-    _, heat_entropy = bitstream.file_heat_and_entropy(stats.length, args.epsilon)
+    _, heat_entropy = filestats.file_heat_and_entropy(stats.length, args.epsilon)
     check = ledger.clausius_check(args.receivers * float(heat_entropy), result.entropy_deposited)
     report.verdicts["equilibrium"] = stats.equilibrium
     report.verdicts["clausius"] = check.verdict
@@ -384,25 +394,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _leaf(sub, "file", _cmd_file, "analyze a binary file")
     p.add_argument("path")
-    p.add_argument("--bit-order", choices=bitstream.BIT_ORDERS, default="msb_first")
+    p.add_argument("--bit-order", choices=filestats.BIT_ORDERS, default="msb_first")
     p.add_argument("--markov-order", type=int, default=3)
     _add_energy(p)
     _add_units(p)
 
     p = _leaf(sub, "generate", _cmd_generate, "write a synthetic corpus")
-    p.add_argument("--kind", choices=bitstream.GENERATOR_KINDS, required=True)
+    p.add_argument("--kind", choices=filestats.GENERATOR_KINDS, required=True)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--p", type=_finite, default=None, help="ones probability (bernoulli)")
     p.add_argument("--q", type=_finite, default=None, help="flip probability (markov)")
     p.add_argument("--out", required=True)
-    p.add_argument("--bit-order", choices=bitstream.BIT_ORDERS, default="msb_first")
+    p.add_argument("--bit-order", choices=filestats.BIT_ORDERS, default="msb_first")
 
     p = _leaf(sub, "broadcast", _cmd_broadcast, "one-to-N broadcast Clausius audit")
     p.add_argument("--file", required=True)
     p.add_argument("--receivers", type=int, required=True)
     p.add_argument("--markov-order", type=int, default=3)
-    p.add_argument("--bit-order", choices=bitstream.BIT_ORDERS, default="msb_first")
+    p.add_argument("--bit-order", choices=filestats.BIT_ORDERS, default="msb_first")
     _add_energy(p)
     _add_units(p)
 

@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 
 from .core import LN2, REDUCED, Energy, Information, PhysConstants, Temperature
-from .bitstream import file_temperature
+from .filestats import file_temperature
 from .twolevel import CLAUSIUS_TOL_K, SATISFIED, VIOLATED
 
 ISOTHERMAL_WRITE = "isothermal_write"

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import LN2, REDUCED, Energy, Entropy, Information, PhysConstants, Temperature
-from .bitstream import FileStats, RANDOM, file_temperature
+from .filestats import RANDOM, FileStats, file_temperature
 from .twolevel import CLAUSIUS_TOL_K, SATISFIED, VIOLATED
 
 

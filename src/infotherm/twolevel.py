@@ -8,6 +8,9 @@ Temperatures follow the two-level occupation law n/(L-n) = exp(-eps/kT);
 n > L/2 therefore yields a negative (population-inverted) temperature,
 which is returned as-is, and n = L/2 is rejected with a distinct
 InfiniteTemperatureError so downstream ledgers never see a signed infinity.
+
+Only the Metropolis sampler uses arrays. It imports numpy when it runs,
+so the closed forms, and the commands built on them, load without it.
 """
 
 from __future__ import annotations
@@ -15,10 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import REDUCED, Energy, Entropy, PhysConstants, Temperature
-from .rng import uniforms
 
 SATISFIED = "satisfied"
 VIOLATED = "violated"
@@ -250,6 +250,8 @@ def _window_occupations(x: np.ndarray, up: np.ndarray, n: int) -> np.ndarray:
     Step t de-excites if ``x[t] < n`` and otherwise excites if ``up[t]``.
     See ``metropolis_sample`` for why speculation reproduces that rule.
     """
+    import numpy as np
+
     size = x.size
     occ = np.empty(size, dtype=np.int64)
     rise = up.astype(np.int64)
@@ -342,6 +344,10 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
     step order, ``np.add.accumulate`` seeded with the sum so far, so it
     rounds exactly as a per-step ``+=`` does once it passes 2^53.
     """
+    import numpy as np
+
+    from .rng import uniforms
+
     if length < 10:
         raise ValueError("state count must be at least 10 for a meaningful chain")
     if length > _MAX_LENGTH:

@@ -109,6 +109,21 @@ def test_generate_then_analyze_round_trip(tmp_path, capsys):
     assert doc["verdicts"]["equilibrium"] == "ordered"
 
 
+def test_generate_rejects_unaligned_length_before_drawing(tmp_path, monkeypatch, capsys):
+    """A length raw bytes cannot hold is an input error before any bit is drawn."""
+    def draw(spec):
+        raise AssertionError("bits drawn for a length that cannot be written")
+
+    monkeypatch.setattr(bitstream, "generate", draw)
+    out_path = tmp_path / "gen.bin"
+    assert cli.run(["generate", "--kind", "bernoulli", "--p", "0.5", "--length", "7",
+                    "--out", str(out_path)]) == 2
+    assert not out_path.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "infotherm: error: stream length must be a multiple of 8 to write raw bytes\n"
+
+
 def test_file_reports_temperature_when_random(random_file, capsys):
     status, out = run_capture(["file", str(random_file), "--json"], capsys)
     assert status == 0

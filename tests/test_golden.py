@@ -106,3 +106,27 @@ def test_cli_output_matches_golden(name, tmp_path):
         assert status == expected_status[key], key
     for key, data in outputs.items():
         assert data == (GOLDEN / key).read_bytes(), key
+
+
+def _reject_constant(name):
+    raise ValueError(f"JSON report holds the non-standard constant {name}")
+
+
+def test_json_goldens_are_reports():
+    """Besides the exit-status index, the JSON goldens are exactly the
+    cases' ``--json`` reports."""
+    assert {path.name for path in GOLDEN.glob("*.json")} == {"status.json"} | {
+        name + ".json" for name in CASES}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_golden_round_trips(name):
+    """Each JSON report is standard JSON with the documented layout, and
+    writing what was read gives back the same bytes."""
+    text = (GOLDEN / (name + ".json")).read_text(encoding="utf-8")
+    doc = json.loads(text, parse_constant=_reject_constant)
+    assert json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n" == text
+    assert sorted(doc) == ["command", "inputs", "results", "schema_version", "verdicts"]
+    for key, entry in doc["results"].items():
+        assert sorted(entry) == ["unit", "value"], key
+        assert isinstance(entry["unit"], str), key

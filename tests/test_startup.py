@@ -1,0 +1,104 @@
+"""What importing the package and starting a command load.
+
+Only the array code imports numpy: ``bitstream``, behind ``file``,
+``generate`` and ``broadcast``, and the Metropolis chain behind ``gas
+metropolis``. Every closed-form command runs in a fresh interpreter
+without it, with the same stdout and exit status as its golden. The
+package resolves the ``bitstream`` names on first use and otherwise
+keeps its namespace as it was.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import infotherm
+from infotherm import bitstream, filestats
+from test_golden import CASES, GOLDEN
+
+SRC = Path(infotherm.__file__).resolve().parent.parent
+
+#: Golden cases of the README's closed-form commands.
+CLOSED_FORM = ("gas_entropy", "gas_temperature", "gas_occupation", "gas_transfer",
+               "fiber_efficiency", "fiber_amplifier", "fiber_simulate",
+               "landauer_noise", "landauer_bit_rate", "ledger_check", "ledger_combined")
+
+#: Runs ``cli.run`` on argv, then reports on stderr whether numpy was imported.
+RUN_CLI = ("import sys; from infotherm.cli import run; status = run(sys.argv[1:]); "
+           "print('numpy' in sys.modules, file=sys.stderr); sys.exit(status)")
+
+#: The names ``bitstream`` kept after its numpy-free part moved to ``filestats``.
+MOVED = ("RANDOM", "ORDERED", "UNDECIDED", "GENERATOR_KINDS", "BIT_ORDERS", "FileStats",
+         "binary_entropy", "file_temperature", "average_nat_energy", "file_heat_and_entropy")
+
+
+def python(code: str, *argv: str, cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                          capture_output=True, timeout=60)
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM)
+def test_closed_form_command_runs_without_numpy(name, tmp_path):
+    argv, setup = CASES[name]
+    assert not setup
+    status = json.loads((GOLDEN / "status.json").read_text())
+    for suffix, extra in ((".txt", []), (".json", ["--json"])):
+        proc = python(RUN_CLI, *argv, *extra, cwd=tmp_path)
+        assert proc.returncode == status[name + suffix], proc.stderr
+        assert proc.stdout == (GOLDEN / (name + suffix)).read_bytes()
+        assert proc.stderr == b"False\n"
+
+
+def test_unaligned_generate_fails_without_numpy(tmp_path):
+    proc = python(RUN_CLI, "generate", "--kind", "alternating", "--length", "7",
+                  "--out", "gen.bin", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == (b"infotherm: error: stream length must be a multiple of 8 "
+                           b"to write raw bytes\nFalse\n")
+    assert not (tmp_path / "gen.bin").exists()
+
+
+@pytest.mark.parametrize("module", ["infotherm", "infotherm.cli"])
+def test_import_does_not_load_numpy(module, tmp_path):
+    proc = python(f"import sys, {module}; sys.exit('numpy' in sys.modules)", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_star_import_binds_every_public_name(tmp_path):
+    code = ("import infotherm; from infotherm import *; "
+            "assert all(globals()[name] is getattr(infotherm, name) for name in infotherm.__all__)")
+    proc = python(code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _home(obj):
+    """The module that defines ``obj``; the constants live in ``core``."""
+    module = getattr(obj, "__module__", None)
+    if not (isinstance(module, str) and module.startswith("infotherm.")):
+        module = "infotherm.core"
+    return importlib.import_module(module)
+
+
+@pytest.mark.parametrize("name", infotherm.__all__)
+def test_public_name_resolves_to_its_home_module(name):
+    obj = getattr(infotherm, name)
+    assert getattr(_home(obj), name) is obj
+    assert name in dir(infotherm)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        infotherm.no_such_name
+    assert not hasattr(infotherm, "Bitstream_")
+
+
+@pytest.mark.parametrize("name", MOVED)
+def test_bitstream_reexports_the_closed_forms(name):
+    assert getattr(bitstream, name) is getattr(filestats, name)
