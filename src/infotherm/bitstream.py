@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,28 +49,61 @@ MAX_MARKOV_ORDER = 16
 #: scratch copy (512 KiB each) stay in L2 cache.
 _BLOCK = 1 << 16
 
+#: Bytes the counting kernels read at a time. Their temporaries are a few
+#: times this size, whatever the length of the stream.
+_CHUNK = 1 << 16
+
+#: Per byte value: its ones, its adjacent pairs of ones (the ones of
+#: v & (v >> 1)), and the value with its bit order reversed.
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
+_PAIRS = np.array([bin(v & (v >> 1)).count("1") for v in range(256)], dtype=np.uint8)
+_REVERSED = np.array([int(f"{v:08b}"[::-1], 2) for v in range(256)], dtype=np.uint8)
+
 
 @dataclass(frozen=True, eq=False)
 class Bitstream:
-    """An ordered bit sequence."""
+    """An ordered sequence of ``length`` bits, packed MSB first: bit i is
+    bit 7 - i % 8 of byte i // 8 of ``packed``, and the bits of the last
+    byte past ``length`` are 0. ``ones`` is counted when the stream is
+    built."""
 
-    bits: np.ndarray
+    packed: np.ndarray
+    length: int
+    ones: int = field(init=False)
 
     def __post_init__(self):
-        bits = np.ascontiguousarray(self.bits, dtype=np.uint8)
+        packed = np.ascontiguousarray(self.packed, dtype=np.uint8)
+        length = int(self.length)
+        if length < 1 or packed.ndim != 1 or packed.size != (length + 7) // 8:
+            raise ValueError("a bitstream of L >= 1 bits packs into a 1-d array of ceil(L/8) bytes")
+        if int(packed[-1]) & ((1 << (-length % 8)) - 1):
+            raise ValueError("the padding bits of the last byte must be 0")
+        object.__setattr__(self, "packed", packed)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "ones", _table_sum(_POPCOUNT, packed))
+
+    @classmethod
+    def from_bits(cls, bits) -> Bitstream:
+        """The stream of a sequence of 0s and 1s, one element per bit."""
+        bits = np.ascontiguousarray(bits, dtype=np.uint8)
         if bits.ndim != 1 or bits.size < 1:
             raise ValueError("bitstream must be a non-empty 1-d sequence")
-        if bits.size and int(bits.max()) > 1:
+        if int(bits.max()) > 1:
             raise ValueError("bitstream elements must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
+        return cls(np.packbits(bits), bits.size)
 
     @property
-    def length(self) -> int:
-        return int(self.bits.size)
+    def bits(self) -> np.ndarray:
+        """The bits, one uint8 each, unpacked into a new read-only array."""
+        bits = np.unpackbits(self.packed, count=self.length)
+        bits.flags.writeable = False
+        return bits
 
-    @property
-    def ones(self) -> int:
-        return int(self.bits.sum())
+
+def _table_sum(table: np.ndarray, packed: np.ndarray) -> int:
+    """The sum of ``table[b]`` over the bytes b of ``packed``."""
+    return sum(int(table.take(packed[i : i + _CHUNK]).sum(dtype=np.int64))
+               for i in range(0, packed.size, _CHUNK))
 
 
 @dataclass(frozen=True)
@@ -111,15 +144,28 @@ def _threshold(p: float) -> int:
     return math.ceil(p * 2.0**53)
 
 
-def _draws_below(seed: int, p: float, bits: np.ndarray) -> None:
-    """Set ``bits[t]`` to u_(t+1) < p for every t, comparing the stream's
-    words with the integer threshold ``_BLOCK`` words at a time."""
-    threshold = np.uint64(_threshold(p))
-    flags = bits.view(np.bool_)
-    for start in range(0, bits.size, _BLOCK):
-        top = random_words(seed, min(_BLOCK, bits.size - start), start)
+def _draw_packed(spec: GeneratorSpec, packed: np.ndarray) -> None:
+    """Pack the bernoulli bits u_(t+1) < p, or the markov bits (the first
+    bit u_1 < 1/2 xor the flips u_2..u_(t+1) < q), into ``packed``,
+    comparing the stream's words with the integer threshold ``_BLOCK``
+    words at a time. The markov xor prefix carries from block to block."""
+    markov = spec.kind == "markov"
+    threshold = np.uint64(_threshold(spec.q if markov else spec.p))
+    flags = np.empty(_BLOCK, dtype=np.bool_)
+    carry = False
+    for start in range(0, spec.length, _BLOCK):
+        top = random_words(spec.seed, min(_BLOCK, spec.length - start), start)
         top >>= np.uint64(11)
-        np.less(top, threshold, out=flags[start : start + top.size])
+        block = flags[: top.size]
+        np.less(top, threshold, out=block)
+        if markov:
+            if start == 0:
+                block[0] = (splitmix64(spec.seed, 1) >> 11) < _threshold(0.5)
+            np.logical_xor.accumulate(block, out=block)
+            if carry:
+                np.logical_not(block, out=block)
+            carry = bool(block[-1])
+        packed[start // 8 : (start + block.size + 7) // 8] = np.packbits(block)
 
 
 def generate(spec: GeneratorSpec) -> Bitstream:
@@ -129,50 +175,72 @@ def generate(spec: GeneratorSpec) -> Bitstream:
     order, so output is bit-identical across runs and platforms.
     """
     L = spec.length
+    packed = np.zeros((L + 7) // 8, dtype=np.uint8)
     if spec.kind in ("bernoulli", "markov"):
-        bits = np.empty(L, dtype=np.uint8)
-        _draws_below(spec.seed, spec.p if spec.kind == "bernoulli" else spec.q, bits)
-        if spec.kind == "markov":
-            # bit t is the first bit (u_1 < 1/2) xor the flips u_2..u_(t+1) < q
-            bits[0] = (splitmix64(spec.seed, 1) >> 11) < _threshold(0.5)
-            np.bitwise_xor.accumulate(bits, out=bits)
+        _draw_packed(spec, packed)
     elif spec.kind == "ordered_block":
-        bits = np.zeros(L, dtype=np.uint8)
-        bits[: L // 2] = 1
+        full, rest = divmod(L // 2, 8)
+        packed[:full] = 0xFF
+        if rest:
+            packed[full] = 0xFF << (8 - rest) & 0xFF
     else:  # alternating
-        bits = (np.arange(L, dtype=np.int64) % 2).astype(np.uint8)
-    return Bitstream(bits=bits)
+        packed[:] = 0x55
+        packed[-1] &= 0xFF << (-L % 8) & 0xFF
+    return Bitstream(packed, L)
 
 
 def read_bitstream(path: str | os.PathLike, bit_order: str = "msb_first") -> Bitstream:
-    """Unpack a raw binary file into bits, 8 per byte, in the given order."""
+    """A raw binary file as a stream of 8 bits per byte, in the given
+    order; ``lsb_first`` bytes are bit-reversed as they are read."""
     if bit_order not in BIT_ORDERS:
         raise ValueError(f"bit_order must be one of {BIT_ORDERS}")
     data = np.fromfile(path, dtype=np.uint8)
     if data.size == 0:
         raise ValueError(f"file {path!s} is empty")
-    order = "big" if bit_order == "msb_first" else "little"
-    return Bitstream(bits=np.unpackbits(data, bitorder=order))
+    if bit_order == "lsb_first":
+        data = _REVERSED[data]
+    return Bitstream(data, 8 * data.size)
 
 
 def write_bitstream(stream: Bitstream, path: str | os.PathLike, bit_order: str = "msb_first") -> None:
-    """Pack a stream back to raw bytes. Length must be a multiple of 8."""
+    """Write a stream as raw bytes. Length must be a multiple of 8."""
     if bit_order not in BIT_ORDERS:
         raise ValueError(f"bit_order must be one of {BIT_ORDERS}")
     if stream.length % 8 != 0:
         raise ValueError("stream length must be a multiple of 8 to write raw bytes")
-    order = "big" if bit_order == "msb_first" else "little"
-    np.packbits(stream.bits, bitorder=order).tofile(path)
+    packed = stream.packed if bit_order == "msb_first" else _REVERSED[stream.packed]
+    packed.tofile(path)
 
 
 def lag1_autocorrelation(stream: Bitstream) -> float:
-    """Sample autocorrelation of adjacent bits; 0 for constant streams."""
-    x = stream.bits.astype(np.float64)
-    x -= x.mean()
-    denom = float(np.dot(x, x))
-    if denom == 0.0 or x.size < 2:
+    """Sample autocorrelation of adjacent bits, exact and rounded once; 0
+    for constant streams and for L < 2.
+
+    With n ones, S11 adjacent pairs of ones, end bits b_0 and b_(L-1) and
+    m = n/L, the centred sums are S11 - m(2n - b_0 - b_(L-1)) + (L-1)m^2
+    and n - n^2/L. Times L^2 both are integers, and their quotient is one
+    correctly rounded int/int division.
+    """
+    L, n = stream.length, stream.ones
+    if L < 2 or n in (0, L):
         return 0.0
-    return float(np.dot(x[:-1], x[1:]) / denom)
+    packed = stream.packed
+    first = int(packed[0]) >> 7
+    last = int(packed[(L - 1) // 8]) >> (7 - (L - 1) % 8) & 1
+    numerator = _adjacent_ones(packed) * L * L - n * L * (2 * n - first - last) + (L - 1) * n * n
+    return numerator / (L * (n * L - n * n))
+
+
+def _adjacent_ones(packed: np.ndarray) -> int:
+    """S11, the pairs of adjacent ones: those inside a byte from a table,
+    and those across a byte boundary from the last bit of each byte and
+    the first bit of the next."""
+    pairs = _table_sum(_PAIRS, packed)
+    for i in range(0, packed.size - 1, _CHUNK):
+        head = packed[i : i + _CHUNK]
+        after = packed[i + 1 : i + 1 + _CHUNK]
+        pairs += int(np.count_nonzero(head[: after.size] & (after >> 7)))
+    return pairs
 
 
 def conditional_entropy_rate(stream: Bitstream, order: int) -> float:
@@ -186,48 +254,65 @@ def conditional_entropy_rate(stream: Bitstream, order: int) -> float:
     """
     if not 0 <= order <= MAX_MARKOV_ORDER:
         raise ValueError(f"markov order must lie in [0, {MAX_MARKOV_ORDER}]")
-    bits = stream.bits
-    L = bits.size
+    L = stream.length
     if order == 0:
-        return binary_entropy(float(bits.mean()))
+        return binary_entropy(stream.ones / L)
     if L < order + 1:
         raise ValueError("stream shorter than the block size")
-    counts = _window_counts(bits, order + 1).astype(np.float64)
-    context = counts.reshape(-1, 2).sum(axis=1)
-    ctx_rep = np.repeat(context, 2)
-    mask = counts > 0
-    h = np.sum(counts[mask] * (np.log(ctx_rep[mask]) - np.log(counts[mask])))
-    return float(h / L)
+    counts = _window_counts(stream, order + 1)
+    seen = counts > 0
+    context = counts.reshape(-1, 2).sum(axis=1).repeat(2)[seen].astype(np.float64)
+    counts = counts[seen].astype(np.float64)
+    np.log(context, out=context)
+    context -= np.log(counts)
+    context *= counts
+    return float(context.sum() / L)
 
 
-def _window_counts(bits: np.ndarray, width: int) -> np.ndarray:
+def _window_counts(stream: Bitstream, width: int) -> np.ndarray:
     """How often each cyclic ``width``-bit window (2 <= width <= 17) of
-    ``bits`` occurs, indexed by the window read MSB-first.
+    the stream occurs, indexed by the window read MSB-first.
 
-    The stream and its first width-1 bits are packed MSB-first. The window
-    at bit 8j + s is then bits s..s+width-1 of the big-endian key of bytes
-    j, j+1 (and j+2 when width > 9): one shift and mask. Each of the
+    Take the stream's whole bytes, then its last L % 8 bits followed by
+    its first width-1 bits packed MSB-first, then two zero bytes. The
+    window at bit 8j + s is bits s..s+width-1 of the big-endian key of
+    bytes j, j+1 (and j+2 when width > 9): one shift and mask. Each of the
     L // 8 whole bytes starts eight windows; a partial last byte starts
-    L % 8. For 16-bit keys the key histogram is summed down to each
-    offset's windows; for 24-bit keys each offset is counted on its own.
+    L % 8. The whole bytes are keyed ``_CHUNK`` at a time, each chunk
+    reading the next one or two bytes ahead. 16-bit keys go into a key
+    histogram that is summed down to each offset's windows at the end;
+    24-bit keys are cut into each offset's windows and counted.
     """
-    full, rest = divmod(bits.size, 8)
-    tail = np.concatenate([bits[8 * full :], bits[: width - 1]])
-    packed = np.concatenate([np.packbits(bits[: 8 * full]), np.packbits(tail), np.zeros(2, np.uint8)])
-    key_bits = 16 if width <= 9 else 24
-    keys = np.zeros(full + 1, dtype=np.intp)
-    for i in range(key_bits // 8):
-        keys <<= 8
-        keys |= packed[i : i + full + 1]
+    L = stream.length
+    packed = stream.packed
+    full, rest = divmod(L, 8)
+    tail_bits = np.concatenate([np.unpackbits(packed[full:], count=rest),
+                                np.unpackbits(packed[:3], count=width - 1)])
+    tail = np.concatenate([np.packbits(tail_bits), np.zeros(2, np.uint8)])
+    key_bytes = 2 if width <= 9 else 3
+    key_bits = 8 * key_bytes
     mask = (1 << width) - 1
-    if key_bits == 16:
-        hist = np.bincount(keys[:full], minlength=1 << 16)
-        counts = sum(hist.reshape(1 << s, 1 << width, -1).sum(axis=(0, 2)) for s in range(8))
-    else:
-        counts = np.zeros(1 << width, dtype=np.intp)
+    counts = np.zeros(1 << (16 if key_bytes == 2 else width), dtype=np.intp)
+    for start in range(0, full, _CHUNK):
+        n = min(_CHUNK, full - start)
+        src = packed[start : min(start + n + key_bytes - 1, full)]
+        if src.size < n + key_bytes - 1:
+            src = np.concatenate([src, tail[: n + key_bytes - 1 - src.size]])
+        keys = src[:n].astype(np.intp)
+        for i in range(1, key_bytes):
+            keys <<= 8
+            keys |= src[i : i + n]
+        if key_bytes == 2:
+            np.add.at(counts, keys, 1)
+            continue
+        windows = np.empty_like(keys)
         for s in range(8):
-            counts += np.bincount((keys[:full] >> (key_bits - width - s)) & mask, minlength=1 << width)
-    last = int(keys[full])
+            np.right_shift(keys, key_bits - width - s, out=windows)
+            windows &= mask
+            np.add.at(counts, windows, 1)
+    if key_bytes == 2:
+        counts = sum(counts.reshape(1 << s, 1 << width, -1).sum(axis=(0, 2)) for s in range(8))
+    last = int.from_bytes(tail[:key_bytes].tobytes(), "big")
     for s in range(rest):
         counts[(last >> (key_bits - width - s)) & mask] += 1
     return counts

@@ -26,6 +26,7 @@ Exit codes: 0 success, 1 a thermodynamic verdict came back violated,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -113,14 +114,18 @@ def _value_and_unit(value, consts: PhysConstants) -> tuple[object, str]:
 
 
 def export_csv(records, path) -> None:
-    """Write one CSV row per span, numbered from 0, 12 significant digits
-    per number. A record repeated in a row is formatted once."""
-    if not records:
+    """Write one CSV row per span record, numbered from 0, 12 significant
+    digits per number. ``records`` may be any iterable, such as
+    ``itertools.repeat(cycle, n_spans)``; a record repeated in a row is
+    formatted once."""
+    records = iter(records)
+    first = next(records, None)
+    if first is None:
         raise ValueError("no spans to export")
     previous = None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("span,epsilon_in,epsilon_out,t_hot,t_cold,q_hot,q_cold,work,info_nats\n")
-        for span, rec in enumerate(records):
+        for span, rec in enumerate(itertools.chain((first,), records)):
             if rec is not previous:
                 att = rec.steps[1]
                 cells = ",".join(
@@ -257,6 +262,8 @@ def _cmd_ledger_combined(args, report: Report) -> None:
 
 
 def _cmd_fiber_simulate(args, report: Report) -> None:
+    if args.spans > sys.maxsize:
+        raise ValueError(f"--spans {args.spans} is beyond the index range (at most {sys.maxsize})")
     cfg = fiber.FiberChainConfig(epsilon0=args.epsilon0, alpha_per_km=args.alpha,
                                  span_km=args.span_km, n_spans=args.spans,
                                  file_length=args.file_length)
@@ -267,18 +274,18 @@ def _cmd_fiber_simulate(args, report: Report) -> None:
     report.add("total_work", chain.total_work)
     report.add("total_heat_hot", chain.total_heat_hot)
     report.add("total_heat_cold", chain.total_heat_cold)
-    if chain.records:
-        first = chain.records[0]
-        report.add("t_hot", first.t_hot)
-        report.add("t_cold", first.t_cold)
-        report.add("q_hot_per_span", first.q_hot)
-        report.add("q_cold_per_span", first.q_cold)
-        report.add("work_per_span", first.work_in)
-        audit = fiber.amplifier_entropy_balance(first.q_cold, first.t_hot, first.t_cold,
-                                                first.work_in, report.consts)
+    cycle = chain.cycle
+    if cycle is not None:
+        report.add("t_hot", cycle.t_hot)
+        report.add("t_cold", cycle.t_cold)
+        report.add("q_hot_per_span", cycle.q_hot)
+        report.add("q_cold_per_span", cycle.q_cold)
+        report.add("work_per_span", cycle.work_in)
+        audit = fiber.amplifier_entropy_balance(cycle.q_cold, cycle.t_hot, cycle.t_cold,
+                                                cycle.work_in, report.consts)
         report.verdicts["second_law"] = audit.verdict
     if "csv" in args:
-        export_csv(chain.records, args.csv)
+        export_csv(itertools.repeat(cycle, chain.n_spans), args.csv)
 
 
 def _cmd_fiber_efficiency(args, report: Report) -> None:

@@ -18,6 +18,7 @@ for free.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -153,16 +154,24 @@ class FiberChainConfig:
 
 @dataclass(frozen=True)
 class ChainResult:
-    """All spans plus chain totals. ``records`` holds one record per span;
-    every span runs the same cycle, so it is the same object each time."""
+    """The cycle every span repeats, the span count and the chain totals.
+    ``cycle`` is None when there are no spans."""
 
     config: FiberChainConfig
-    records: tuple[CycleRecord, ...]
+    cycle: CycleRecord | None
+    n_spans: int
     total_work: Energy
     total_heat_hot: Energy
     total_heat_cold: Energy
     info: Information
     span_efficiency: float
+
+    @functools.cached_property
+    def records(self) -> tuple[CycleRecord, ...]:
+        """One record per span, the same object each time, built on first
+        access. It takes 8 bytes a span; ``cycle`` and ``n_spans`` say the
+        same in constant space."""
+        return (self.cycle,) * self.n_spans if self.cycle is not None else ()
 
 
 #: The smallest normal float64; a positive value below it has underflowed.
@@ -226,7 +235,8 @@ def simulate_chain(cfg: FiberChainConfig, consts: PhysConstants = REDUCED) -> Ch
     )
     return ChainResult(
         config=cfg,
-        records=(cycle,) * n,
+        cycle=cycle if n else None,
+        n_spans=n,
         total_work=Energy(total_work),
         total_heat_hot=Energy(total_hot),
         total_heat_cold=Energy(total_cold),

@@ -1,6 +1,8 @@
 """Bitstreams: generators, file I/O, estimators, and the randomness test."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,9 +32,9 @@ H_Q01 = 0.3250829733914482  # -0.1 ln 0.1 - 0.9 ln 0.9, frozen by hand
 
 def test_bitstream_validation():
     with pytest.raises(ValueError, match="non-empty"):
-        Bitstream(bits=np.array([], dtype=np.uint8))
+        Bitstream.from_bits(np.array([], dtype=np.uint8))
     with pytest.raises(ValueError, match="0 or 1"):
-        Bitstream(bits=np.array([0, 2], dtype=np.uint8))
+        Bitstream.from_bits(np.array([0, 2], dtype=np.uint8))
 
 
 def test_generator_spec_validation():
@@ -115,7 +117,7 @@ def test_binary_entropy_edges():
 
 
 def test_analyze_all_ones():
-    stream = Bitstream(bits=np.ones(1024, dtype=np.uint8))
+    stream = Bitstream.from_bits(np.ones(1024, dtype=np.uint8))
     stats = analyze(stream)
     assert stats.ones == 1024
     assert float(stats.info_iid) == 0.0
@@ -142,7 +144,7 @@ def test_analyze_short_stream_omits_markov_rate():
 
 
 def test_analyze_short_stream_equilibrium_undecided():
-    stream = Bitstream(bits=np.ones(8, dtype=np.uint8))
+    stream = Bitstream.from_bits(np.ones(8, dtype=np.uint8))
     assert analyze(stream, markov_order=0).equilibrium == "undecided"
 
 
@@ -214,7 +216,7 @@ def test_lag1_autocorrelation_extremes():
     blk = generate(GeneratorSpec(kind="ordered_block", length=4096))
     assert lag1_autocorrelation(alt) == pytest.approx(-1.0, abs=1e-3)
     assert lag1_autocorrelation(blk) == pytest.approx(1.0, abs=1e-3)
-    assert lag1_autocorrelation(Bitstream(bits=np.ones(64, dtype=np.uint8))) == 0.0
+    assert lag1_autocorrelation(Bitstream.from_bits(np.ones(64, dtype=np.uint8))) == 0.0
 
 
 def test_equal_energy_different_information():
@@ -349,13 +351,132 @@ def test_conditional_rate_matches_code_array_reference(length, order, p, seed):
     """Packed-window counts equal the int64 code-array counts, and so the
     rate is equal bit for bit, at every order and length."""
     bits = (np.random.default_rng(seed).random(length) < p).astype(np.uint8)
-    stream = Bitstream(bits=bits)
+    stream = Bitstream.from_bits(bits)
     if length < order + 1:
         with pytest.raises(ValueError, match="shorter than the block"):
             conditional_entropy_rate(stream, order)
         return
     if order:
-        np.testing.assert_array_equal(bitstream._window_counts(bits, order + 1),
+        np.testing.assert_array_equal(bitstream._window_counts(stream, order + 1),
                                       reference_window_counts(bits, order))
     assert conditional_entropy_rate(stream, order) == reference_conditional_entropy_rate(bits, order)
 
+
+
+# --- the packed layout, exact lag-1 and chunk invariance -----------------
+
+def exact_lag1(bits):
+    """Lag-1 from its definition in exact rationals: with y_i = L b_i - n,
+    the sums of (b_i - m)(b_(i+1) - m) and (b_i - m)^2 times L^2. The int64
+    sums are exact for L <= 2^20."""
+    L, n = bits.size, int(bits.sum())
+    assert L <= 2**20
+    if L < 2 or n in (0, L):
+        return 0.0
+    y = L * bits.astype(np.int64) - n
+    return float(Fraction(int(np.dot(y[:-1], y[1:])), int(np.dot(y, y))))
+
+
+@given(length=st.integers(min_value=1, max_value=5000), p=st.floats(min_value=0.0, max_value=1.0),
+       seed=st.integers(min_value=0, max_value=2**32))
+@example(length=1, p=1.0, seed=0)
+@example(length=2, p=0.5, seed=0)
+@example(length=2, p=0.5, seed=3)
+@example(length=13, p=0.5, seed=1)
+@example(length=1000, p=0.0, seed=2)
+@example(length=1001, p=1.0, seed=2)
+@settings(max_examples=200, deadline=None)
+def test_lag1_is_the_exact_rational_rounded_once(length, p, seed):
+    bits = (np.random.default_rng(seed).random(length) < p).astype(np.uint8)
+    assert lag1_autocorrelation(Bitstream.from_bits(bits)) == exact_lag1(bits)
+
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec(kind="markov", length=2**20, seed=7, q=0.1),
+    GeneratorSpec(kind="bernoulli", length=2**20 - 3, seed=11, p=0.5),
+    GeneratorSpec(kind="alternating", length=4097),
+    GeneratorSpec(kind="ordered_block", length=4099),
+    GeneratorSpec(kind="bernoulli", length=4096, seed=1, p=0.0),
+    GeneratorSpec(kind="bernoulli", length=4095, seed=1, p=1.0),
+], ids=["markov", "bernoulli-ragged", "alternating", "ordered-block", "all-zero", "all-one"])
+def test_lag1_matches_exact_rational_on_generated_streams(spec):
+    stream = generate(spec)
+    assert lag1_autocorrelation(stream) == exact_lag1(stream.bits)
+
+
+@pytest.mark.parametrize("bit_order", ["msb_first", "lsb_first"])
+def test_from_bits_round_trip_keeps_padding_zero(bit_order, tmp_path):
+    rng = np.random.default_rng(17)
+    path = tmp_path / "rt.bin"
+    for length in range(1, 71):
+        bits = rng.integers(0, 2, length, dtype=np.uint8)
+        stream = Bitstream.from_bits(bits)
+        np.testing.assert_array_equal(stream.bits, bits)
+        assert stream.packed.size == (length + 7) // 8
+        assert int(stream.packed[-1]) & ((1 << (-length % 8)) - 1) == 0
+        assert stream.ones == int(bits.sum())
+        if length % 8 == 0:
+            write_bitstream(stream, path, bit_order)
+            order = "big" if bit_order == "msb_first" else "little"
+            assert path.read_bytes() == np.packbits(bits, bitorder=order).tobytes()
+            np.testing.assert_array_equal(read_bitstream(path, bit_order).bits, bits)
+
+
+def test_bits_view_is_read_only():
+    bits = generate(GeneratorSpec(kind="alternating", length=20)).bits
+    with pytest.raises(ValueError):
+        bits[0] = 1
+
+
+def test_packed_constructor_checks_layout():
+    Bitstream(np.array([0xF0], dtype=np.uint8), 4)
+    with pytest.raises(ValueError, match="padding"):
+        Bitstream(np.array([0xF8], dtype=np.uint8), 4)
+    with pytest.raises(ValueError, match="ceil"):
+        Bitstream(np.array([0xF0, 0], dtype=np.uint8), 8)
+    with pytest.raises(ValueError, match="ceil"):
+        Bitstream(np.array([], dtype=np.uint8), 0)
+
+
+def _packed_statistics(bits, order):
+    """Counts (order >= 1), rate, ones and lag-1 of a fresh stream."""
+    stream = Bitstream.from_bits(bits)
+    counts = bitstream._window_counts(stream, order + 1) if order and bits.size > order else None
+    rate = conditional_entropy_rate(stream, order) if bits.size > order else None
+    return counts, rate, stream.ones, lag1_autocorrelation(stream)
+
+
+@given(length=st.integers(min_value=1, max_value=70_000), order=st.integers(min_value=0, max_value=16),
+       p=st.floats(min_value=0.0, max_value=1.0), seed=st.integers(min_value=0, max_value=2**32))
+@example(length=1, order=0, p=0.5, seed=0)
+@example(length=17, order=16, p=0.5, seed=1)
+@example(length=9, order=8, p=0.5, seed=2)
+@example(length=59, order=9, p=0.5, seed=3)
+@example(length=70_000, order=16, p=0.5, seed=4)
+@example(length=69_999, order=3, p=0.3, seed=5)
+@settings(max_examples=25, deadline=None)
+def test_counts_do_not_depend_on_the_chunk_size(length, order, p, seed):
+    bits = (np.random.default_rng(seed).random(length) < p).astype(np.uint8)
+    expected = _packed_statistics(bits, order)
+    for chunk in (1, 3, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bitstream, "_CHUNK", chunk)
+            counts, rate, ones, lag1 = _packed_statistics(bits, order)
+        if counts is not None:
+            np.testing.assert_array_equal(counts, expected[0])
+        assert (rate, ones, lag1) == expected[1:]
+
+
+def test_analyze_memory_is_the_packed_stream_plus_a_bounded_part():
+    """analyze at order 16 on 2^23 bits holds the packed stream (L/8 bytes)
+    and less than 4 MiB besides, as tracemalloc sees numpy's buffers."""
+    L = 2**23
+    tracemalloc.start()
+    try:
+        stream = generate(GeneratorSpec(kind="markov", length=L, seed=3, q=0.1))
+        tracemalloc.reset_peak()
+        analyze(stream, markov_order=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < L // 8 + 4 * 2**20

@@ -1,6 +1,7 @@
 """CLI: exit codes, report structure, library equivalence, determinism."""
 
 import dataclasses
+import itertools
 import json
 import subprocess
 import sys
@@ -357,6 +358,30 @@ def test_export_csv_single_span(tmp_path):
 def test_export_csv_rejects_empty(tmp_path):
     with pytest.raises(ValueError, match="no spans"):
         cli.export_csv((), tmp_path / "none.csv")
+    with pytest.raises(ValueError, match="no spans"):
+        cli.export_csv(itertools.repeat(None, 0), tmp_path / "none.csv")
+    assert not (tmp_path / "none.csv").exists()
+
+
+def test_export_csv_streams_repeated_cycle(tmp_path):
+    """The CSV of a repeated cycle equals the CSV of the records tuple."""
+    chain = fiber.simulate_chain(fiber.FiberChainConfig(epsilon0=1.0, alpha_per_km=LN2, span_km=1.0,
+                                                        n_spans=5, file_length=100))
+    cli.export_csv(chain.records, tmp_path / "tuple.csv")
+    cli.export_csv(itertools.repeat(chain.cycle, chain.n_spans), tmp_path / "repeat.csv")
+    assert (tmp_path / "repeat.csv").read_bytes() == (tmp_path / "tuple.csv").read_bytes()
+
+
+def test_fiber_simulate_quadrillion_spans_without_csv(capsys):
+    """10^15 spans report their totals in constant memory: exit 0, and
+    total_work = spans * work_per_span."""
+    spans = 10**15
+    status, out = run_capture(["fiber", "simulate", "--epsilon0", "1", "--alpha", "0.0086643",
+                               "--span-km", "80", "--file-length", "100", "--spans", str(spans),
+                               "--json"], capsys)
+    assert status == 0
+    results = json.loads(out)["results"]
+    assert results["total_work"]["value"] == spans * results["work_per_span"]["value"]
 
 
 def test_config_file_supplies_flags(tmp_path, capsys):

@@ -132,7 +132,17 @@ def test_chain_builds_one_cycle(n_spans, monkeypatch):
 def test_empty_chain():
     chain = simulate_chain(half_loss_config(n_spans=0))
     assert chain.records == ()
+    assert chain.cycle is None
+    assert chain.n_spans == 0
     assert float(chain.total_work) == 0.0
+
+
+def test_chain_holds_one_cycle_whatever_the_span_count():
+    """10^15 spans are one cycle and a count, not a tuple of 10^15 records."""
+    chain = simulate_chain(half_loss_config(n_spans=10**15))
+    assert chain.n_spans == 10**15
+    assert chain.cycle == simulate_chain(half_loss_config(n_spans=1)).cycle
+    assert float(chain.total_work) == 10**15 * float(chain.cycle.work_in)
 
 
 def test_config_validation():

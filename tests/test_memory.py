@@ -1,0 +1,63 @@
+"""Peak resident memory of the bit commands, measured in a child process.
+
+A command that reads or writes a 2^23-bit corpus holds the packed bytes
+(1 MiB) and a bounded working set besides, so its peak ``ru_maxrss``, as
+``wait4`` reports it, stays within 8 MiB of an interpreter that has only
+imported numpy and ``infotherm.bitstream``.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import infotherm
+
+SRC = Path(infotherm.__file__).resolve().parent.parent
+CORPUS_BITS = 1 << 23
+#: Headroom over the import floor, in KiB.
+HEADROOM_KIB = 8 * 1024
+
+pytestmark = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="ru_maxrss is in KiB and per child only on Linux")
+
+
+def max_rss_kib(args, cwd: Path) -> int:
+    """Peak resident set of ``python args`` in KiB; the run must succeed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, *args], cwd=cwd, env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    _, status, usage = os.wait4(proc.pid, 0)
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert os.waitstatus_to_exitcode(status) == 0, stderr
+    return usage.ru_maxrss
+
+
+@pytest.fixture(scope="module")
+def floor_kib(tmp_path_factory) -> int:
+    cwd = tmp_path_factory.mktemp("floor")
+    return max_rss_kib(["-c", "import numpy, infotherm.bitstream"], cwd)
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory) -> Path:
+    path = tmp_path_factory.mktemp("corpus") / "markov.bin"
+    max_rss_kib(["-m", "infotherm.cli", "generate", "--kind", "markov", "--q", "0.1",
+                 "--length", str(CORPUS_BITS), "--seed", "5", "--out", str(path)], path.parent)
+    return path
+
+
+@pytest.mark.parametrize("command", ["generate", "file", "broadcast"])
+def test_bit_command_peak_rss_stays_near_the_import_floor(command, corpus, floor_kib, tmp_path):
+    argv = {
+        "generate": ["generate", "--kind", "bernoulli", "--p", "0.5", "--length", str(CORPUS_BITS),
+                     "--seed", "9", "--out", str(tmp_path / "out.bin")],
+        "file": ["file", str(corpus), "--markov-order", "16"],
+        "broadcast": ["broadcast", "--file", str(corpus), "--receivers", "3"],
+    }[command]
+    peak = max_rss_kib(["-m", "infotherm.cli", *argv], tmp_path)
+    assert peak - floor_kib <= HEADROOM_KIB, f"{command}: {peak} KiB against a floor of {floor_kib} KiB"
