@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 from . import fiber, filestats, landauer, ledger, twolevel
 from .core import REDUCED, SI, Energy, Entropy, Information, PhysConstants, Temperature
+from .fiber import export_csv
 from .twolevel import VIOLATED
 
 SCHEMA_VERSION = 1
@@ -111,30 +112,6 @@ def _value_and_unit(value, consts: PhysConstants) -> tuple[object, str]:
     if isinstance(value, Information):
         return float(value), "nat"
     return value, "1"
-
-
-def export_csv(records, path) -> None:
-    """Write one CSV row per span record, numbered from 0, 12 significant
-    digits per number. ``records`` may be any iterable, such as
-    ``itertools.repeat(cycle, n_spans)``; a record repeated in a row is
-    formatted once."""
-    records = iter(records)
-    first = next(records, None)
-    if first is None:
-        raise ValueError("no spans to export")
-    previous = None
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("span,epsilon_in,epsilon_out,t_hot,t_cold,q_hot,q_cold,work,info_nats\n")
-        for span, rec in enumerate(itertools.chain((first,), records)):
-            if rec is not previous:
-                att = rec.steps[1]
-                cells = ",".join(
-                    format(float(x), ".12g")
-                    for x in (att.epsilon_start, att.epsilon_end, rec.t_hot, rec.t_cold,
-                              rec.q_hot, rec.q_cold, rec.work_in, rec.info)
-                )
-                previous = rec
-            fh.write(f"{span},{cells}\n")
 
 
 # --- handlers -------------------------------------------------------------

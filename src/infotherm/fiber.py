@@ -19,6 +19,7 @@ for free.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -243,3 +244,55 @@ def simulate_chain(cfg: FiberChainConfig, consts: PhysConstants = REDUCED) -> Ch
         info=Information(info),
         span_efficiency=1.0 - g,
     )
+
+
+#: Records read per CSV block: a multiple of 100, so the rows of a
+#: repeated record fall in whole hundreds.
+_CSV_BLOCK = 2000
+
+
+def _numbered_rows(start: int, stop: int, tail: str, digits: list[str]):
+    """Pieces of the text of rows ``f"{i}{tail}"`` for start <= i < stop.
+    A whole hundred of rows 100h .. 100h + 99 is one join over ``digits``,
+    the strings "00" to "99", so no number in it is formatted on its own."""
+    while start < stop:
+        head, low = divmod(start, 100)
+        end = min(stop, start - low + 100)
+        if head and end - start == 100:
+            prefix = str(head)
+            yield prefix
+            yield (tail + prefix).join(digits)
+        else:
+            yield tail.join(map(str, range(start, end)))
+        yield tail
+        start = end
+
+
+def export_csv(records, path) -> None:
+    """Write one CSV row per span record, numbered from 0, 12 significant
+    digits per number. ``records`` may be any iterable, such as
+    ``itertools.repeat(cycle, n_spans)``. It is read ``_CSV_BLOCK`` records
+    at a time; each run of one record within a block is formatted once and
+    written as a few joined pieces."""
+    records = iter(records)
+    first = next(records, None)
+    if first is None:
+        raise ValueError("no spans to export")
+    records = itertools.chain((first,), records)
+    digits = [f"{j:02d}" for j in range(100)]
+    span = 0
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("span,epsilon_in,epsilon_out,t_hot,t_cold,q_hot,q_cold,work,info_nats\n")
+        while block := list(itertools.islice(records, _CSV_BLOCK)):
+            # the block holds every record alive, so equal ids are one record
+            for _, run in itertools.groupby(block, key=id):
+                run = list(run)
+                rec = run[0]
+                att = rec.steps[1]
+                tail = "," + ",".join(
+                    format(float(x), ".12g")
+                    for x in (att.epsilon_start, att.epsilon_end, rec.t_hot, rec.t_cold,
+                              rec.q_hot, rec.q_cold, rec.work_in, rec.info)
+                ) + "\n"
+                fh.writelines(_numbered_rows(span, span + len(run), tail, digits))
+                span += len(run)

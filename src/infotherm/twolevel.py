@@ -53,7 +53,8 @@ def log_multiplicity(length: int, excited: int) -> float:
     """ln of the number of ways to place ``excited`` ones in ``length`` sites.
 
     Computed as a log-gamma difference, exact to ~1e-15 relative; agrees
-    with brute-force subset counts for every L <= 20 (see tests).
+    with brute-force subset counts for every L <= 20 (see tests). For
+    64 min(n, L-n) < L the difference would cancel; Stirling's series does not.
     """
     if length < 1:
         raise ValueError("state count must be at least 1")
@@ -61,7 +62,18 @@ def log_multiplicity(length: int, excited: int) -> float:
         raise ValueError("excited count must lie in [0, L]")
     # evaluate at min(n, L-n) so the n <-> L-n symmetry is bit-exact
     m = min(excited, length - excited)
+    if 64 * m < length:
+        return (m * math.log(length) - (length - m + 0.5) * math.log1p(-m / length) - m
+                + _stirling_remainder(length) - _stirling_remainder(length - m)
+                - math.lgamma(m + 1))
     return math.lgamma(length + 1) - math.lgamma(m + 1) - math.lgamma(length - m + 1)
+
+
+def _stirling_remainder(x: int) -> float:
+    """ln x! - (x+1/2) ln x + x - ln(2 pi)/2, to 1e-16 for x >= 64."""
+    r = 1.0 / x
+    r2 = r * r
+    return r * (1 / 12 - r2 * (1 / 360 - r2 / 1260))
 
 
 def entropy_exact(gas: TwoLevelGas) -> Entropy:
@@ -73,11 +85,15 @@ def entropy_stirling(gas: TwoLevelGas) -> Entropy:
     """Stirling approximation L ln L - n ln n - (L-n) ln(L-n), in k units.
 
     Undefined at n = 0 and n = L (the 0 ln 0 boundary); use entropy_exact
-    there, which is exactly zero.
+    there, which is exactly zero. For 64 min(n, L-n) < L the L ln L terms
+    would cancel, so it is -m ln(m/L) - (L-m) log1p(-m/L) there.
     """
     L, n = gas.length, gas.excited
     if n == 0 or n == L:
         raise ValueError("Stirling form is undefined at n = 0 or n = L; exact entropy is 0 there")
+    m = min(n, L - n)
+    if 64 * m < L:
+        return Entropy(-m * math.log(m / L) - (L - m) * math.log1p(-m / L))
     return Entropy(L * math.log(L) - n * math.log(n) - (L - n) * math.log(L - n))
 
 
@@ -233,7 +249,7 @@ class McResult:
 
 
 _BATCHES = 20
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14
 #: Largest L for which every occupation is exact in float64.
 _MAX_LENGTH = 1 << 53
 #: A first wrong guess closer than this many steps marks the window as
@@ -321,11 +337,13 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
     index. The stationary distribution is Binomial(L, 1/(1+exp(eps/kT))),
     so the post-burn-in mean of n estimates L/(1+exp(eps/kT)).
 
-    Step t (1-based) reads draws 2t-1 and 2t of the seeded stream: with
-    u1 the first, the step de-excites if u1*L < n; otherwise, with u2 the
-    second, it excites if u2 < exp(-eps/kT). n starts at L//2. The standard
-    error is estimated by batch means over 20 equal batches of the
-    retained samples.
+    Step t (1-based) reads words 2t-1 and 2t of the seeded stream, shifted
+    to their top 53 bits: w1, w2. It de-excites if float(w1) * (L * 2^-53)
+    < n, and otherwise excites if w2 < ceil(a * 2^53), a = exp(-eps/kT).
+    These are u1*L < n and u2 < a for the uniforms u = w * 2^-53, exactly,
+    since scaling by 2^-53 and a * 2^53 are exact. n starts at L//2. The
+    standard error is estimated by batch means over 20 equal batches of
+    the retained samples.
 
     The chain runs in windows of up to ``_CHUNK`` steps, each resolved in
     numpy by speculating and fixing. From a guess of n before each step,
@@ -338,15 +356,16 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
     compare is ``float(u1*L) < n`` with an integer n <= L <= 2^53, the
     same exact compare in numpy as in Python, so the chain, and every
     statistic taken from its per-step occupations, is bit-identical to a
-    per-step loop and does not depend on the window size. Where wrong
-    guesses come within ``_DENSE`` steps (small L, burn-in), the next
-    steps run as a plain loop. Each batch sum is a float64 running sum in
-    step order, ``np.add.accumulate`` seeded with the sum so far, so it
-    rounds exactly as a per-step ``+=`` does once it passes 2^53.
+    per-step loop and does not depend on the window size (2^14 steps keep
+    a window within L2). Where wrong guesses come within ``_DENSE`` steps
+    (small L, burn-in), the next steps run as a plain loop. Each batch sum
+    is a float64 running sum in step order, ``np.add.accumulate`` seeded
+    with the sum so far, so it rounds exactly as a per-step ``+=`` does
+    once it passes 2^53.
     """
     import numpy as np
 
-    from .rng import uniforms
+    from .rng import random_words
 
     if length < 10:
         raise ValueError("state count must be at least 10 for a meaningful chain")
@@ -358,6 +377,8 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
         raise ValueError("level energy must be finite")
     x = epsilon / cfg.kT
     accept_excite = math.exp(-x) if x < 700.0 else 0.0
+    threshold = np.uint64(math.ceil(accept_excite * 2.0**53))
+    scale = length * 2.0**-53
 
     n = length // 2
     kept = cfg.steps - cfg.burn_in
@@ -368,19 +389,23 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
     batch_sums = [0.0] * batches
     accepted = 0
 
+    buf = np.empty(min(_CHUNK, cfg.steps))  # site compares, then batch sums
     step = 0
     while step < cfg.steps:
         span = min(_CHUNK, cfg.steps - step)
-        u = uniforms(cfg.seed, 2 * span, offset=2 * step)
-        occ = _window_occupations(u[0::2] * length, u[1::2] < accept_excite, n)
-        accepted += int(np.count_nonzero(np.diff(occ, prepend=n)))
+        w = random_words(cfg.seed, 2 * span, offset=2 * step)
+        w >>= np.uint64(11)
+        up = w[1::2] < threshold
+        occ = _window_occupations(np.multiply(w[0::2], scale, out=buf[:span]), up, n)
+        accepted += int(np.count_nonzero(occ[1:] != occ[:-1])) + (int(occ[0]) != n)
         # occ[i] is retained sample i - first, for 0 <= i - first < kept_used
         first = cfg.burn_in - step
         lo, hi = max(0, first), min(span, first + kept_used)
         while lo < hi:
             b = (lo - first) // batch_len
             end = min(hi, first + (b + 1) * batch_len)
-            piece = occ[lo:end].astype(np.float64)
+            piece = buf[:end - lo]
+            piece[:] = occ[lo:end]
             piece[0] += batch_sums[b]
             batch_sums[b] = float(np.add.accumulate(piece, out=piece)[-1])
             lo = end

@@ -372,6 +372,35 @@ def test_export_csv_streams_repeated_cycle(tmp_path):
     assert (tmp_path / "repeat.csv").read_bytes() == (tmp_path / "tuple.csv").read_bytes()
 
 
+def per_row_csv(records):
+    """The CSV text one row at a time: the layout ``export_csv`` must keep."""
+    rows = ["span,epsilon_in,epsilon_out,t_hot,t_cold,q_hot,q_cold,work,info_nats\n"]
+    for span, rec in enumerate(records):
+        att = rec.steps[1]
+        cells = (att.epsilon_start, att.epsilon_end, rec.t_hot, rec.t_cold,
+                 rec.q_hot, rec.q_cold, rec.work_in, rec.info)
+        rows.append(f"{span}," + ",".join(format(float(x), ".12g") for x in cells) + "\n")
+    return "".join(rows)
+
+
+def test_export_csv_blocks_match_per_row_writer(tmp_path, monkeypatch):
+    """Runs of repeated records across hundreds and block edges, and
+    equal but distinct records, give the per-row text for any block size."""
+    def cycle(epsilon0):
+        return fiber.simulate_chain(fiber.FiberChainConfig(
+            epsilon0=epsilon0, alpha_per_km=LN2, span_km=1.0, n_spans=1, file_length=100)).cycle
+    a, b, c, a_again = cycle(1.0), cycle(2.0), cycle(0.5), cycle(1.0)
+    path = tmp_path / "runs.csv"
+    for records in ([a] * 2500 + [b],
+                    [b] + [a] * 2998 + [b] + [a] * 4001 + [c, b, b, a_again] + [a] * 12_000 + [c]):
+        expected = per_row_csv(records).splitlines(keepends=True)
+        for block in (1, 7, 100, 1000, fiber._CSV_BLOCK):
+            monkeypatch.setattr(fiber, "_CSV_BLOCK", block)
+            cli.export_csv(iter(records), path)
+            # lines, not one string: a failing compare then names the first bad row
+            assert path.read_text(encoding="utf-8").splitlines(keepends=True) == expected, block
+
+
 def test_fiber_simulate_quadrillion_spans_without_csv(capsys):
     """10^15 spans report their totals in constant memory: exit 0, and
     total_work = spans * work_per_span."""

@@ -1,9 +1,12 @@
-"""Peak resident memory of the bit commands, measured in a child process.
+"""Peak resident memory of the bit commands and the Metropolis chain,
+measured in a child process.
 
 A command that reads or writes a 2^23-bit corpus holds the packed bytes
 (1 MiB) and a bounded working set besides, so its peak ``ru_maxrss``, as
 ``wait4`` reports it, stays within 8 MiB of an interpreter that has only
-imported numpy and ``infotherm.bitstream``.
+imported numpy and ``infotherm.bitstream``. The chain holds one window of
+2^14 steps at a time, so ``gas metropolis`` stays within 3 MiB of an
+interpreter that has imported what it runs.
 """
 
 import os
@@ -19,6 +22,7 @@ SRC = Path(infotherm.__file__).resolve().parent.parent
 CORPUS_BITS = 1 << 23
 #: Headroom over the import floor, in KiB.
 HEADROOM_KIB = 8 * 1024
+CHAIN_HEADROOM_KIB = 3 * 1024
 
 pytestmark = pytest.mark.skipif(not sys.platform.startswith("linux"),
                                 reason="ru_maxrss is in KiB and per child only on Linux")
@@ -61,3 +65,11 @@ def test_bit_command_peak_rss_stays_near_the_import_floor(command, corpus, floor
     }[command]
     peak = max_rss_kib(["-m", "infotherm.cli", *argv], tmp_path)
     assert peak - floor_kib <= HEADROOM_KIB, f"{command}: {peak} KiB against a floor of {floor_kib} KiB"
+
+
+def test_metropolis_peak_rss_stays_near_the_import_floor(tmp_path):
+    floor = max_rss_kib(["-c", "import numpy, infotherm.cli, infotherm.twolevel, infotherm.rng"], tmp_path)
+    peak = max_rss_kib(["-m", "infotherm.cli", "gas", "metropolis", "--length", "10000",
+                        "--steps", "2000000", "--burn-in", "200000", "--kt", "1.0", "--seed", "1"],
+                       tmp_path)
+    assert peak - floor <= CHAIN_HEADROOM_KIB, f"metropolis: {peak} KiB against a floor of {floor} KiB"

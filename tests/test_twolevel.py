@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from itertools import combinations
 
 import numpy as np
@@ -113,6 +114,55 @@ def test_entropy_stirling_rejects_boundary():
         entropy_stirling(TwoLevelGas(10, 0))
     with pytest.raises(ValueError, match="undefined"):
         entropy_stirling(TwoLevelGas(10, 10))
+
+
+@given(
+    length=st.one_of(st.integers(min_value=1, max_value=10**20), st.integers(min_value=1, max_value=10**6)),
+    m=st.integers(min_value=0, max_value=3000),
+    mirror=st.booleans(),
+)
+@example(length=10**20, m=3, mirror=False)
+@example(length=10**20, m=3000, mirror=True)
+@example(length=64, m=1, mirror=False)  # 64 m = L: the log-gamma difference
+@example(length=65, m=1, mirror=True)  # 64 m < L: the expansion
+@example(length=192_001, m=3000, mirror=False)
+@settings(max_examples=200)
+def test_log_multiplicity_matches_integer_binomial(length, m, mirror):
+    """ln C(L, m) to 1e-12 relative against math.comb, also for m << L,
+    where the log-gamma difference would cancel to nothing."""
+    m = min(m, length)
+    excited = length - m if mirror else m
+    assert log_multiplicity(length, excited) == pytest.approx(math.log(math.comb(length, m)), rel=1e-12)
+
+
+def stirling_oracle(length, m):
+    """m ln(L/m) + (L-m) ln(L/(L-m)) to 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        big, small = Decimal(length), Decimal(m)
+        return float(small * (big / small).ln() + (big - small) * (big / (big - small)).ln())
+
+
+@given(
+    length=st.integers(min_value=2, max_value=10**20),
+    m=st.integers(min_value=1, max_value=3000),
+    mirror=st.booleans(),
+)
+@example(length=10**20, m=3, mirror=False)
+@example(length=64, m=1, mirror=True)
+@example(length=65, m=1, mirror=False)
+def test_entropy_stirling_keeps_its_digits(length, m, mirror):
+    m = min(m, length - 1)
+    gas = TwoLevelGas(length, length - m if mirror else m)
+    assert float(entropy_stirling(gas)) == pytest.approx(stirling_oracle(length, m), rel=1e-12)
+
+
+def test_temperature_numeric_at_huge_length():
+    """n = 1 of L = 10^23: the central difference is 2 / ln C(L, 2), not
+    the 1.86e-9 a cancelled log-gamma difference gives."""
+    length = 10**23
+    expected = 2.0 / math.log(math.comb(length, 2))
+    assert float(temperature_numeric(TwoLevelGas(length, 1))) == pytest.approx(expected, rel=1e-12)
 
 
 def test_temperature_closed_value():
@@ -398,14 +448,43 @@ def test_metropolis_matches_per_step_loop(length, kt, steps, seed, burn_frac):
 
 @pytest.mark.parametrize("length, kt", [(10, 1.0), (10**4, 0.25)])
 def test_metropolis_window_invariance(monkeypatch, length, kt):
-    """The window size is internal: 7, 1000 and the default agree exactly."""
+    """The window size is internal: every size agrees exactly."""
     cfg = McConfig(steps=20_000, burn_in=3_000, seed=9, kT=kt)
     results = []
-    for chunk in (7, 1000, twolevel._CHUNK):
+    for chunk in (1, 7, 1000, 2**14 - 1, twolevel._CHUNK, 2**16):
         monkeypatch.setattr(twolevel, "_CHUNK", chunk)
         results.append(metropolis_sample(length, 1.0, cfg))
-    assert results[0] == results[1] == results[2]
+    assert all(result == results[0] for result in results)
     assert_identical(results[0], reference_metropolis_sample(length, 1.0, cfg))
+
+
+@given(
+    words=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=64),
+    length=st.integers(min_value=10, max_value=2**53),
+    a=st.one_of(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.floats(min_value=1e-12, max_value=700.0).map(lambda x: math.exp(-x)).filter(lambda a: a < 1.0),
+        st.integers(min_value=1, max_value=2**53 - 1).map(lambda k: k * 2.0**-53),
+    ),
+)
+@example(words=[0, 2**11 - 1, 2**64 - 1], length=2**53, a=0.5)
+@example(words=[2**63, (2**52 - 1) << 11], length=10, a=1.0 - 2.0**-53)
+@example(words=[0, 2**64 - 1], length=10**4, a=0.0)  # eps/kT >= 700
+@example(words=[0, 2**64 - 1], length=10**4, a=1.0)  # exp(-eps/kT) rounds to 1
+def test_metropolis_integer_forms_are_exact(words, length, a):
+    """With w = output >> 11 and u = w 2^-53, the chain's integer forms
+    equal the float compares of the per-step loop, in Python and numpy:
+    float(w) (L 2^-53) == u L, and w < ceil(a 2^53) exactly when u < a."""
+    scale = length * 2.0**-53
+    threshold = math.ceil(a * 2.0**53)
+    for word in words:
+        w = word >> 11
+        assert float(w) * scale == (w * 2.0**-53) * length
+        assert (w < threshold) == (w * 2.0**-53 < a)
+    w = np.array(words, dtype=np.uint64) >> np.uint64(11)
+    u = w * 2.0**-53
+    assert (np.multiply(w, scale) == u * length).all()
+    assert ((w < np.uint64(threshold)) == (u < a)).all()
 
 
 @pytest.mark.parametrize("kt, mean_n, std_error, acceptance_rate", [
