@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,19 +46,32 @@ MIN_SAMPLES_PER_CONTEXT = 64
 
 MAX_MARKOV_ORDER = 16
 
-#: Words the generators draw at a time: a block and the generator's
-#: scratch copy (512 KiB each) stay in L2 cache.
-_BLOCK = 1 << 16
+#: Words the generators draw at a time, a multiple of 8: the words and
+#: their compare flags stay in L2 cache, and ``write_generated`` writes
+#: each packed block as it is drawn.
+_BLOCK = 1 << 14
 
-#: Bytes the counting kernels read at a time. Their temporaries are a few
-#: times this size, whatever the length of the stream.
-_CHUNK = 1 << 16
+#: Bytes the scanner takes at a time, and the size of the one buffer a
+#: file is read into. The scanner's temporaries are a few times this size,
+#: whatever the length of the stream.
+_CHUNK = 1 << 14
+
+#: Count-table bins the rate folds at a time, an even number: its
+#: temporaries, a few times this many float64s, stay below the scanner's.
+_FOLD = 1 << 12
 
 #: Per byte value: its ones, its adjacent pairs of ones (the ones of
 #: v & (v >> 1)), and the value with its bit order reversed.
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 _PAIRS = np.array([bin(v & (v >> 1)).count("1") for v in range(256)], dtype=np.uint8)
 _REVERSED = np.array([int(f"{v:08b}"[::-1], 2) for v in range(256)], dtype=np.uint8)
+
+
+def _integers_upto(values: np.ndarray, top: int) -> bool:
+    """Whether every element of a numeric array is an integer in [0, top]."""
+    if values.dtype.kind not in "biuf":
+        return False
+    return bool(np.all((values >= 0) & (values <= top) & (values == np.trunc(values))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,25 +86,28 @@ class Bitstream:
     ones: int = field(init=False)
 
     def __post_init__(self):
-        packed = np.ascontiguousarray(self.packed, dtype=np.uint8)
+        packed = np.asarray(self.packed)
         length = int(self.length)
         if length < 1 or packed.ndim != 1 or packed.size != (length + 7) // 8:
             raise ValueError("a bitstream of L >= 1 bits packs into a 1-d array of ceil(L/8) bytes")
+        if packed.dtype != np.uint8 and not _integers_upto(packed, 255):
+            raise ValueError("packed bytes must be integers in [0, 255]")
+        packed = np.ascontiguousarray(packed, dtype=np.uint8)
         if int(packed[-1]) & ((1 << (-length % 8)) - 1):
             raise ValueError("the padding bits of the last byte must be 0")
         object.__setattr__(self, "packed", packed)
         object.__setattr__(self, "length", length)
-        object.__setattr__(self, "ones", _table_sum(_POPCOUNT, packed))
+        object.__setattr__(self, "ones", _scan(_slices(packed)).ones)
 
     @classmethod
     def from_bits(cls, bits) -> Bitstream:
         """The stream of a sequence of 0s and 1s, one element per bit."""
-        bits = np.ascontiguousarray(bits, dtype=np.uint8)
+        bits = np.asarray(bits)
         if bits.ndim != 1 or bits.size < 1:
             raise ValueError("bitstream must be a non-empty 1-d sequence")
-        if int(bits.max()) > 1:
+        if not _integers_upto(bits, 1):
             raise ValueError("bitstream elements must be 0 or 1")
-        return cls(np.packbits(bits), bits.size)
+        return cls(np.packbits(bits.astype(np.uint8)), bits.size)
 
     @property
     def bits(self) -> np.ndarray:
@@ -100,10 +117,131 @@ class Bitstream:
         return bits
 
 
-def _table_sum(table: np.ndarray, packed: np.ndarray) -> int:
-    """The sum of ``table[b]`` over the bytes b of ``packed``."""
-    return sum(int(table.take(packed[i : i + _CHUNK]).sum(dtype=np.int64))
-               for i in range(0, packed.size, _CHUNK))
+def _slices(packed: np.ndarray) -> Iterator[np.ndarray]:
+    """Packed bytes as views of ``_CHUNK`` bytes, in order."""
+    return (packed[i : i + _CHUNK] for i in range(0, packed.size, _CHUNK))
+
+
+class _Scanner:
+    """One pass over a stream's packed bytes, fed in order in chunks of any
+    size. It collects the ones, S11 (the pairs of adjacent ones), the end
+    bits and, at ``order`` k >= 1, the cyclic (k+1)-bit window counts.
+
+    The ones and the pairs inside each byte come from a histogram of the
+    byte values and two tables. The pairs across a byte boundary come from
+    the last bit of each byte and the first bit of the next, so the last
+    byte fed carries over to the next chunk. The window at bit 8j + s is
+    bits s..s+k of the big-endian key of bytes j, j+1 (and j+2 when k > 8):
+    one shift and mask. The windows of byte j are counted once a byte past
+    its key has been fed; the last key-length bytes wait in ``tail`` until
+    ``window_counts`` knows whether the last byte is partial and closes the
+    wrap with the first bytes, kept in ``head``. 16-bit keys go into a key
+    histogram that is summed down to each offset's windows at the end;
+    24-bit keys are cut into each offset's windows and counted.
+    """
+
+    def __init__(self, order: int = 0):
+        self.order = order
+        self.key_bytes = 2 if order <= 8 else 3
+        self.counts = None
+        if order:
+            bins = 1 << (16 if self.key_bytes == 2 else order + 1)
+            self.counts = np.zeros(bins, dtype=np.int64)
+        self.histogram = np.zeros(256, dtype=np.int64)
+        self.size = self.cross_pairs = 0
+        self.head = self.tail = np.zeros(0, dtype=np.uint8)
+
+    @property
+    def ones(self) -> int:
+        return int(self.histogram @ _POPCOUNT)
+
+    def feed(self, chunk: np.ndarray) -> None:
+        """Take the next bytes of the stream, a non-empty uint8 array that
+        the caller may overwrite once this returns."""
+        k = self.key_bytes
+        self.histogram += np.bincount(chunk, minlength=256)
+        self.cross_pairs += int(np.count_nonzero(chunk[:-1] & (chunk[1:] >> 7)))
+        if self.size:
+            self.cross_pairs += int(self.tail[-1]) & int(chunk[0]) >> 7
+        if self.size < 2:
+            self.head = np.concatenate([self.head, chunk[: 2 - self.size]])
+        if self.counts is not None:
+            held = self.tail.size
+            self._count(np.concatenate([self.tail, chunk[:k]]), min(held, held + chunk.size - k))
+            self._count(chunk, chunk.size - k)
+        self.tail = np.concatenate([self.tail, chunk[-k:]])[-k:]
+        self.size += chunk.size
+
+    def _count(self, src: np.ndarray, starts: int) -> None:
+        """Count the windows of the first ``starts`` bytes of ``src``,
+        which holds their keys."""
+        if starts <= 0:
+            return
+        keys = src[:starts].astype(np.int64)
+        for i in range(1, self.key_bytes):
+            keys <<= 8
+            keys |= src[i : i + starts]
+        if self.key_bytes == 2:
+            np.add.at(self.counts, keys, 1)
+            return
+        width = self.order + 1
+        windows = np.empty_like(keys)
+        for s in range(8):
+            np.right_shift(keys, 24 - width - s, out=windows)
+            windows &= (1 << width) - 1
+            np.add.at(self.counts, windows, 1)
+
+    def window_counts(self, length: int) -> np.ndarray:
+        """How often each cyclic window occurs in the ``length`` bits fed
+        (length >= order + 1), indexed by the window read MSB-first. The
+        stream's last length % 8 bits followed by its first ``order`` bits,
+        packed MSB-first, then two zero bytes, close the wrap. Call once:
+        the table is completed in place."""
+        rest = length % 8
+        width = self.order + 1
+        k = self.key_bytes
+        whole = self.tail[: self.tail.size - (rest > 0)]
+        wrap_bits = np.concatenate([np.unpackbits(self.tail[-1:], count=rest),
+                                    np.unpackbits(self.head, count=width - 1)])
+        wrap = np.concatenate([np.packbits(wrap_bits), np.zeros(2, np.uint8)])
+        self._count(np.concatenate([whole, wrap]), whole.size)
+        counts = self.counts
+        if k == 2:
+            counts = sum(counts.reshape(1 << s, 1 << width, -1).sum(axis=(0, 2)) for s in range(8))
+        last = int.from_bytes(wrap[:k].tobytes(), "big")
+        for s in range(rest):
+            counts[(last >> (8 * k - width - s)) & ((1 << width) - 1)] += 1
+        return counts
+
+    def lag1(self, length: int) -> float:
+        """Sample autocorrelation of adjacent bits of the ``length`` bits
+        fed, exact and rounded once (see ``lag1_autocorrelation``)."""
+        L, n = length, self.ones
+        if L < 2 or n in (0, L):
+            return 0.0
+        first = int(self.head[0]) >> 7
+        last = int(self.tail[-1]) >> (-L % 8) & 1
+        pairs = int(self.histogram @ _PAIRS) + self.cross_pairs
+        numerator = pairs * L * L - n * L * (2 * n - first - last) + (L - 1) * n * n
+        return numerator / (L * (n * L - n * n))
+
+
+def _scan(chunks: Iterable[np.ndarray], order: int = 0) -> _Scanner:
+    """A scanner at ``order`` fed every chunk."""
+    scan = _Scanner(order)
+    for chunk in chunks:
+        scan.feed(chunk)
+    return scan
+
+
+def _check_order(order: int) -> None:
+    if not 0 <= order <= MAX_MARKOV_ORDER:
+        raise ValueError(f"markov order must lie in [0, {MAX_MARKOV_ORDER}]")
+
+
+def _check_bit_order(bit_order: str) -> None:
+    if bit_order not in BIT_ORDERS:
+        raise ValueError(f"bit_order must be one of {BIT_ORDERS}")
 
 
 @dataclass(frozen=True)
@@ -144,20 +282,30 @@ def _threshold(p: float) -> int:
     return math.ceil(p * 2.0**53)
 
 
-def _draw_packed(spec: GeneratorSpec, packed: np.ndarray) -> None:
-    """Pack the bernoulli bits u_(t+1) < p, or the markov bits (the first
-    bit u_1 < 1/2 xor the flips u_2..u_(t+1) < q), into ``packed``,
-    comparing the stream's words with the integer threshold ``_BLOCK``
-    words at a time. The markov xor prefix carries from block to block."""
+def _blocks(spec: GeneratorSpec) -> Iterator[np.ndarray]:
+    """The stream described by ``spec``, packed ``_BLOCK`` bits at a time.
+
+    The bernoulli bits are u_(t+1) < p, and the markov bits the first bit
+    u_1 < 1/2 xor the flips u_2..u_(t+1) < q, comparing the stream's words
+    with the integer threshold; the markov xor prefix carries from block
+    to block.
+    """
+    L = spec.length
     markov = spec.kind == "markov"
-    threshold = np.uint64(_threshold(spec.q if markov else spec.p))
-    flags = np.empty(_BLOCK, dtype=np.bool_)
+    if spec.kind in ("bernoulli", "markov"):
+        threshold = np.uint64(_threshold(spec.q if markov else spec.p))
+    flags = np.empty(min(_BLOCK, L), dtype=np.bool_)
     carry = False
-    for start in range(0, spec.length, _BLOCK):
-        top = random_words(spec.seed, min(_BLOCK, spec.length - start), start)
-        top >>= np.uint64(11)
-        block = flags[: top.size]
-        np.less(top, threshold, out=block)
+    for start in range(0, L, _BLOCK):
+        block = flags[: min(_BLOCK, L - start)]
+        if spec.kind == "ordered_block":
+            block[:] = np.arange(start, start + block.size) < L // 2
+        elif spec.kind == "alternating":
+            block[:] = np.arange(start, start + block.size) & 1
+        else:
+            top = random_words(spec.seed, block.size, start)
+            top >>= np.uint64(11)
+            np.less(top, threshold, out=block)
         if markov:
             if start == 0:
                 block[0] = (splitmix64(spec.seed, 1) >> 11) < _threshold(0.5)
@@ -165,7 +313,7 @@ def _draw_packed(spec: GeneratorSpec, packed: np.ndarray) -> None:
             if carry:
                 np.logical_not(block, out=block)
             carry = bool(block[-1])
-        packed[start // 8 : (start + block.size + 7) // 8] = np.packbits(block)
+        yield np.packbits(block)
 
 
 def generate(spec: GeneratorSpec) -> Bitstream:
@@ -174,26 +322,33 @@ def generate(spec: GeneratorSpec) -> Bitstream:
     Uniform draws come from the seeded splitmix64 stream, one per bit in
     order, so output is bit-identical across runs and platforms.
     """
-    L = spec.length
-    packed = np.zeros((L + 7) // 8, dtype=np.uint8)
-    if spec.kind in ("bernoulli", "markov"):
-        _draw_packed(spec, packed)
-    elif spec.kind == "ordered_block":
-        full, rest = divmod(L // 2, 8)
-        packed[:full] = 0xFF
-        if rest:
-            packed[full] = 0xFF << (8 - rest) & 0xFF
-    else:  # alternating
-        packed[:] = 0x55
-        packed[-1] &= 0xFF << (-L % 8) & 0xFF
-    return Bitstream(packed, L)
+    packed = np.empty((spec.length + 7) // 8, dtype=np.uint8)
+    offset = 0
+    for block in _blocks(spec):
+        packed[offset : offset + block.size] = block
+        offset += block.size
+    return Bitstream(packed, spec.length)
+
+
+def write_generated(spec: GeneratorSpec, path: str | os.PathLike, bit_order: str = "msb_first") -> int:
+    """Write the bytes of ``write_bitstream(generate(spec), path,
+    bit_order)``, each block as it is drawn, and return the stream's ones.
+    The length must be a multiple of 8."""
+    _check_bit_order(bit_order)
+    if spec.length % 8 != 0:
+        raise ValueError("stream length must be a multiple of 8 to write raw bytes")
+    scan = _Scanner()
+    with open(path, "wb") as out:
+        for block in _blocks(spec):
+            scan.feed(block)
+            out.write(block if bit_order == "msb_first" else _REVERSED[block])
+    return scan.ones
 
 
 def read_bitstream(path: str | os.PathLike, bit_order: str = "msb_first") -> Bitstream:
     """A raw binary file as a stream of 8 bits per byte, in the given
     order; ``lsb_first`` bytes are bit-reversed as they are read."""
-    if bit_order not in BIT_ORDERS:
-        raise ValueError(f"bit_order must be one of {BIT_ORDERS}")
+    _check_bit_order(bit_order)
     data = np.fromfile(path, dtype=np.uint8)
     if data.size == 0:
         raise ValueError(f"file {path!s} is empty")
@@ -202,10 +357,22 @@ def read_bitstream(path: str | os.PathLike, bit_order: str = "msb_first") -> Bit
     return Bitstream(data, 8 * data.size)
 
 
+def _read_chunks(path: str | os.PathLike, bit_order: str) -> Iterator[np.ndarray]:
+    """The bytes of a file, read ``_CHUNK`` at a time into one buffer and
+    bit-reversed there for ``lsb_first``. Each chunk is a view of the
+    buffer, which the next read overwrites."""
+    buf = np.empty(_CHUNK, dtype=np.uint8)
+    with open(path, "rb", buffering=0) as f:
+        while size := f.readinto(buf):
+            chunk = buf[:size]
+            if bit_order == "lsb_first":
+                _REVERSED.take(chunk, out=chunk)
+            yield chunk
+
+
 def write_bitstream(stream: Bitstream, path: str | os.PathLike, bit_order: str = "msb_first") -> None:
     """Write a stream as raw bytes. Length must be a multiple of 8."""
-    if bit_order not in BIT_ORDERS:
-        raise ValueError(f"bit_order must be one of {BIT_ORDERS}")
+    _check_bit_order(bit_order)
     if stream.length % 8 != 0:
         raise ValueError("stream length must be a multiple of 8 to write raw bytes")
     packed = stream.packed if bit_order == "msb_first" else _REVERSED[stream.packed]
@@ -221,26 +388,7 @@ def lag1_autocorrelation(stream: Bitstream) -> float:
     and n - n^2/L. Times L^2 both are integers, and their quotient is one
     correctly rounded int/int division.
     """
-    L, n = stream.length, stream.ones
-    if L < 2 or n in (0, L):
-        return 0.0
-    packed = stream.packed
-    first = int(packed[0]) >> 7
-    last = int(packed[(L - 1) // 8]) >> (7 - (L - 1) % 8) & 1
-    numerator = _adjacent_ones(packed) * L * L - n * L * (2 * n - first - last) + (L - 1) * n * n
-    return numerator / (L * (n * L - n * n))
-
-
-def _adjacent_ones(packed: np.ndarray) -> int:
-    """S11, the pairs of adjacent ones: those inside a byte from a table,
-    and those across a byte boundary from the last bit of each byte and
-    the first bit of the next."""
-    pairs = _table_sum(_PAIRS, packed)
-    for i in range(0, packed.size - 1, _CHUNK):
-        head = packed[i : i + _CHUNK]
-        after = packed[i + 1 : i + 1 + _CHUNK]
-        pairs += int(np.count_nonzero(head[: after.size] & (after >> 7)))
-    return pairs
+    return _scan(_slices(stream.packed)).lag1(stream.length)
 
 
 def conditional_entropy_rate(stream: Bitstream, order: int) -> float:
@@ -252,70 +400,39 @@ def conditional_entropy_rate(stream: Bitstream, order: int) -> float:
     the rate is exactly non-increasing in the order and never exceeds
     ln 2. Order 0 reduces to the iid plug-in H(n/L).
     """
-    if not 0 <= order <= MAX_MARKOV_ORDER:
-        raise ValueError(f"markov order must lie in [0, {MAX_MARKOV_ORDER}]")
-    L = stream.length
-    if order == 0:
-        return binary_entropy(stream.ones / L)
-    if L < order + 1:
+    _check_order(order)
+    if stream.length < order + 1:
         raise ValueError("stream shorter than the block size")
-    counts = _window_counts(stream, order + 1)
-    seen = counts > 0
-    context = counts.reshape(-1, 2).sum(axis=1).repeat(2)[seen].astype(np.float64)
-    counts = counts[seen].astype(np.float64)
-    np.log(context, out=context)
-    context -= np.log(counts)
-    context *= counts
-    return float(context.sum() / L)
+    return _rate(_scan(_slices(stream.packed), order), stream.length)
 
 
-def _window_counts(stream: Bitstream, width: int) -> np.ndarray:
-    """How often each cyclic ``width``-bit window (2 <= width <= 17) of
-    the stream occurs, indexed by the window read MSB-first.
+def _rate(scan: _Scanner, length: int) -> float:
+    """The conditional rate at the scanner's order of the ``length`` bits
+    it was fed.
 
-    Take the stream's whole bytes, then its last L % 8 bits followed by
-    its first width-1 bits packed MSB-first, then two zero bytes. The
-    window at bit 8j + s is bits s..s+width-1 of the big-endian key of
-    bytes j, j+1 (and j+2 when width > 9): one shift and mask. Each of the
-    L // 8 whole bytes starts eight windows; a partial last byte starts
-    L % 8. The whole bytes are keyed ``_CHUNK`` at a time, each chunk
-    reading the next one or two bytes ahead. 16-bit keys go into a key
-    histogram that is summed down to each offset's windows at the end;
-    24-bit keys are cut into each offset's windows and counted.
+    The terms n(x) ln(n(context) / n(x)) of the windows x seen are
+    computed ``_FOLD`` bins at a time and written in order over the
+    count table itself, viewed as float64: a block's terms take no more
+    slots than its bins, so the writes never pass a bin still to be read.
+    The terms end up contiguous and in bin order, so their numpy sum is
+    the one an array of their own would give, bit for bit.
     """
-    L = stream.length
-    packed = stream.packed
-    full, rest = divmod(L, 8)
-    tail_bits = np.concatenate([np.unpackbits(packed[full:], count=rest),
-                                np.unpackbits(packed[:3], count=width - 1)])
-    tail = np.concatenate([np.packbits(tail_bits), np.zeros(2, np.uint8)])
-    key_bytes = 2 if width <= 9 else 3
-    key_bits = 8 * key_bytes
-    mask = (1 << width) - 1
-    counts = np.zeros(1 << (16 if key_bytes == 2 else width), dtype=np.intp)
-    for start in range(0, full, _CHUNK):
-        n = min(_CHUNK, full - start)
-        src = packed[start : min(start + n + key_bytes - 1, full)]
-        if src.size < n + key_bytes - 1:
-            src = np.concatenate([src, tail[: n + key_bytes - 1 - src.size]])
-        keys = src[:n].astype(np.intp)
-        for i in range(1, key_bytes):
-            keys <<= 8
-            keys |= src[i : i + n]
-        if key_bytes == 2:
-            np.add.at(counts, keys, 1)
-            continue
-        windows = np.empty_like(keys)
-        for s in range(8):
-            np.right_shift(keys, key_bits - width - s, out=windows)
-            windows &= mask
-            np.add.at(counts, windows, 1)
-    if key_bytes == 2:
-        counts = sum(counts.reshape(1 << s, 1 << width, -1).sum(axis=(0, 2)) for s in range(8))
-    last = int.from_bytes(tail[:key_bytes].tobytes(), "big")
-    for s in range(rest):
-        counts[(last >> (key_bits - width - s)) & mask] += 1
-    return counts
+    if scan.order == 0:
+        return binary_entropy(scan.ones / length)
+    counts = scan.window_counts(length)
+    terms = counts.view(np.float64)
+    done = 0
+    for i in range(0, counts.size, _FOLD):
+        block = counts[i : i + _FOLD]
+        seen = block > 0
+        context = block.reshape(-1, 2).sum(axis=1).repeat(2)[seen].astype(np.float64)
+        n = block[seen].astype(np.float64)
+        out = terms[done : done + n.size]
+        np.log(context, out=out)
+        out -= np.log(n)
+        out *= n
+        done += n.size
+    return float(terms[:done].sum() / length)
 
 
 def randomness_test(stream: Bitstream) -> str:
@@ -354,15 +471,29 @@ def analyze(stream: Bitstream, markov_order: int = 3) -> FileStats:
     otherwise. The equilibrium verdict is undecided for streams too short
     to test.
     """
-    if not 0 <= markov_order <= MAX_MARKOV_ORDER:
-        raise ValueError(f"markov order must lie in [0, {MAX_MARKOV_ORDER}]")
-    L = stream.length
-    n = stream.ones
+    _check_order(markov_order)
+    return _stats(_scan(_slices(stream.packed), markov_order), stream.length)
+
+
+def analyze_file(path: str | os.PathLike, markov_order: int = 3,
+                 bit_order: str = "msb_first") -> FileStats:
+    """``analyze(read_bitstream(path, bit_order), markov_order)``, with the
+    file read ``_CHUNK`` bytes at a time into one buffer: the memory it
+    takes does not grow with the file."""
+    _check_order(markov_order)
+    _check_bit_order(bit_order)
+    scan = _scan(_read_chunks(path, bit_order), markov_order)
+    if scan.size == 0:
+        raise ValueError(f"file {path!s} is empty")
+    return _stats(scan, 8 * scan.size)
+
+
+def _stats(scan: _Scanner, length: int) -> FileStats:
+    """The statistics of the ``length`` bits a scanner was fed."""
+    L, n, order = length, scan.ones, scan.order
     p_hat = n / L
-    rate = None
-    if L >= MIN_SAMPLES_PER_CONTEXT * (2 ** markov_order):
-        rate = conditional_entropy_rate(stream, markov_order)
-    lag1 = lag1_autocorrelation(stream)
+    rate = _rate(scan, L) if L >= MIN_SAMPLES_PER_CONTEXT * (2 ** order) else None
+    lag1 = scan.lag1(L)
     verdict = _verdict(L, n, lag1) if L >= MIN_TEST_LENGTH else UNDECIDED
     return FileStats(
         length=L,
@@ -370,7 +501,7 @@ def analyze(stream: Bitstream, markov_order: int = 3) -> FileStats:
         p_hat=p_hat,
         info_iid=Information(L * binary_entropy(p_hat)),
         info_rate_markov=rate,
-        markov_order=markov_order,
+        markov_order=order,
         equilibrium=verdict,
         correlation_lag1=lag1,
     )

@@ -168,8 +168,7 @@ def _cmd_gas_metropolis(args, report: Report) -> None:
 def _cmd_file(args, report: Report) -> None:
     from . import bitstream
 
-    stream = bitstream.read_bitstream(args.path, bit_order=args.bit_order)
-    stats = bitstream.analyze(stream, markov_order=args.markov_order)
+    stats = bitstream.analyze_file(args.path, markov_order=args.markov_order, bit_order=args.bit_order)
     report.add("length", stats.length, "bit")
     report.add("ones", stats.ones, "bit")
     report.add("p_hat", stats.p_hat)
@@ -194,19 +193,17 @@ def _cmd_generate(args, report: Report) -> None:
 
     spec = bitstream.GeneratorSpec(kind=args.kind, length=args.length, seed=args.seed,
                                    p=args.p, q=args.q)
-    stream = bitstream.generate(spec)
-    bitstream.write_bitstream(stream, args.out, bit_order=args.bit_order)
-    report.add("length", stream.length, "bit")
-    report.add("ones", stream.ones, "bit")
-    report.add("bytes_written", stream.length // 8, "byte")
+    ones = bitstream.write_generated(spec, args.out, bit_order=args.bit_order)
+    report.add("length", args.length, "bit")
+    report.add("ones", ones, "bit")
+    report.add("bytes_written", args.length // 8, "byte")
 
 
 def _cmd_broadcast(args, report: Report) -> None:
     from . import bitstream
 
     del report.inputs["bit_order"]
-    stream = bitstream.read_bitstream(args.file, bit_order=args.bit_order)
-    stats = bitstream.analyze(stream, markov_order=args.markov_order)
+    stats = bitstream.analyze_file(args.file, markov_order=args.markov_order, bit_order=args.bit_order)
     result = ledger.broadcast_balance(stats, args.epsilon, args.receivers, report.consts)
     report.add("length", stats.length, "bit")
     report.add("t_hot", result.t_hot)

@@ -1,5 +1,6 @@
 """Bitstreams: generators, file I/O, estimators, and the randomness test."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -13,6 +14,7 @@ from infotherm.bitstream import (
     Bitstream,
     GeneratorSpec,
     analyze,
+    analyze_file,
     average_nat_energy,
     binary_entropy,
     conditional_entropy_rate,
@@ -23,6 +25,7 @@ from infotherm.bitstream import (
     randomness_test,
     read_bitstream,
     write_bitstream,
+    write_generated,
 )
 from infotherm.rng import uniforms
 
@@ -35,6 +38,11 @@ def test_bitstream_validation():
         Bitstream.from_bits(np.array([], dtype=np.uint8))
     with pytest.raises(ValueError, match="0 or 1"):
         Bitstream.from_bits(np.array([0, 2], dtype=np.uint8))
+    # Checked before the uint8 cast, which would take these to 0 or 1.
+    for bits in ([0.5, 1.7, 1], np.array([0, 257]), [0.0, float("nan")], [0.0, float("inf")]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            Bitstream.from_bits(bits)
+    assert Bitstream.from_bits([1.0, 0.0, True]).bits.tolist() == [1, 0, 1]
 
 
 def test_generator_spec_validation():
@@ -95,6 +103,8 @@ def test_read_bitstream_rejects_empty(tmp_path):
     path.write_bytes(b"")
     with pytest.raises(ValueError, match="empty"):
         read_bitstream(path)
+    with pytest.raises(ValueError, match="empty"):
+        analyze_file(path)
 
 
 def test_write_read_round_trip(tmp_path):
@@ -108,6 +118,9 @@ def test_write_rejects_ragged_length(tmp_path):
     stream = generate(GeneratorSpec(kind="alternating", length=13))
     with pytest.raises(ValueError, match="multiple of 8"):
         write_bitstream(stream, tmp_path / "x.bin")
+    with pytest.raises(ValueError, match="multiple of 8"):
+        write_generated(GeneratorSpec(kind="alternating", length=13), tmp_path / "x.bin")
+    assert not (tmp_path / "x.bin").exists()
 
 
 def test_binary_entropy_edges():
@@ -295,6 +308,12 @@ def reference_window_counts(bits, order):
     return np.bincount(code, minlength=2 ** (order + 1))
 
 
+def scanned_window_counts(stream, order):
+    """The scanner's cyclic (order+1)-gram counts, fed ``_CHUNK`` bytes at a time."""
+    scan = bitstream._scan(bitstream._slices(stream.packed), order)
+    return scan.window_counts(stream.length)
+
+
 def reference_conditional_entropy_rate(bits, order):
     """The plug-in rate computed from ``reference_window_counts``."""
     if order == 0:
@@ -357,7 +376,7 @@ def test_conditional_rate_matches_code_array_reference(length, order, p, seed):
             conditional_entropy_rate(stream, order)
         return
     if order:
-        np.testing.assert_array_equal(bitstream._window_counts(stream, order + 1),
+        np.testing.assert_array_equal(scanned_window_counts(stream, order),
                                       reference_window_counts(bits, order))
     assert conditional_entropy_rate(stream, order) == reference_conditional_entropy_rate(bits, order)
 
@@ -436,12 +455,17 @@ def test_packed_constructor_checks_layout():
         Bitstream(np.array([0xF0, 0], dtype=np.uint8), 8)
     with pytest.raises(ValueError, match="ceil"):
         Bitstream(np.array([], dtype=np.uint8), 0)
+    # Checked before the uint8 cast, which would wrap 384 to 128.
+    for packed in (np.array([384, 1]), np.array([-1, 0]), np.array([0.5, 1.0])):
+        with pytest.raises(ValueError, match=r"integers in \[0, 255\]"):
+            Bitstream(packed, 16)
+    assert Bitstream(np.array([255, 1]), 16).ones == 9
 
 
 def _packed_statistics(bits, order):
     """Counts (order >= 1), rate, ones and lag-1 of a fresh stream."""
     stream = Bitstream.from_bits(bits)
-    counts = bitstream._window_counts(stream, order + 1) if order and bits.size > order else None
+    counts = scanned_window_counts(stream, order) if order and bits.size > order else None
     rate = conditional_entropy_rate(stream, order) if bits.size > order else None
     return counts, rate, stream.ones, lag1_autocorrelation(stream)
 
@@ -480,3 +504,48 @@ def test_analyze_memory_is_the_packed_stream_plus_a_bounded_part():
     finally:
         tracemalloc.stop()
     assert peak < L // 8 + 4 * 2**20
+
+
+# --- the streamed file and generator paths ------------------------------
+
+def exact(stats):
+    """The fields of a FileStats, floats as ``float.hex``: equal means bit-equal."""
+    fields = dataclasses.asdict(stats)
+    fields["info_iid"] = stats.info_iid.nats
+    return {k: v.hex() if isinstance(v, float) else v for k, v in fields.items()}
+
+
+@pytest.fixture(scope="module")
+def seam_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("seams") / "data.bin"
+
+
+@given(data=st.binary(min_size=1, max_size=600), order=st.integers(min_value=0, max_value=16),
+       bit_order=st.sampled_from(["msb_first", "lsb_first"]))
+@example(data=b"\xff", order=0, bit_order="msb_first")
+@example(data=b"\x80\x01", order=16, bit_order="lsb_first")
+@example(data=bytes(range(256)) * 16 + b"\x5a\xa5\x0f", order=6, bit_order="msb_first")
+@example(data=bytes(range(256)) * 16 + b"\x5a\xa5\x0f", order=5, bit_order="lsb_first")
+@settings(max_examples=40, deadline=None)
+def test_streamed_file_stats_equal_in_memory_analyze(seam_file, data, order, bit_order):
+    """``analyze_file`` reads the file through one reused buffer; whatever
+    the chunk size, its statistics are those of the whole stream in memory."""
+    seam_file.write_bytes(data)
+    expected = exact(analyze(read_bitstream(seam_file, bit_order), order))
+    for chunk in (1, 2, 3, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bitstream, "_CHUNK", chunk)
+            assert exact(analyze_file(seam_file, order, bit_order)) == expected
+
+
+@pytest.mark.parametrize("kind, param", [("bernoulli", {"p": 0.3}), ("markov", {"q": 0.1}),
+                                         ("ordered_block", {}), ("alternating", {})])
+@pytest.mark.parametrize("length", [8 * bitstream._BLOCK - 8, 8 * bitstream._BLOCK,
+                                    8 * bitstream._BLOCK + 8])
+@pytest.mark.parametrize("bit_order", ["msb_first", "lsb_first"])
+def test_streamed_generate_writes_the_generated_stream(kind, param, length, bit_order, tmp_path):
+    spec = GeneratorSpec(kind=kind, length=length, seed=12, **param)
+    stream = generate(spec)
+    write_bitstream(stream, tmp_path / "whole.bin", bit_order)
+    assert write_generated(spec, tmp_path / "streamed.bin", bit_order) == stream.ones
+    assert (tmp_path / "streamed.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()

@@ -85,13 +85,13 @@ def test_broadcast_single_receiver(random_file, capsys):
 def test_broadcast_clausius_verdict_can_fail(random_file, monkeypatch, capsys):
     """An information estimate above ln 2 per bit is more than the
     receivers' heat can account for: the verdict is violated, exit 1."""
-    real_analyze = bitstream.analyze
+    real_analyze = bitstream.analyze_file
 
-    def inflated(stream, markov_order=3):
-        stats = real_analyze(stream, markov_order)
+    def inflated(path, markov_order=3, bit_order="msb_first"):
+        stats = real_analyze(path, markov_order, bit_order)
         return dataclasses.replace(stats, equilibrium=bitstream.ORDERED, info_rate_markov=0.8)
 
-    monkeypatch.setattr(bitstream, "analyze", inflated)
+    monkeypatch.setattr(bitstream, "analyze_file", inflated)
     status, out = run_capture(["broadcast", "--file", str(random_file), "--receivers", "3"], capsys)
     assert status == 1
     assert "verdict clausius = violated" in out
@@ -112,10 +112,10 @@ def test_generate_then_analyze_round_trip(tmp_path, capsys):
 
 def test_generate_rejects_unaligned_length_before_drawing(tmp_path, monkeypatch, capsys):
     """A length raw bytes cannot hold is an input error before any bit is drawn."""
-    def draw(spec):
+    def draw(spec, path, bit_order="msb_first"):
         raise AssertionError("bits drawn for a length that cannot be written")
 
-    monkeypatch.setattr(bitstream, "generate", draw)
+    monkeypatch.setattr(bitstream, "write_generated", draw)
     out_path = tmp_path / "gen.bin"
     assert cli.run(["generate", "--kind", "bernoulli", "--p", "0.5", "--length", "7",
                     "--out", str(out_path)]) == 2
@@ -266,6 +266,17 @@ def test_module_error_exits_2(capsys):
 
 def test_missing_file_exits_2(tmp_path, capsys):
     assert cli.run(["file", str(tmp_path / "nope.bin")]) == 2
+
+
+@pytest.mark.parametrize("command", [["file", "EMPTY"], ["broadcast", "--file", "EMPTY", "--receivers", "3"]],
+                         ids=["file", "broadcast"])
+def test_empty_file_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(b"")
+    assert cli.run([str(path) if word == "EMPTY" else word for word in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"infotherm: error: file {path} is empty\n"
 
 
 def test_fiber_simulate_report_and_csv(tmp_path, capsys):

@@ -263,6 +263,20 @@ def test_transfer_balance_reversible_equals_bound():
     assert abs(float(rec.net) - float(rec.clausius_lower_bound)) < 1e-9
 
 
+def test_transfer_balance_verdict_can_fail(monkeypatch):
+    """The bound comes from the bath temperatures, not from the net change:
+    a cold bath reported at half its occupation temperature takes in twice
+    dQ/T, more than the gas's entropy change, and the verdict fails."""
+    def halved_for_cold_bath(gas, consts=core.REDUCED):
+        t = temperature_closed(gas, consts)
+        return core.Temperature(float(t) / 2) if gas.excited == 100 else t
+
+    monkeypatch.setattr(twolevel, "temperature_closed", halved_for_cold_bath)
+    rec = transfer_balance(1000, 300, 100)
+    assert float(rec.clausius_lower_bound) > float(rec.net) + 1
+    assert rec.verdict == "violated"
+
+
 def test_transfer_balance_identical_baths():
     rec = transfer_balance(1000, 250, 250)
     assert float(rec.net) == 0.0
