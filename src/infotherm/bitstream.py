@@ -105,9 +105,13 @@ class Bitstream:
         bits = np.asarray(bits)
         if bits.ndim != 1 or bits.size < 1:
             raise ValueError("bitstream must be a non-empty 1-d sequence")
-        if not _integers_upto(bits, 1):
+        if bits.dtype.kind in "bu":
+            bad = int(bits.max()) > 1
+        else:
+            bad = not _integers_upto(bits, 1)
+        if bad:
             raise ValueError("bitstream elements must be 0 or 1")
-        return cls(np.packbits(bits.astype(np.uint8)), bits.size)
+        return cls(np.packbits(bits.astype(np.uint8, copy=False)), bits.size)
 
     @property
     def bits(self) -> np.ndarray:
@@ -138,10 +142,14 @@ class _Scanner:
     wrap with the first bytes, kept in ``head``. 16-bit keys go into a key
     histogram that is summed down to each offset's windows at the end;
     24-bit keys are cut into each offset's windows and counted.
+
+    With ``moments`` false the byte histogram and the cross pairs are
+    skipped, and ``ones`` and ``lag1`` are not available.
     """
 
-    def __init__(self, order: int = 0):
+    def __init__(self, order: int = 0, moments: bool = True):
         self.order = order
+        self.moments = moments
         self.key_bytes = 2 if order <= 8 else 3
         self.counts = None
         if order:
@@ -159,10 +167,11 @@ class _Scanner:
         """Take the next bytes of the stream, a non-empty uint8 array that
         the caller may overwrite once this returns."""
         k = self.key_bytes
-        self.histogram += np.bincount(chunk, minlength=256)
-        self.cross_pairs += int(np.count_nonzero(chunk[:-1] & (chunk[1:] >> 7)))
-        if self.size:
-            self.cross_pairs += int(self.tail[-1]) & int(chunk[0]) >> 7
+        if self.moments:
+            self.histogram += np.bincount(chunk, minlength=256)
+            self.cross_pairs += int(np.count_nonzero(chunk[:-1] & (chunk[1:] >> 7)))
+            if self.size:
+                self.cross_pairs += int(self.tail[-1]) & int(chunk[0]) >> 7
         if self.size < 2:
             self.head = np.concatenate([self.head, chunk[: 2 - self.size]])
         if self.counts is not None:
@@ -226,9 +235,9 @@ class _Scanner:
         return numerator / (L * (n * L - n * n))
 
 
-def _scan(chunks: Iterable[np.ndarray], order: int = 0) -> _Scanner:
+def _scan(chunks: Iterable[np.ndarray], order: int = 0, moments: bool = True) -> _Scanner:
     """A scanner at ``order`` fed every chunk."""
-    scan = _Scanner(order)
+    scan = _Scanner(order, moments)
     for chunk in chunks:
         scan.feed(chunk)
     return scan
@@ -288,24 +297,23 @@ def _blocks(spec: GeneratorSpec) -> Iterator[np.ndarray]:
     The bernoulli bits are u_(t+1) < p, and the markov bits the first bit
     u_1 < 1/2 xor the flips u_2..u_(t+1) < q, comparing the stream's words
     with the integer threshold; the markov xor prefix carries from block
-    to block.
+    to block. The deterministic kinds are filled byte by byte.
     """
     L = spec.length
     markov = spec.kind == "markov"
     if spec.kind in ("bernoulli", "markov"):
         threshold = np.uint64(_threshold(spec.q if markov else spec.p))
-    flags = np.empty(min(_BLOCK, L), dtype=np.bool_)
+        flags = np.empty(min(_BLOCK, L), dtype=np.bool_)
     carry = False
     for start in range(0, L, _BLOCK):
-        block = flags[: min(_BLOCK, L - start)]
-        if spec.kind == "ordered_block":
-            block[:] = np.arange(start, start + block.size) < L // 2
-        elif spec.kind == "alternating":
-            block[:] = np.arange(start, start + block.size) & 1
-        else:
-            top = random_words(spec.seed, block.size, start)
-            top >>= np.uint64(11)
-            np.less(top, threshold, out=block)
+        size = min(_BLOCK, L - start)
+        if spec.kind in ("ordered_block", "alternating"):
+            yield _pattern_bytes(spec.kind, L, start // 8, (size + 7) // 8)
+            continue
+        block = flags[:size]
+        top = random_words(spec.seed, size, start)
+        top >>= np.uint64(11)
+        np.less(top, threshold, out=block)
         if markov:
             if start == 0:
                 block[0] = (splitmix64(spec.seed, 1) >> 11) < _threshold(0.5)
@@ -314,6 +322,22 @@ def _blocks(spec: GeneratorSpec) -> Iterator[np.ndarray]:
                 np.logical_not(block, out=block)
             carry = bool(block[-1])
         yield np.packbits(block)
+
+
+def _pattern_bytes(kind: str, length: int, first: int, size: int) -> np.ndarray:
+    """Packed bytes ``first`` .. ``first + size`` of the ``length``-bit
+    ordered_block (L/2 ones then zeros) or alternating (0101...) stream."""
+    if kind == "alternating":
+        out = np.full(size, 0x55, dtype=np.uint8)
+    else:
+        half = length // 2
+        out = np.zeros(size, dtype=np.uint8)
+        out[: max(half // 8 - first, 0)] = 0xFF
+        if half % 8 and 0 <= half // 8 - first < size:
+            out[half // 8 - first] = 0xFF << (8 - half % 8) & 0xFF
+    if first + size == (length + 7) // 8:
+        out[-1] &= 0xFF << (-length % 8) & 0xFF
+    return out
 
 
 def generate(spec: GeneratorSpec) -> Bitstream:
@@ -403,7 +427,7 @@ def conditional_entropy_rate(stream: Bitstream, order: int) -> float:
     _check_order(order)
     if stream.length < order + 1:
         raise ValueError("stream shorter than the block size")
-    return _rate(_scan(_slices(stream.packed), order), stream.length)
+    return _rate(_scan(_slices(stream.packed), order, moments=order == 0), stream.length)
 
 
 def _rate(scan: _Scanner, length: int) -> float:

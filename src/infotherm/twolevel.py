@@ -23,8 +23,9 @@ from .core import REDUCED, Energy, Entropy, PhysConstants, Temperature
 SATISFIED = "satisfied"
 VIOLATED = "violated"
 
-#: Absolute slack (k units) when comparing an entropy change to its
-#: Clausius lower bound.
+#: Slack (k units) when comparing an entropy change to its Clausius
+#: lower bound. ``transfer_balance`` scales it by the size of its dQ/T
+#: terms, whose rounding grows with them.
 CLAUSIUS_TOL_K = 1e-9
 
 
@@ -107,7 +108,10 @@ def temperature_closed(gas: TwoLevelGas, consts: PhysConstants = REDUCED) -> Tem
         raise ValueError("temperature is zero in the ground/saturated limit; rejected")
     if 2 * n == L:
         raise InfiniteTemperatureError("n = L/2: temperature diverges")
-    return Temperature(gas.epsilon / (consts.k_boltzmann * math.log((L - n) / n)))
+    log_ratio = math.log((L - n) / n)
+    if log_ratio == 0.0:
+        raise InfiniteTemperatureError("ln((L-n)/n) rounds to 0: temperature diverges")
+    return Temperature(gas.epsilon / (consts.k_boltzmann * log_ratio))
 
 
 def temperature_numeric(gas: TwoLevelGas, consts: PhysConstants = REDUCED) -> Temperature:
@@ -154,8 +158,8 @@ class TransferRecord:
     """Entropy bookkeeping for moving a two-level gas between two baths.
 
     All entropies are in k units; ``net`` must not fall below
-    ``clausius_lower_bound`` (within CLAUSIUS_TOL_K) or the verdict flips
-    to violated.
+    ``clausius_lower_bound`` (within CLAUSIUS_TOL_K times the size of
+    its dQ/T terms) or the verdict flips to violated.
     """
 
     gas_heat: Energy
@@ -183,8 +187,10 @@ def transfer_balance(
     The Clausius bound dQ/T_cold - dQ/T_hot is computed on its own path,
     from ``temperature_closed`` of each bath (1/T = 0 where T diverges),
     so the verdict checks the occupation temperatures against the entropy
-    bookkeeping. For this reversible construction the two agree to
-    rounding.
+    bookkeeping. Each dQ/T is taken in units of the level energy, as
+    n_hot / (T/eps), so it neither underflows nor overflows for any eps.
+    For this reversible construction the two sides agree to a few
+    roundings of each term, and the slack scales with the terms.
     """
     if length < 1:
         raise ValueError("state count must be at least 1")
@@ -200,9 +206,11 @@ def transfer_balance(
     ds_hot = n_hot * math.log((length - n_hot) / n_hot)
     ds_cold = n_hot * math.log((length - n_cold) / n_cold)
     net = ds_cold - ds_hot
-    bound = _heat_over_temperature(heat, TwoLevelGas(length, n_cold, epsilon)) - \
-        _heat_over_temperature(heat, TwoLevelGas(length, n_hot, epsilon))
-    verdict = SATISFIED if net >= bound - CLAUSIUS_TOL_K else VIOLATED
+    into_cold = _heat_over_temperature(n_hot, TwoLevelGas(length, n_cold, 1.0))
+    out_of_hot = _heat_over_temperature(n_hot, TwoLevelGas(length, n_hot, 1.0))
+    bound = into_cold - out_of_hot
+    slack = CLAUSIUS_TOL_K * max(1.0, abs(into_cold) + abs(out_of_hot))
+    verdict = SATISFIED if net >= bound - slack else VIOLATED
     return TransferRecord(
         gas_heat=Energy(heat),
         entropy_removed_hot=Entropy(ds_hot),
@@ -214,7 +222,8 @@ def transfer_balance(
 
 
 def _heat_over_temperature(heat: float, bath: TwoLevelGas) -> float:
-    """dQ/T of a bath at its closed-form temperature; 0 where T diverges."""
+    """dQ/T of a bath at its closed-form temperature, in k units when
+    ``heat`` is in the bath's level energy; 0 where T diverges."""
     try:
         return heat / float(temperature_closed(bath))
     except InfiniteTemperatureError:

@@ -42,7 +42,12 @@ def test_bitstream_validation():
     for bits in ([0.5, 1.7, 1], np.array([0, 257]), [0.0, float("nan")], [0.0, float("inf")]):
         with pytest.raises(ValueError, match="0 or 1"):
             Bitstream.from_bits(bits)
+    for bits in (np.array([0, 256], dtype=np.uint16), np.array([1, 2**63], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="0 or 1"):
+            Bitstream.from_bits(bits)
     assert Bitstream.from_bits([1.0, 0.0, True]).bits.tolist() == [1, 0, 1]
+    assert Bitstream.from_bits(np.array([True, False, True])).bits.tolist() == [1, 0, 1]
+    assert Bitstream.from_bits(np.array([0, 1, 1], dtype=np.uint16)).bits.tolist() == [0, 1, 1]
 
 
 def test_generator_spec_validation():
@@ -62,6 +67,23 @@ def test_ordered_block_definition():
 
 def test_alternating_definition():
     assert generate(GeneratorSpec(kind="alternating", length=5)).bits.tolist() == [0, 1, 0, 1, 0]
+
+
+@pytest.mark.parametrize("length", [1, 7, 8, 9, 15, 17, bitstream._BLOCK - 9, bitstream._BLOCK,
+                                    bitstream._BLOCK + 1, bitstream._BLOCK + 15,
+                                    2 * bitstream._BLOCK + 16, 3 * bitstream._BLOCK + 5])
+def test_deterministic_kinds_across_blocks(length, tmp_path):
+    """The byte-filled patterns equal their definitions at every block
+    seam, wherever the L/2 boundary and the padding fall."""
+    i = np.arange(length)
+    for kind, bits in (("ordered_block", i < length // 2), ("alternating", i & 1)):
+        spec = GeneratorSpec(kind=kind, length=length)
+        stream = generate(spec)
+        assert np.array_equal(stream.bits, bits)
+        assert stream.ones == int(np.count_nonzero(bits))
+        if length % 8 == 0:
+            assert write_generated(spec, tmp_path / "x.bin") == stream.ones
+            assert np.array_equal(read_bitstream(tmp_path / "x.bin").packed, stream.packed)
 
 
 def test_markov_zero_flip_is_constant():

@@ -181,6 +181,13 @@ def test_temperature_closed_rejects_half_filled():
         temperature_closed(TwoLevelGas(1000, 500))
 
 
+def test_temperature_closed_diverges_where_the_log_ratio_rounds_to_zero():
+    """Past 2^53 states, (L-n)/n can round to 1 with n != L/2: the
+    temperature diverges there instead of dividing by zero."""
+    with pytest.raises(InfiniteTemperatureError, match="rounds to 0"):
+        temperature_closed(TwoLevelGas(2**60, 2**59 - 1))
+
+
 def test_temperature_closed_rejects_degenerate():
     with pytest.raises(ValueError, match="ground/saturated"):
         temperature_closed(TwoLevelGas(10, 0))
@@ -275,6 +282,47 @@ def test_transfer_balance_verdict_can_fail(monkeypatch):
     rec = transfer_balance(1000, 300, 100)
     assert float(rec.clausius_lower_bound) > float(rec.net) + 1
     assert rec.verdict == "violated"
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 0.37])
+def test_transfer_balance_violation_seen_at_large_length(monkeypatch, epsilon):
+    """The slack scales with the dQ/T terms, but stays far below a real
+    violation of the size of the terms themselves."""
+    def halved_for_cold_bath(gas, consts=core.REDUCED):
+        t = temperature_closed(gas, consts)
+        return core.Temperature(float(t) / 2) if gas.excited == 10**11 else t
+
+    monkeypatch.setattr(twolevel, "temperature_closed", halved_for_cold_bath)
+    rec = transfer_balance(10**12, 3 * 10**11, 10**11, epsilon)
+    assert rec.verdict == "violated"
+
+
+@pytest.mark.parametrize("length, n_hot, n_cold", [
+    (10**8, 3 * 10**7, 10**7),
+    (10**12, 3 * 10**11, 10**11),
+    (10**18 + 1, 5 * 10**17, 3),
+    (2**60, 2**59 - 1, 2**59 - 3),  # (L-n)/n rounds to 1: both baths at infinite T
+])
+@pytest.mark.parametrize("epsilon", [1.0, 0.37, 5e-324, 1e-21, 1e308])
+def test_transfer_balance_reversible_satisfied_at_any_scale(length, n_hot, n_cold, epsilon):
+    """The reversible transfer is satisfied for lengths where one ulp of a
+    dQ/T term exceeds CLAUSIUS_TOL_K, and for level energies whose
+    temperature would underflow or whose heat overflows."""
+    rec = transfer_balance(length, n_hot, n_cold, epsilon)
+    assert rec.verdict == "satisfied"
+    assert float(rec.clausius_lower_bound) == pytest.approx(float(rec.net), rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 10**18), st.data(),
+       st.sampled_from([1.0, 0.37, 5.0, 5e-324, 1e308]))
+def test_transfer_balance_bound_within_slack(length, data, epsilon):
+    a = data.draw(st.integers(1, length - 1))
+    b = data.draw(st.integers(1, length - 1))
+    rec = transfer_balance(length, max(a, b), min(a, b), epsilon)
+    assert rec.verdict == "satisfied"
+    scale = max(1.0, abs(float(rec.entropy_added_cold)) + abs(float(rec.entropy_removed_hot)))
+    assert abs(float(rec.net) - float(rec.clausius_lower_bound)) <= 1e-14 * scale
 
 
 def test_transfer_balance_identical_baths():
