@@ -4,145 +4,82 @@ Entropy, temperature, heat, and information for two-level gases and
 binary files; Clausius auditing of transfers and broadcasts; the
 amplifier Carnot cycle of fiber transmission; and the Landauer bound on
 computing power.
+
+Importing the package loads none of its modules. Each public name is
+looked up in the module that defines it when it is read, so a command
+loads only what it runs, and only the ``bitstream`` names import numpy.
 """
 
-from .core import (
-    LN2,
-    K_BOLTZMANN_SI,
-    REDUCED,
-    SI,
-    Energy,
-    Entropy,
-    Information,
-    PhysConstants,
-    Temperature,
-)
-from .twolevel import (
-    InfiniteTemperatureError,
-    McConfig,
-    McResult,
-    TransferRecord,
-    TwoLevelGas,
-    entropy_exact,
-    entropy_stirling,
-    log_multiplicity,
-    metropolis_sample,
-    occupation_from_temperature,
-    temperature_closed,
-    temperature_numeric,
-    transfer_balance,
-)
-from .filestats import (
-    FileStats,
-    binary_entropy,
-    file_heat_and_entropy,
-    file_temperature,
-)
-from .ledger import (
-    BroadcastResult,
-    ClausiusCheck,
-    CombinedLedger,
-    broadcast_balance,
-    clausius_check,
-    combined_balance,
-)
-from .fiber import (
-    AmplifierAudit,
-    ChainResult,
-    CycleRecord,
-    FiberChainConfig,
-    StepRecord,
-    amplifier_entropy_balance,
-    amplifier_work,
-    carnot_efficiency,
-    simulate_chain,
-)
-from .landauer import (
-    device_temperature,
-    energy_per_bit,
-    max_bit_rate,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-#: Names of the numpy-backed ``bitstream`` module, imported on first use
-#: so that importing the package does not import numpy.
-_BITSTREAM = frozenset({
-    "Bitstream",
-    "GeneratorSpec",
-    "analyze",
-    "conditional_entropy_rate",
-    "generate",
-    "lag1_autocorrelation",
-    "randomness_test",
-    "read_bitstream",
-    "write_bitstream",
-})
+#: Each public name and the module that defines it.
+_HOME = {
+    "LN2": "core",
+    "K_BOLTZMANN_SI": "core",
+    "REDUCED": "core",
+    "SI": "core",
+    "Energy": "core",
+    "Entropy": "core",
+    "Information": "core",
+    "PhysConstants": "core",
+    "Temperature": "core",
+    "InfiniteTemperatureError": "twolevel",
+    "McConfig": "twolevel",
+    "McResult": "twolevel",
+    "TransferRecord": "twolevel",
+    "TwoLevelGas": "twolevel",
+    "entropy_exact": "twolevel",
+    "entropy_stirling": "twolevel",
+    "log_multiplicity": "twolevel",
+    "metropolis_sample": "twolevel",
+    "occupation_from_temperature": "twolevel",
+    "temperature_closed": "twolevel",
+    "temperature_numeric": "twolevel",
+    "transfer_balance": "twolevel",
+    "Bitstream": "bitstream",
+    "FileStats": "filestats",
+    "GeneratorSpec": "bitstream",
+    "analyze": "bitstream",
+    "binary_entropy": "filestats",
+    "conditional_entropy_rate": "bitstream",
+    "file_heat_and_entropy": "filestats",
+    "file_temperature": "filestats",
+    "generate": "bitstream",
+    "lag1_autocorrelation": "bitstream",
+    "randomness_test": "bitstream",
+    "read_bitstream": "bitstream",
+    "write_bitstream": "bitstream",
+    "BroadcastResult": "ledger",
+    "ClausiusCheck": "ledger",
+    "CombinedLedger": "ledger",
+    "broadcast_balance": "ledger",
+    "clausius_check": "ledger",
+    "combined_balance": "ledger",
+    "AmplifierAudit": "fiber",
+    "ChainResult": "fiber",
+    "CycleRecord": "fiber",
+    "FiberChainConfig": "fiber",
+    "StepRecord": "fiber",
+    "amplifier_entropy_balance": "fiber",
+    "amplifier_work": "fiber",
+    "carnot_efficiency": "fiber",
+    "simulate_chain": "fiber",
+    "device_temperature": "landauer",
+    "energy_per_bit": "landauer",
+    "max_bit_rate": "landauer",
+}
+
+__all__ = list(_HOME)
 
 
 def __getattr__(name: str):
-    if name in _BITSTREAM:
-        from . import bitstream
-
-        return getattr(bitstream, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _BITSTREAM)
-
-__all__ = [
-    "LN2",
-    "K_BOLTZMANN_SI",
-    "REDUCED",
-    "SI",
-    "Energy",
-    "Entropy",
-    "Information",
-    "PhysConstants",
-    "Temperature",
-    "InfiniteTemperatureError",
-    "McConfig",
-    "McResult",
-    "TransferRecord",
-    "TwoLevelGas",
-    "entropy_exact",
-    "entropy_stirling",
-    "log_multiplicity",
-    "metropolis_sample",
-    "occupation_from_temperature",
-    "temperature_closed",
-    "temperature_numeric",
-    "transfer_balance",
-    "Bitstream",
-    "FileStats",
-    "GeneratorSpec",
-    "analyze",
-    "binary_entropy",
-    "conditional_entropy_rate",
-    "file_heat_and_entropy",
-    "file_temperature",
-    "generate",
-    "lag1_autocorrelation",
-    "randomness_test",
-    "read_bitstream",
-    "write_bitstream",
-    "BroadcastResult",
-    "ClausiusCheck",
-    "CombinedLedger",
-    "broadcast_balance",
-    "clausius_check",
-    "combined_balance",
-    "AmplifierAudit",
-    "ChainResult",
-    "CycleRecord",
-    "FiberChainConfig",
-    "StepRecord",
-    "amplifier_entropy_balance",
-    "amplifier_work",
-    "carnot_efficiency",
-    "simulate_chain",
-    "device_temperature",
-    "energy_per_bit",
-    "max_bit_rate",
-]
+    return sorted(set(globals()) | set(_HOME))

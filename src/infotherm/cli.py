@@ -26,30 +26,22 @@ Exit codes: 0 success, 1 a thermodynamic verdict came back violated,
 from __future__ import annotations
 
 import argparse
-import itertools
-import json
 import math
 import sys
-from dataclasses import dataclass, field
-
-from . import fiber, filestats, landauer, ledger, twolevel
-from .core import REDUCED, SI, Energy, Entropy, Information, PhysConstants, Temperature
-from .fiber import export_csv
-from .twolevel import VIOLATED
 
 SCHEMA_VERSION = 1
 
 
-@dataclass
 class Report:
     """One CLI invocation's structured output; quantity results are
-    reported in the unit mode ``consts``."""
+    reported in the unit mode ``consts``, a ``core.PhysConstants``."""
 
-    command: str
-    consts: PhysConstants = REDUCED
-    inputs: dict = field(default_factory=dict)
-    results: dict = field(default_factory=dict)
-    verdicts: dict = field(default_factory=dict)
+    def __init__(self, command: str, consts, inputs: dict) -> None:
+        self.command = command
+        self.consts = consts
+        self.inputs = inputs
+        self.results: dict = {}
+        self.verdicts: dict = {}
 
     def add(self, name: str, value, unit: str | None = None) -> None:
         """Record a result. A quantity carries its own unit; a plain number
@@ -58,6 +50,8 @@ class Report:
         self.results[name] = {"value": value, "unit": unit or own_unit}
 
     def to_json(self) -> str:
+        import json
+
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": self.command,
@@ -78,6 +72,8 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def exit_status(self) -> int:
+        from .core import VIOLATED
+
         return 1 if VIOLATED in self.verdicts.values() else 0
 
 
@@ -99,9 +95,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _value_and_unit(value, consts: PhysConstants) -> tuple[object, str]:
+def _value_and_unit(value, consts) -> tuple[object, str]:
     """The reported number and unit of a result: the one place that maps
     a quantity type to its unit under a unit mode."""
+    from .core import Energy, Entropy, Information, Temperature
+
     si = consts.mode == "si"
     if isinstance(value, Temperature):
         return float(value), "K" if si else "epsilon/k"
@@ -114,14 +112,60 @@ def _value_and_unit(value, consts: PhysConstants) -> tuple[object, str]:
     return value, "1"
 
 
-# --- handlers -------------------------------------------------------------
+def __getattr__(name: str):
+    # The CSV writer lives in ``fiber``, which only ``fiber`` commands load.
+    if name == "export_csv":
+        from .fiber import export_csv
+
+        return export_csv
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# --- options --------------------------------------------------------------
+
+def _finite(text: str) -> float:
+    """The type of every float flag: NaN and infinities are input errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+#: The store_true flags; a config file sets them with ``true`` or ``false``.
+_SWITCHES = ("json",)
+
+
+def _add_energy(parser: argparse.ArgumentParser, name: str = "epsilon") -> None:
+    parser.add_argument(f"--{name}", type=_finite, default=1.0,
+                        help=f"{name} in reduced units (default 1.0)")
+    parser.add_argument(f"--{name}-joules", type=_finite, default=None,
+                        help=f"{name} in joules, required with --units si")
+
+
+def _add_units(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--units", choices=("reduced", "si"), default="reduced")
+
+
+# --- commands -------------------------------------------------------------
 #
-# ``run`` builds each report from the parse: command words, unit mode and
-# inputs. A handler only computes and adds results and verdicts.
-# Only the handlers that read or write bits import ``bitstream``, and
-# with it numpy, so every other command starts without numpy.
+# Each command is a function that declares its own options, in the order
+# its report lists them, and a handler. ``run`` builds each report from
+# the parse: command words, unit mode and inputs. A handler only computes
+# and adds results and verdicts. Each imports the modules it uses when it
+# runs, so a command loads only its own; only the handlers that read or
+# write bits import ``bitstream``, and with it numpy.
+
+def _gas_entropy_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--excited", type=int, required=True)
+
 
 def _cmd_gas_entropy(args, report: Report) -> None:
+    from . import twolevel
+
     gas = twolevel.TwoLevelGas(length=args.length, excited=args.excited)
     report.add("log_multiplicity", twolevel.log_multiplicity(args.length, args.excited))
     report.add("entropy_exact", twolevel.entropy_exact(gas))
@@ -129,21 +173,49 @@ def _cmd_gas_entropy(args, report: Report) -> None:
         report.add("entropy_stirling", twolevel.entropy_stirling(gas))
 
 
+def _gas_temperature_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--excited", type=int, required=True)
+    _add_energy(p)
+    _add_units(p)
+
+
 def _cmd_gas_temperature(args, report: Report) -> None:
+    from . import twolevel
+
     gas = twolevel.TwoLevelGas(length=args.length, excited=args.excited, epsilon=args.epsilon)
     report.add("temperature_closed", twolevel.temperature_closed(gas, report.consts))
     if gas.length >= 4 and 1 <= gas.excited <= gas.length - 1:
         report.add("temperature_numeric", twolevel.temperature_numeric(gas, report.consts))
 
 
+def _gas_occupation_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--length", type=int, required=True)
+    _add_energy(p)
+    p.add_argument("--temperature", type=_finite, required=True)
+    _add_units(p)
+
+
 def _cmd_gas_occupation(args, report: Report) -> None:
+    from . import twolevel
+
     expected = twolevel.occupation_from_temperature(args.length, args.epsilon, args.temperature,
                                                     report.consts)
     report.add("expected_n", expected)
     report.add("expected_fraction", expected / args.length)
 
 
+def _gas_transfer_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--n-hot", type=int, required=True)
+    p.add_argument("--n-cold", type=int, required=True)
+    _add_energy(p)
+    _add_units(p)
+
+
 def _cmd_gas_transfer(args, report: Report) -> None:
+    from . import twolevel
+
     record = twolevel.transfer_balance(args.length, args.n_hot, args.n_cold, args.epsilon)
     report.add("gas_heat", record.gas_heat)
     report.add("entropy_removed_hot", record.entropy_removed_hot)
@@ -153,7 +225,19 @@ def _cmd_gas_transfer(args, report: Report) -> None:
     report.verdicts["clausius"] = record.verdict
 
 
+def _gas_metropolis_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--epsilon", type=_finite, default=1.0)
+    p.add_argument("--kt", type=_finite, required=True)
+    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--burn-in", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+
+
 def _cmd_gas_metropolis(args, report: Report) -> None:
+    from . import twolevel
+    from .core import REDUCED
+
     cfg = twolevel.McConfig(steps=args.steps, burn_in=args.burn_in, seed=args.seed, kT=args.kt)
     result = twolevel.metropolis_sample(args.length, args.epsilon, cfg)
     report.add("mean_n", result.mean_n)
@@ -165,8 +249,19 @@ def _cmd_gas_metropolis(args, report: Report) -> None:
                twolevel.occupation_from_temperature(args.length, args.epsilon, args.kt, REDUCED))
 
 
+def _file_options(p: argparse.ArgumentParser) -> None:
+    from .filestats import BIT_ORDERS
+
+    p.add_argument("path")
+    p.add_argument("--bit-order", choices=BIT_ORDERS, default="msb_first")
+    p.add_argument("--markov-order", type=int, default=3)
+    _add_energy(p)
+    _add_units(p)
+
+
 def _cmd_file(args, report: Report) -> None:
-    from . import bitstream
+    from . import bitstream, filestats
+    from .core import Energy
 
     stats = bitstream.analyze_file(args.path, markov_order=args.markov_order, bit_order=args.bit_order)
     report.add("length", stats.length, "bit")
@@ -186,6 +281,18 @@ def _cmd_file(args, report: Report) -> None:
         report.add("entropy", entropy)
 
 
+def _generate_options(p: argparse.ArgumentParser) -> None:
+    from .filestats import BIT_ORDERS, GENERATOR_KINDS
+
+    p.add_argument("--kind", choices=GENERATOR_KINDS, required=True)
+    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--p", type=_finite, default=None, help="ones probability (bernoulli)")
+    p.add_argument("--q", type=_finite, default=None, help="flip probability (markov)")
+    p.add_argument("--out", required=True)
+    p.add_argument("--bit-order", choices=BIT_ORDERS, default="msb_first")
+
+
 def _cmd_generate(args, report: Report) -> None:
     if args.length % 8:
         raise ValueError("stream length must be a multiple of 8 to write raw bytes")
@@ -199,8 +306,19 @@ def _cmd_generate(args, report: Report) -> None:
     report.add("bytes_written", args.length // 8, "byte")
 
 
+def _broadcast_options(p: argparse.ArgumentParser) -> None:
+    from .filestats import BIT_ORDERS
+
+    p.add_argument("--file", required=True)
+    p.add_argument("--receivers", type=int, required=True)
+    p.add_argument("--markov-order", type=int, default=3)
+    p.add_argument("--bit-order", choices=BIT_ORDERS, default="msb_first")
+    _add_energy(p)
+    _add_units(p)
+
+
 def _cmd_broadcast(args, report: Report) -> None:
-    from . import bitstream
+    from . import bitstream, filestats, ledger
 
     del report.inputs["bit_order"]
     stats = bitstream.analyze_file(args.file, markov_order=args.markov_order, bit_order=args.bit_order)
@@ -221,13 +339,30 @@ def _cmd_broadcast(args, report: Report) -> None:
     report.verdicts["clausius"] = check.verdict
 
 
+def _ledger_check_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--entropy", type=_finite, required=True, help="entropy change in k units")
+    p.add_argument("--info", type=_finite, required=True, help="information change in nats")
+
+
 def _cmd_ledger_check(args, report: Report) -> None:
+    from . import ledger
+
     check = ledger.clausius_check(args.entropy, args.info)
     report.add("margin", check.margin_k, "k")
     report.verdicts["clausius"] = check.verdict
 
 
+def _ledger_combined_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--heat", type=_finite, required=True)
+    p.add_argument("--temperature", type=_finite, required=True)
+    p.add_argument("--info", type=_finite, required=True)
+    p.add_argument("--entropy-actual", type=_finite, required=True)
+    _add_units(p)
+
+
 def _cmd_ledger_combined(args, report: Report) -> None:
+    from . import ledger
+
     result = ledger.combined_balance(args.heat, args.temperature, args.info,
                                      args.entropy_actual, report.consts)
     report.add("entropy_lower_bound", result.entropy_lower_bound)
@@ -235,9 +370,21 @@ def _cmd_ledger_combined(args, report: Report) -> None:
     report.verdicts["clausius"] = result.verdict
 
 
+def _fiber_simulate_options(p: argparse.ArgumentParser) -> None:
+    _add_energy(p, "epsilon0")
+    p.add_argument("--alpha", type=_finite, required=True, help="attenuation per km")
+    p.add_argument("--span-km", type=_finite, required=True)
+    p.add_argument("--spans", type=int, required=True)
+    p.add_argument("--file-length", type=int, required=True)
+    _add_units(p)
+    p.add_argument("--csv", default=argparse.SUPPRESS, help="write per-span CSV to this path")
+
+
 def _cmd_fiber_simulate(args, report: Report) -> None:
     if args.spans > sys.maxsize:
         raise ValueError(f"--spans {args.spans} is beyond the index range (at most {sys.maxsize})")
+    from . import fiber
+
     cfg = fiber.FiberChainConfig(epsilon0=args.epsilon0, alpha_per_km=args.alpha,
                                  span_km=args.span_km, n_spans=args.spans,
                                  file_length=args.file_length)
@@ -259,14 +406,34 @@ def _cmd_fiber_simulate(args, report: Report) -> None:
                                                 cycle.work_in, report.consts)
         report.verdicts["second_law"] = audit.verdict
     if "csv" in args:
-        export_csv(itertools.repeat(cycle, chain.n_spans), args.csv)
+        import itertools
+
+        fiber.export_csv(itertools.repeat(cycle, chain.n_spans), args.csv)
+
+
+def _fiber_efficiency_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--t-hot", type=_finite, required=True)
+    p.add_argument("--t-cold", type=_finite, required=True)
 
 
 def _cmd_fiber_efficiency(args, report: Report) -> None:
+    from . import fiber
+
     report.add("efficiency", fiber.carnot_efficiency(args.t_hot, args.t_cold))
 
 
+def _fiber_amplifier_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--q-cold", type=_finite, required=True)
+    p.add_argument("--t-hot", type=_finite, required=True)
+    p.add_argument("--t-cold", type=_finite, required=True)
+    _add_units(p)
+    p.add_argument("--work", type=_finite, default=None,
+                   help="audit this work input instead of the ideal one")
+
+
 def _cmd_fiber_amplifier(args, report: Report) -> None:
+    from . import fiber
+
     q_hot, work = fiber.amplifier_work(args.q_cold, args.t_hot, args.t_cold)
     report.add("q_hot", q_hot)
     report.add("work_required", work)
@@ -279,9 +446,21 @@ def _cmd_fiber_amplifier(args, report: Report) -> None:
     report.verdicts["second_law"] = audit.verdict
 
 
+def _landauer_options(p: argparse.ArgumentParser) -> None:
+    from .landauer import DEFAULT_MARGIN
+
+    p.add_argument("--power", type=_finite, required=True, help="watts")
+    p.add_argument("--noise-temp", type=_finite, default=None, help="kelvin")
+    p.add_argument("--margin", type=_finite, default=DEFAULT_MARGIN)
+    p.add_argument("--bit-rate", type=_finite, default=None, help="1/s")
+
+
 def _cmd_landauer(args, report: Report) -> None:
     if args.noise_temp is None and args.bit_rate is None:
         raise ValueError("landauer needs --noise-temp and/or --bit-rate")
+    from . import landauer
+    from .core import SI
+
     report.consts = SI
     if args.bit_rate is not None:
         report.add("device_temperature", landauer.device_temperature(args.power, args.bit_rate))
@@ -293,154 +472,88 @@ def _cmd_landauer(args, report: Report) -> None:
         report.add("energy_per_bit_at_f_max", landauer.energy_per_bit(args.power, f_max), "J")
 
 
+#: The command tree: the words of each command -> (help, handler, options).
+#: A group has no handler and no options; its commands follow it, and
+#: every list of choices keeps this order.
+_COMMANDS = {
+    ("gas",): ("two-level gas computations", None, None),
+    ("gas", "entropy"): ("multiplicity and entropy", _cmd_gas_entropy, _gas_entropy_options),
+    ("gas", "temperature"): ("closed-form and finite-difference temperature",
+                             _cmd_gas_temperature, _gas_temperature_options),
+    ("gas", "occupation"): ("expected occupation at a temperature",
+                            _cmd_gas_occupation, _gas_occupation_options),
+    ("gas", "transfer"): ("hot-to-cold transfer entropy balance",
+                          _cmd_gas_transfer, _gas_transfer_options),
+    ("gas", "metropolis"): ("Monte Carlo occupation sampler",
+                            _cmd_gas_metropolis, _gas_metropolis_options),
+    ("file",): ("analyze a binary file", _cmd_file, _file_options),
+    ("generate",): ("write a synthetic corpus", _cmd_generate, _generate_options),
+    ("broadcast",): ("one-to-N broadcast Clausius audit", _cmd_broadcast, _broadcast_options),
+    ("ledger",): ("Clausius inequality audits", None, None),
+    ("ledger", "check"): ("informatic Clausius check dS >= k dI",
+                          _cmd_ledger_check, _ledger_check_options),
+    ("ledger", "combined"): ("combined thermal+informatic audit",
+                             _cmd_ledger_combined, _ledger_combined_options),
+    ("fiber",): ("amplifier Carnot cycle", None, None),
+    ("fiber", "simulate"): ("multi-span chain simulation",
+                            _cmd_fiber_simulate, _fiber_simulate_options),
+    ("fiber", "efficiency"): ("Carnot efficiency of two baths",
+                              _cmd_fiber_efficiency, _fiber_efficiency_options),
+    ("fiber", "amplifier"): ("entropy-conserving amplifier work",
+                             _cmd_fiber_amplifier, _fiber_amplifier_options),
+    ("landauer",): ("computing-power bound (SI units)", _cmd_landauer, _landauer_options),
+}
+
+
 # --- parser ---------------------------------------------------------------
 
-def _finite(text: str) -> float:
-    """The type of every float flag: NaN and infinities are input errors."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
+#: The dest of the command word at each depth.
+_DESTS = ("command", "subcommand")
 
 
-#: The store_true flags; a config file sets them with ``true`` or ``false``.
-_SWITCHES = ("json",)
+def _leaf_words(argv: list[str]) -> tuple[str, ...] | None:
+    """The words of the command that ``argv`` runs, or None when its
+    leading words name no command that runs."""
+    words: tuple[str, ...] = ()
+    for token in argv:
+        if words + (token,) not in _COMMANDS:
+            return None
+        words += (token,)
+        if _COMMANDS[words][1] is not None:
+            return words
+    return None
 
 
-def _leaf(sub, name: str, handler, help: str) -> argparse.ArgumentParser:
-    """A command that runs ``handler``. Its own options are declared in
-    the order its report lists them; the options every command takes are
-    listed apart."""
-    parser = sub.add_parser(name, help=help)
-    parser.set_defaults(handler=handler)
-    common = parser.add_argument_group("common options")
-    common.add_argument("--json", action="store_true", help="emit the report as one JSON document")
-    common.add_argument("--config", default=None, help="key=value file of defaults; flags win")
-    return parser
+def _add_commands(parser: argparse.ArgumentParser, words: tuple[str, ...],
+                  leaf: tuple[str, ...] | None) -> None:
+    """Add the commands under ``words`` to ``parser``: all of them, or only
+    the one on the path to ``leaf``. A parser built for one path still
+    shows every choice in its usage."""
+    names = [path[-1] for path in _COMMANDS if path[:-1] == words]
+    built = names if leaf is None else [leaf[len(words)]]
+    metavar = None if built == names else "{" + ",".join(names) + "}"
+    sub = parser.add_subparsers(dest=_DESTS[len(words)], required=True, metavar=metavar)
+    for name in built:
+        path = words + (name,)
+        help, handler, options = _COMMANDS[path]
+        child = sub.add_parser(name, help=help)
+        if handler is None:
+            _add_commands(child, path, leaf)
+            continue
+        child.set_defaults(handler=handler)
+        # The options every command takes are listed apart.
+        common = child.add_argument_group("common options")
+        common.add_argument("--json", action="store_true", help="emit the report as one JSON document")
+        common.add_argument("--config", default=None, help="key=value file of defaults; flags win")
+        options(child)
 
 
-def _add_energy(parser: argparse.ArgumentParser, name: str = "epsilon") -> None:
-    parser.add_argument(f"--{name}", type=_finite, default=1.0,
-                        help=f"{name} in reduced units (default 1.0)")
-    parser.add_argument(f"--{name}-joules", type=_finite, default=None,
-                        help=f"{name} in joules, required with --units si")
-
-
-def _add_units(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--units", choices=("reduced", "si"), default="reduced")
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(leaf: tuple[str, ...] | None = None) -> argparse.ArgumentParser:
+    """The parser of the whole command tree, or, given the words of one
+    command, of only the parsers on the path to it."""
     parser = argparse.ArgumentParser(prog="infotherm",
                                      description="thermodynamics of two-level gases and binary files")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gas = sub.add_parser("gas", help="two-level gas computations")
-    gas_sub = gas.add_subparsers(dest="subcommand", required=True)
-
-    p = _leaf(gas_sub, "entropy", _cmd_gas_entropy, "multiplicity and entropy")
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--excited", type=int, required=True)
-
-    p = _leaf(gas_sub, "temperature", _cmd_gas_temperature,
-              "closed-form and finite-difference temperature")
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--excited", type=int, required=True)
-    _add_energy(p)
-    _add_units(p)
-
-    p = _leaf(gas_sub, "occupation", _cmd_gas_occupation, "expected occupation at a temperature")
-    p.add_argument("--length", type=int, required=True)
-    _add_energy(p)
-    p.add_argument("--temperature", type=_finite, required=True)
-    _add_units(p)
-
-    p = _leaf(gas_sub, "transfer", _cmd_gas_transfer, "hot-to-cold transfer entropy balance")
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--n-hot", type=int, required=True)
-    p.add_argument("--n-cold", type=int, required=True)
-    _add_energy(p)
-    _add_units(p)
-
-    p = _leaf(gas_sub, "metropolis", _cmd_gas_metropolis, "Monte Carlo occupation sampler")
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--epsilon", type=_finite, default=1.0)
-    p.add_argument("--kt", type=_finite, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--burn-in", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-
-    p = _leaf(sub, "file", _cmd_file, "analyze a binary file")
-    p.add_argument("path")
-    p.add_argument("--bit-order", choices=filestats.BIT_ORDERS, default="msb_first")
-    p.add_argument("--markov-order", type=int, default=3)
-    _add_energy(p)
-    _add_units(p)
-
-    p = _leaf(sub, "generate", _cmd_generate, "write a synthetic corpus")
-    p.add_argument("--kind", choices=filestats.GENERATOR_KINDS, required=True)
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p", type=_finite, default=None, help="ones probability (bernoulli)")
-    p.add_argument("--q", type=_finite, default=None, help="flip probability (markov)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--bit-order", choices=filestats.BIT_ORDERS, default="msb_first")
-
-    p = _leaf(sub, "broadcast", _cmd_broadcast, "one-to-N broadcast Clausius audit")
-    p.add_argument("--file", required=True)
-    p.add_argument("--receivers", type=int, required=True)
-    p.add_argument("--markov-order", type=int, default=3)
-    p.add_argument("--bit-order", choices=filestats.BIT_ORDERS, default="msb_first")
-    _add_energy(p)
-    _add_units(p)
-
-    led = sub.add_parser("ledger", help="Clausius inequality audits")
-    led_sub = led.add_subparsers(dest="subcommand", required=True)
-
-    p = _leaf(led_sub, "check", _cmd_ledger_check, "informatic Clausius check dS >= k dI")
-    p.add_argument("--entropy", type=_finite, required=True, help="entropy change in k units")
-    p.add_argument("--info", type=_finite, required=True, help="information change in nats")
-
-    p = _leaf(led_sub, "combined", _cmd_ledger_combined, "combined thermal+informatic audit")
-    p.add_argument("--heat", type=_finite, required=True)
-    p.add_argument("--temperature", type=_finite, required=True)
-    p.add_argument("--info", type=_finite, required=True)
-    p.add_argument("--entropy-actual", type=_finite, required=True)
-    _add_units(p)
-
-    fib = sub.add_parser("fiber", help="amplifier Carnot cycle")
-    fib_sub = fib.add_subparsers(dest="subcommand", required=True)
-
-    p = _leaf(fib_sub, "simulate", _cmd_fiber_simulate, "multi-span chain simulation")
-    _add_energy(p, "epsilon0")
-    p.add_argument("--alpha", type=_finite, required=True, help="attenuation per km")
-    p.add_argument("--span-km", type=_finite, required=True)
-    p.add_argument("--spans", type=int, required=True)
-    p.add_argument("--file-length", type=int, required=True)
-    _add_units(p)
-    p.add_argument("--csv", default=argparse.SUPPRESS, help="write per-span CSV to this path")
-
-    p = _leaf(fib_sub, "efficiency", _cmd_fiber_efficiency, "Carnot efficiency of two baths")
-    p.add_argument("--t-hot", type=_finite, required=True)
-    p.add_argument("--t-cold", type=_finite, required=True)
-
-    p = _leaf(fib_sub, "amplifier", _cmd_fiber_amplifier, "entropy-conserving amplifier work")
-    p.add_argument("--q-cold", type=_finite, required=True)
-    p.add_argument("--t-hot", type=_finite, required=True)
-    p.add_argument("--t-cold", type=_finite, required=True)
-    _add_units(p)
-    p.add_argument("--work", type=_finite, default=None,
-                   help="audit this work input instead of the ideal one")
-
-    p = _leaf(sub, "landauer", _cmd_landauer, "computing-power bound (SI units)")
-    p.add_argument("--power", type=_finite, required=True, help="watts")
-    p.add_argument("--noise-temp", type=_finite, default=None, help="kelvin")
-    p.add_argument("--margin", type=_finite, default=landauer.DEFAULT_MARGIN)
-    p.add_argument("--bit-rate", type=_finite, default=None, help="1/s")
-
+    _add_commands(parser, (), leaf)
     return parser
 
 
@@ -520,6 +633,8 @@ def _report(parser: argparse.ArgumentParser, command: list[str], args) -> Report
     ``--<energy>``. The inputs are the command's own options in declared
     order, the joules flags left out, and an option whose default is
     suppressed only when it was given."""
+    from .core import REDUCED, SI
+
     consts = SI if getattr(args, "units", None) == "si" else REDUCED
     actions = [action for action in parser._actions if action.dest in args]
     if consts is SI:
@@ -535,8 +650,8 @@ def _report(parser: argparse.ArgumentParser, command: list[str], args) -> Report
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     argv = list(argv)
+    parser = build_parser(_leaf_words(argv))
     leaf, start = _command(parser, argv)
     try:
         args = parser.parse_args(_inject_config(leaf, argv, start))

@@ -24,6 +24,15 @@ K_BOLTZMANN_SI = 1.380649e-23
 
 _MODES = ("si", "reduced")
 
+#: The two values of every thermodynamic verdict.
+SATISFIED = "satisfied"
+VIOLATED = "violated"
+
+#: Slack (k units) when comparing an entropy change to its Clausius
+#: lower bound. ``transfer_balance`` scales it by the size of its dQ/T
+#: terms, whose rounding grows with them.
+CLAUSIUS_TOL_K = 1e-9
+
 
 @dataclass(frozen=True)
 class PhysConstants:
@@ -40,19 +49,11 @@ class PhysConstants:
         if self.mode == "si" and self.k_boltzmann != K_BOLTZMANN_SI:
             raise ValueError("si mode requires the exact CODATA Boltzmann constant")
 
-    @classmethod
-    def si(cls) -> "PhysConstants":
-        return cls(k_boltzmann=K_BOLTZMANN_SI, mode="si")
-
-    @classmethod
-    def reduced(cls) -> "PhysConstants":
-        return cls(k_boltzmann=1.0, mode="reduced")
-
 
 #: Shared singletons; all operations default to reduced units except where
 #: a module states otherwise.
-SI = PhysConstants.si()
-REDUCED = PhysConstants.reduced()
+SI = PhysConstants(k_boltzmann=K_BOLTZMANN_SI, mode="si")
+REDUCED = PhysConstants(k_boltzmann=1.0, mode="reduced")
 
 
 @dataclass(frozen=True)
@@ -86,10 +87,6 @@ class Entropy:
 
     def __float__(self) -> float:
         return float(self.k_units)
-
-    def to_physical(self, consts: PhysConstants) -> float:
-        """Entropy in J/K under ``consts`` (value times k)."""
-        return self.k_units * consts.k_boltzmann
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .core import LN2, REDUCED, Energy, Information, PhysConstants, Temperature
+from .core import (CLAUSIUS_TOL_K, LN2, REDUCED, SATISFIED, VIOLATED, Energy, Information,
+                   PhysConstants, Temperature)
 from .filestats import file_temperature
-from .twolevel import CLAUSIUS_TOL_K, SATISFIED, VIOLATED
 
 ISOTHERMAL_WRITE = "isothermal_write"
 ADIABATIC_ATTENUATION = "adiabatic_attenuation"

@@ -11,13 +11,33 @@ dissipation per elementary logical operation. The margin defaults to 10,
 a rule of thumb rather than a derived constant, so it is a parameter.
 
 Everything here is SI only; the bound is meaningless in reduced units.
+Inputs whose denominator or result leaves float64's normal range (it
+rounds to 0, is subnormal or overflows) are input errors.
 """
 
 from __future__ import annotations
 
+import math
+import sys
+
 from .core import K_BOLTZMANN_SI, LN2, Temperature
 
 DEFAULT_MARGIN = 10.0
+
+#: The smallest normal float64; a positive value below it has underflowed.
+_TINY = sys.float_info.min
+
+
+def _ratio(numerator: float, denominator: float, inputs: str) -> float:
+    """numerator / denominator, both positive, where the denominator and
+    the quotient are normal float64 numbers; otherwise a ValueError that
+    names the ``inputs``."""
+    if _TINY <= denominator < math.inf:
+        quotient = numerator / denominator
+        if _TINY <= quotient < math.inf:
+            return quotient
+    raise ValueError(f"{inputs} make a denominator or result of the bound round to 0, "
+                     "fall below float64's normal range or overflow")
 
 
 def device_temperature(power_w: float, bit_rate_hz: float) -> Temperature:
@@ -26,7 +46,8 @@ def device_temperature(power_w: float, bit_rate_hz: float) -> Temperature:
         raise ValueError("power must be positive")
     if not bit_rate_hz > 0:
         raise ValueError("bit rate must be positive")
-    return Temperature(power_w / (K_BOLTZMANN_SI * bit_rate_hz * LN2))
+    return Temperature(_ratio(power_w, K_BOLTZMANN_SI * bit_rate_hz * LN2,
+                              f"power = {power_w!r} and bit_rate = {bit_rate_hz!r}"))
 
 
 def max_bit_rate(power_w: float, noise_temperature_k: float, margin: float = DEFAULT_MARGIN) -> float:
@@ -40,7 +61,9 @@ def max_bit_rate(power_w: float, noise_temperature_k: float, margin: float = DEF
         raise ValueError("noise temperature must be positive")
     if not margin >= 1:
         raise ValueError("margin must be at least 1")
-    return power_w / (margin * K_BOLTZMANN_SI * noise_temperature_k * LN2)
+    return _ratio(power_w, margin * K_BOLTZMANN_SI * noise_temperature_k * LN2,
+                  f"power = {power_w!r}, noise_temp = {noise_temperature_k!r} "
+                  f"and margin = {margin!r}")
 
 
 def energy_per_bit(power_w: float, bit_rate_hz: float) -> float:
@@ -49,4 +72,4 @@ def energy_per_bit(power_w: float, bit_rate_hz: float) -> float:
         raise ValueError("power must be positive")
     if not bit_rate_hz > 0:
         raise ValueError("bit rate must be positive")
-    return power_w / bit_rate_hz
+    return _ratio(power_w, bit_rate_hz, f"power = {power_w!r} and bit_rate = {bit_rate_hz!r}")

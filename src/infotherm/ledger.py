@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import LN2, REDUCED, Energy, Entropy, Information, PhysConstants, Temperature
+from .core import (CLAUSIUS_TOL_K, LN2, REDUCED, SATISFIED, VIOLATED, Energy, Entropy,
+                   Information, PhysConstants, Temperature)
 from .filestats import RANDOM, FileStats, file_temperature
-from .twolevel import CLAUSIUS_TOL_K, SATISFIED, VIOLATED
 
 
 @dataclass(frozen=True)

@@ -18,15 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import REDUCED, Energy, Entropy, PhysConstants, Temperature
-
-SATISFIED = "satisfied"
-VIOLATED = "violated"
-
-#: Slack (k units) when comparing an entropy change to its Clausius
-#: lower bound. ``transfer_balance`` scales it by the size of its dQ/T
-#: terms, whose rounding grows with them.
-CLAUSIUS_TOL_K = 1e-9
+from .core import (CLAUSIUS_TOL_K, REDUCED, SATISFIED, VIOLATED, Energy, Entropy, PhysConstants,
+                   Temperature)
 
 
 class InfiniteTemperatureError(ValueError):

@@ -529,3 +529,17 @@ def test_cli_deterministic_subprocess(tmp_path):
     first = subprocess.run(argv, capture_output=True, check=True)
     second = subprocess.run(argv, capture_output=True, check=True)
     assert first.stdout == second.stdout
+
+
+@pytest.mark.parametrize("flags", [
+    ["--power", "1e-9", "--bit-rate", "1e-320"],
+    ["--power", "1e-9", "--noise-temp", "1e-320"],
+    ["--power", "1e-300", "--bit-rate", "1e300"],
+    ["--power", "1e300", "--bit-rate", "1e-300"],
+], ids=["subnormal-rate", "subnormal-noise", "zero-temperature", "infinite-temperature"])
+def test_landauer_outside_the_normal_range_exits_2(flags, capsys):
+    assert cli.run(["landauer", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("infotherm: error: power = ")
+    assert "normal range" in captured.err

@@ -24,12 +24,6 @@ def test_bit_nat_round_trip(b):
     assert back == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
-def test_entropy_to_physical():
-    s = core.Entropy(math.log(2))
-    assert s.to_physical(core.SI) == pytest.approx(core.K_BOLTZMANN_SI * math.log(2), rel=1e-15)
-    assert s.to_physical(core.REDUCED) == float(s)
-
-
 def test_si_constants_exact():
     assert core.SI.k_boltzmann == 1.380649e-23
     assert core.REDUCED.k_boltzmann == 1.0
@@ -62,3 +56,14 @@ def test_energy_rejects_negative():
 
 def test_information_bits_property():
     assert core.Information(math.log(2)).bits == pytest.approx(1.0, rel=1e-15)
+
+
+def test_verdicts_live_in_core():
+    """The verdicts and the Clausius slack are ``core``'s objects wherever
+    they are read, so a ledger need not load ``twolevel``."""
+    from infotherm import fiber, ledger, twolevel
+
+    for module in (twolevel, ledger, fiber):
+        assert module.SATISFIED is core.SATISFIED
+        assert module.VIOLATED is core.VIOLATED
+        assert module.CLAUSIUS_TOL_K is core.CLAUSIUS_TOL_K

@@ -9,12 +9,20 @@ the stored bytes carry no temporary paths.
 
 The goldens record the output of the code before the report layer was
 rewritten; change one only for an intended change of output.
+
+The usage goldens in ``tests/golden/usage/`` hold the stdout, stderr and
+exit status of ``--help`` and of the usage errors, captured from the parser
+that built the whole command tree on every run. Help text depends on
+argparse's wording, which differs between Python versions, so the byte
+compare runs on the version they were captured with; on every version the
+CLI's help and errors must equal those of ``build_parser()``, the whole tree.
 """
 
 import contextlib
 import io
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -106,6 +114,88 @@ def test_cli_output_matches_golden(name, tmp_path):
         assert status == expected_status[key], key
     for key, data in outputs.items():
         assert data == (GOLDEN / key).read_bytes(), key
+
+
+USAGE = GOLDEN / "usage"
+
+#: The command groups and the commands, by their words.
+GROUPS = (("gas",), ("ledger",), ("fiber",))
+LEAVES = (("gas", "entropy"), ("gas", "temperature"), ("gas", "occupation"), ("gas", "transfer"),
+          ("gas", "metropolis"), ("file",), ("generate",), ("broadcast",), ("ledger", "check"),
+          ("ledger", "combined"), ("fiber", "simulate"), ("fiber", "efficiency"),
+          ("fiber", "amplifier"), ("landauer",))
+
+#: name -> argv of a usage golden. ``check.cfg`` is written first.
+USAGE_CASES = {
+    "no_arguments": [],
+    "help": ["-h"],
+    **{"_".join(words) + "_help": [*words, "-h"] for words in GROUPS + LEAVES},
+    "unknown_command": ["frobnicate"],
+    "unknown_leaf": ["gas", "entrpy"],
+    "missing_subcommand": ["gas"],
+    "missing_flag": ["ledger", "check", "--entropy", "5"],
+    "bad_value": ["ledger", "check", "--entropy", "x", "--info", "1"],
+    "unrecognized_argument": ["ledger", "check", "--entropy", "5", "--info", "10", "--bogus"],
+    "abbreviated_flag": ["ledger", "check", "--conf", "check.cfg", "--info", "3"],
+    "ambiguous_flag": ["gas", "temperature", "--length", "10", "--excited", "3", "--e", "2"],
+}
+CONFIG = "entropy = 5\ninfo = 10\n"
+
+
+def _capture(call) -> tuple[int, bytes, bytes]:
+    """Exit status, stdout and stderr of ``call``; a SystemExit is a status."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = call()
+        except SystemExit as exc:
+            status = exc.code
+    return status, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
+
+
+def run_usage_case(name: str, workdir: Path) -> tuple[int, bytes, bytes]:
+    """Status, stdout and stderr of ``cli.run`` on a usage case, at 80
+    columns, with ``workdir`` as the working directory."""
+    (workdir / "check.cfg").write_text(CONFIG, encoding="utf-8")
+    previous, columns = os.getcwd(), os.environ.get("COLUMNS")
+    os.chdir(workdir)
+    os.environ["COLUMNS"] = "80"
+    try:
+        return _capture(lambda: cli.run(list(USAGE_CASES[name])))
+    finally:
+        os.chdir(previous)
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the usage goldens hold Python 3.11's argparse wording")
+@pytest.mark.parametrize("name", sorted(USAGE_CASES))
+def test_usage_matches_golden(name, tmp_path):
+    status, out, err = run_usage_case(name, tmp_path)
+    assert status == json.loads((USAGE / "status.json").read_text())[name]
+    assert out == (USAGE / (name + ".out")).read_bytes()
+    assert err == (USAGE / (name + ".err")).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(name for name, argv in USAGE_CASES.items()
+                                         if "--conf" not in argv))
+def test_usage_matches_the_whole_tree(name, monkeypatch):
+    """Wherever the whole tree's parser stops (help or a usage error),
+    ``run`` stops with the same status and the same bytes. The config
+    case is left out: ``run``, not the parser, reads the file."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = USAGE_CASES[name]
+    whole = _capture(lambda: cli.build_parser().parse_args(argv))
+    if isinstance(whole[0], int):
+        assert _capture(lambda: cli.run(list(argv))) == whole
+
+
+def test_usage_goldens_are_the_cases():
+    names = {path.stem for path in USAGE.glob("*.out")}
+    assert names == {path.stem for path in USAGE.glob("*.err")} == set(USAGE_CASES)
 
 
 def _reject_constant(name):

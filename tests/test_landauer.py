@@ -56,3 +56,33 @@ def test_input_validation():
         max_bit_rate(1e-9, -1.0)
     with pytest.raises(ValueError, match="margin"):
         max_bit_rate(1e-9, 300.0, margin=0.5)
+
+
+@pytest.mark.parametrize("call, inputs", [
+    (lambda: device_temperature(1e-9, 1e-320), ("power = 1e-09", "bit_rate = 1e-320")),
+    (lambda: device_temperature(1e-300, 1e300), ("power = 1e-300", "bit_rate = 1e+300")),
+    (lambda: device_temperature(1e300, 1e-300), ("power = 1e+300", "bit_rate = 1e-300")),
+    (lambda: max_bit_rate(1e-9, 1e-320), ("power = 1e-09", "noise_temp = 1e-320", "margin = 10.0")),
+    (lambda: max_bit_rate(1e300, 1e-300), ("power = 1e+300", "noise_temp = 1e-300")),
+    (lambda: max_bit_rate(1e-300, 1e300, 1e10), ("noise_temp = 1e+300", "margin = 10000000000.0")),
+    (lambda: energy_per_bit(1e-9, 1e-320), ("power = 1e-09", "bit_rate = 1e-320")),
+    (lambda: energy_per_bit(1e300, 1e-300), ("power = 1e+300", "bit_rate = 1e-300")),
+    (lambda: energy_per_bit(1e-300, 1e300), ("power = 1e-300", "bit_rate = 1e+300")),
+], ids=["temperature-subnormal-rate", "temperature-underflow", "temperature-overflow",
+        "rate-subnormal-noise", "rate-overflow", "rate-underflow",
+        "energy-subnormal-rate", "energy-overflow", "energy-underflow"])
+def test_bound_outside_the_normal_range_is_an_input_error(call, inputs):
+    """A denominator or result that rounds to 0, is subnormal or overflows
+    is a ValueError naming the inputs, never a ZeroDivisionError, a zero
+    temperature or an infinite one."""
+    with pytest.raises(ValueError, match="normal range") as info:
+        call()
+    for text in inputs:
+        assert text in str(info.value)
+
+
+def test_bound_at_the_edge_of_the_normal_range():
+    """A normal denominator and quotient pass through unchanged."""
+    tiny = 2.2250738585072014e-308  # the smallest normal float64
+    assert energy_per_bit(tiny, 1.0) == tiny
+    assert energy_per_bit(1.0, tiny) == 1.0 / tiny

@@ -4,8 +4,9 @@ Only the array code imports numpy: ``bitstream``, behind ``file``,
 ``generate`` and ``broadcast``, and the Metropolis chain behind ``gas
 metropolis``. Every closed-form command runs in a fresh interpreter
 without it, with the same stdout and exit status as its golden. The
-package resolves the ``bitstream`` names on first use and otherwise
-keeps its namespace as it was.
+package resolves every public name on first use, so importing it or the
+CLI loads no other ``infotherm`` module, and a command loads only the
+modules it runs.
 """
 
 import importlib
@@ -69,6 +70,56 @@ def test_unaligned_generate_fails_without_numpy(tmp_path):
 def test_import_does_not_load_numpy(module, tmp_path):
     proc = python(f"import sys, {module}; sys.exit('numpy' in sys.modules)", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+#: Prints the infotherm modules loaded and whether ``dataclasses`` and
+#: ``json`` were loaded by the statement in argv[1].
+LOADED = ("import sys; before = set(sys.modules); exec(sys.argv[1]); "
+          "new = set(sys.modules) - before; "
+          "print(' '.join(sorted(m for m in sys.modules if m.startswith('infotherm'))), "
+          "'dataclasses' in new, 'json' in new)")
+
+#: Runs the command in argv[1:] with its stdout dropped.
+RUN_QUIET = ("import contextlib, io\nfrom infotherm.cli import run\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n    run(sys.argv[2:])")
+
+
+@pytest.mark.parametrize("statement, modules", [
+    ("import infotherm", "infotherm"),
+    ("import infotherm.cli", "infotherm infotherm.cli"),
+])
+def test_import_loads_no_other_module(statement, modules, tmp_path):
+    proc = python(LOADED, statement, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == f"{modules} False False\n"
+
+
+def test_cli_export_csv_is_fibers():
+    """The CLI still exposes the CSV writer, though importing it does not
+    load ``fiber``."""
+    from infotherm import cli, fiber
+
+    assert cli.export_csv is fiber.export_csv
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
+
+
+#: The infotherm modules each command loads past the package and the CLI.
+COMMAND_MODULES = {
+    "gas_entropy": {"core", "twolevel"},
+    "ledger_check": {"core", "filestats", "ledger"},
+    "landauer_noise": {"core", "landauer"},
+    "fiber_efficiency": {"core", "filestats", "fiber"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_MODULES))
+def test_command_loads_only_its_modules(name, tmp_path):
+    proc = python(LOADED, RUN_QUIET, *CASES[name][0], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.decode().split()[:-2])
+    assert loaded == {"infotherm", "infotherm.cli"} | {
+        "infotherm." + module for module in COMMAND_MODULES[name]}
 
 
 def test_star_import_binds_every_public_name(tmp_path):
