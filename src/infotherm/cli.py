@@ -46,8 +46,7 @@ class Report:
     def add(self, name: str, value, unit: str | None = None) -> None:
         """Record a result. A quantity carries its own unit; a plain number
         is dimensionless unless ``unit`` names one."""
-        value, own_unit = _value_and_unit(value, self.consts)
-        self.results[name] = {"value": value, "unit": unit or own_unit}
+        self.results[name] = {"value": value, "unit": unit or _unit(value, self.consts)}
 
     def to_json(self) -> str:
         import json
@@ -77,14 +76,11 @@ class Report:
         return 1 if VIOLATED in self.verdicts.values() else 0
 
 
-_INF = float("inf")
-
-
 def _json_safe(value):
     """JSON has no NaN or infinity: write an undefined number as null."""
     if isinstance(value, dict):
         return {key: _json_safe(item) for key, item in value.items()}
-    if isinstance(value, float) and not -_INF < value < _INF:
+    if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
 
@@ -95,21 +91,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _value_and_unit(value, consts) -> tuple[object, str]:
-    """The reported number and unit of a result: the one place that maps
-    a quantity type to its unit under a unit mode."""
+def _unit(value, consts) -> str:
+    """The unit of a result: the one place that maps a quantity type to
+    its unit under a unit mode. A quantity is reported as the float it is."""
     from .core import Energy, Entropy, Information, Temperature
 
     si = consts.mode == "si"
-    if isinstance(value, Temperature):
-        return float(value), "K" if si else "epsilon/k"
-    if isinstance(value, Energy):
-        return float(value), "J" if si else "epsilon"
-    if isinstance(value, Entropy):
-        return float(value), "k"
-    if isinstance(value, Information):
-        return float(value), "nat"
-    return value, "1"
+    return {Temperature: "K" if si else "epsilon/k", Energy: "J" if si else "epsilon",
+            Entropy: "k", Information: "nat"}.get(type(value), "1")
 
 
 def __getattr__(name: str):
@@ -236,7 +225,6 @@ def _gas_metropolis_options(p: argparse.ArgumentParser) -> None:
 
 def _cmd_gas_metropolis(args, report: Report) -> None:
     from . import twolevel
-    from .core import REDUCED
 
     cfg = twolevel.McConfig(steps=args.steps, burn_in=args.burn_in, seed=args.seed, kT=args.kt)
     result = twolevel.metropolis_sample(args.length, args.epsilon, cfg)
@@ -246,7 +234,7 @@ def _cmd_gas_metropolis(args, report: Report) -> None:
     report.add("acceptance_rate", result.acceptance_rate)
     report.add("samples", result.samples)
     report.add("analytic_mean_n",
-               twolevel.occupation_from_temperature(args.length, args.epsilon, args.kt, REDUCED))
+               twolevel.occupation_from_temperature(args.length, args.epsilon, args.kt))
 
 
 def _file_options(p: argparse.ArgumentParser) -> None:
@@ -261,7 +249,6 @@ def _file_options(p: argparse.ArgumentParser) -> None:
 
 def _cmd_file(args, report: Report) -> None:
     from . import bitstream, filestats
-    from .core import Energy
 
     stats = bitstream.analyze_file(args.path, markov_order=args.markov_order, bit_order=args.bit_order)
     report.add("length", stats.length, "bit")
@@ -275,7 +262,7 @@ def _cmd_file(args, report: Report) -> None:
     report.verdicts["equilibrium"] = stats.equilibrium
     if stats.equilibrium == filestats.RANDOM:
         report.add("file_temperature", filestats.file_temperature(args.epsilon, report.consts))
-        report.add("average_nat_energy", Energy(filestats.average_nat_energy(args.epsilon)))
+        report.add("average_nat_energy", filestats.average_nat_energy(args.epsilon))
         heat, entropy = filestats.file_heat_and_entropy(stats.length, args.epsilon)
         report.add("heat", heat)
         report.add("entropy", entropy)
@@ -334,7 +321,7 @@ def _cmd_broadcast(args, report: Report) -> None:
     # The receivers absorb the file's heat, worth k L ln 2 of entropy each;
     # that must cover the k dI deposited with them.
     _, heat_entropy = filestats.file_heat_and_entropy(stats.length, args.epsilon)
-    check = ledger.clausius_check(args.receivers * float(heat_entropy), result.entropy_deposited)
+    check = ledger.clausius_check(args.receivers * heat_entropy, result.entropy_deposited)
     report.verdicts["equilibrium"] = stats.equilibrium
     report.verdicts["clausius"] = check.verdict
 
@@ -348,7 +335,7 @@ def _cmd_ledger_check(args, report: Report) -> None:
     from . import ledger
 
     check = ledger.clausius_check(args.entropy, args.info)
-    report.add("margin", check.margin_k, "k")
+    report.add("margin", check.margin_k)
     report.verdicts["clausius"] = check.verdict
 
 
@@ -438,11 +425,11 @@ def _cmd_fiber_amplifier(args, report: Report) -> None:
     report.add("q_hot", q_hot)
     report.add("work_required", work)
     report.add("efficiency", fiber.carnot_efficiency(args.t_hot, args.t_cold))
-    applied = float(work) if args.work is None else args.work
+    applied = work if args.work is None else args.work
     audit = fiber.amplifier_entropy_balance(args.q_cold, args.t_hot, args.t_cold, applied,
                                             report.consts)
     report.inputs["work"] = applied
-    report.add("entropy_balance", audit.entropy_balance_k, "k")
+    report.add("entropy_balance", audit.entropy_balance_k)
     report.verdicts["second_law"] = audit.verdict
 
 
@@ -464,12 +451,12 @@ def _cmd_landauer(args, report: Report) -> None:
     report.consts = SI
     if args.bit_rate is not None:
         report.add("device_temperature", landauer.device_temperature(args.power, args.bit_rate))
-        report.add("energy_per_bit", landauer.energy_per_bit(args.power, args.bit_rate), "J")
+        report.add("energy_per_bit", landauer.energy_per_bit(args.power, args.bit_rate))
     if args.noise_temp is not None:
         f_max = landauer.max_bit_rate(args.power, args.noise_temp, args.margin)
         report.add("f_max", f_max, "1/s")
         report.add("device_temperature_at_f_max", landauer.device_temperature(args.power, f_max))
-        report.add("energy_per_bit_at_f_max", landauer.energy_per_bit(args.power, f_max), "J")
+        report.add("energy_per_bit_at_f_max", landauer.energy_per_bit(args.power, f_max))
 
 
 #: The command tree: the words of each command -> (help, handler, options).
@@ -525,49 +512,46 @@ def _leaf_words(argv: list[str]) -> tuple[str, ...] | None:
 
 
 def _add_commands(parser: argparse.ArgumentParser, words: tuple[str, ...],
-                  leaf: tuple[str, ...] | None) -> None:
+                  leaf: tuple[str, ...] | None) -> argparse.ArgumentParser | None:
     """Add the commands under ``words`` to ``parser``: all of them, or only
-    the one on the path to ``leaf``. A parser built for one path still
-    shows every choice in its usage."""
+    the one on the path to ``leaf``, and return ``leaf``'s parser (None
+    when ``leaf`` is None). A parser built for one path still shows every
+    choice in its usage."""
     names = [path[-1] for path in _COMMANDS if path[:-1] == words]
     built = names if leaf is None else [leaf[len(words)]]
     metavar = None if built == names else "{" + ",".join(names) + "}"
     sub = parser.add_subparsers(dest=_DESTS[len(words)], required=True, metavar=metavar)
+    command = None
     for name in built:
         path = words + (name,)
         help, handler, options = _COMMANDS[path]
         child = sub.add_parser(name, help=help)
         if handler is None:
-            _add_commands(child, path, leaf)
+            command = _add_commands(child, path, leaf)
             continue
+        if path == leaf:
+            command = child
         child.set_defaults(handler=handler)
         # The options every command takes are listed apart.
         common = child.add_argument_group("common options")
         common.add_argument("--json", action="store_true", help="emit the report as one JSON document")
         common.add_argument("--config", default=None, help="key=value file of defaults; flags win")
         options(child)
+    return command
 
 
-def build_parser(leaf: tuple[str, ...] | None = None) -> argparse.ArgumentParser:
+def _parsers(leaf: tuple[str, ...] | None) -> tuple[argparse.ArgumentParser,
+                                                     argparse.ArgumentParser | None]:
     """The parser of the whole command tree, or, given the words of one
-    command, of only the parsers on the path to it."""
+    command, of only the parsers on the path to it; and that command's."""
     parser = argparse.ArgumentParser(prog="infotherm",
                                      description="thermodynamics of two-level gases and binary files")
-    _add_commands(parser, (), leaf)
-    return parser
+    return parser, _add_commands(parser, (), leaf)
 
 
-def _command(parser: argparse.ArgumentParser, argv: list[str]) -> tuple[argparse.ArgumentParser, int]:
-    """The subparser that reads the options of ``argv``, found by following
-    the command words, and the index of the first token after them."""
-    start = 0
-    while start < len(argv):
-        subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        if not subparsers or argv[start] not in subparsers[0].choices:
-            break
-        parser = subparsers[0].choices[argv[start]]
-        start += 1
-    return parser, start
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of the whole command tree."""
+    return _parsers(None)[0]
 
 
 def _config_path(parser: argparse.ArgumentParser, tokens: list[str]) -> str | None:
@@ -627,7 +611,7 @@ _COMMON = ("json", "config")
 _JOULES = "_joules"
 
 
-def _report(parser: argparse.ArgumentParser, command: list[str], args) -> Report:
+def _report(parser: argparse.ArgumentParser, command: tuple[str, ...], args) -> Report:
     """The report of the parsed command ``parser``, named by its command
     words. Under ``--units si`` each ``--<energy>-joules`` value replaces
     ``--<energy>``. The inputs are the command's own options in declared
@@ -651,11 +635,13 @@ def _report(parser: argparse.ArgumentParser, command: list[str], args) -> Report
 
 def run(argv: list[str]) -> int:
     argv = list(argv)
-    parser = build_parser(_leaf_words(argv))
-    leaf, start = _command(parser, argv)
+    leaf = _leaf_words(argv)
+    parser, command = _parsers(leaf)
     try:
-        args = parser.parse_args(_inject_config(leaf, argv, start))
-        report = _report(leaf, argv[:start], args)
+        if leaf is not None:  # else argv asks for --help or is a usage error: both exit
+            argv = _inject_config(command, argv, len(leaf))
+        args = parser.parse_args(argv)
+        report = _report(command, leaf, args)
         args.handler(args, report)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -10,6 +10,11 @@ Two unit modes are supported:
 Entropy is carried in units of k everywhere (multiplying by 1.38e-23 in
 intermediate arithmetic would invite underflow); information is carried in
 nats, with bits appearing only at I/O boundaries.
+
+The four quantity types are floats tagged with what they measure. Each
+checks its domain when built and otherwise behaves as its float: arithmetic
+returns plain floats and equality ignores the type. Only the CLI's report
+reads the type, to name the unit under a unit mode.
 """
 
 from __future__ import annotations
@@ -56,26 +61,23 @@ SI = PhysConstants(k_boltzmann=K_BOLTZMANN_SI, mode="si")
 REDUCED = PhysConstants(k_boltzmann=1.0, mode="reduced")
 
 
-@dataclass(frozen=True)
-class Information:
+class Information(float):
     """An amount of information in nats (dimensionless, non-negative)."""
 
-    nats: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.nats >= 0:
+    def __new__(cls, nats: float):
+        self = super().__new__(cls, nats)
+        if not self >= 0:
             raise ValueError("information must be non-negative")
-
-    def __float__(self) -> float:
-        return float(self.nats)
+        return self
 
     @property
     def bits(self) -> float:
-        return self.nats / LN2
+        return self / LN2
 
 
-@dataclass(frozen=True)
-class Entropy:
+class Entropy(float):
     """Entropy in units of k.
 
     Closed-form entropies (k ln Omega and friends) are non-negative;
@@ -83,40 +85,33 @@ class Entropy:
     sign constraint is imposed here.
     """
 
-    k_units: float
-
-    def __float__(self) -> float:
-        return float(self.k_units)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Temperature:
+class Temperature(float):
     """Temperature: kelvin in si mode, epsilon/k units in reduced mode.
 
     Negative values are legal (population inversion); exactly zero is not
     a value any operation returns, so it is rejected here.
     """
 
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value == 0:
+    def __new__(cls, value: float):
+        self = super().__new__(cls, value)
+        if self == 0:
             raise ValueError("zero temperature is an error, not a value")
-
-    def __float__(self) -> float:
-        return float(self.value)
+        return self
 
 
-@dataclass(frozen=True)
-class Energy:
+class Energy(float):
     """A heat or internal energy: joules in si mode, multiples of the level
     energy in reduced mode. Non-negative by construction."""
 
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.value >= 0:
+    def __new__(cls, value: float):
+        self = super().__new__(cls, value)
+        if not self >= 0:
             raise ValueError("energy must be non-negative")
-
-    def __float__(self) -> float:
-        return float(self.value)
+        return self

@@ -24,8 +24,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .core import (CLAUSIUS_TOL_K, LN2, REDUCED, SATISFIED, VIOLATED, Energy, Information,
-                   PhysConstants, Temperature)
+from .core import (CLAUSIUS_TOL_K, LN2, REDUCED, SATISFIED, VIOLATED, Energy, Entropy,
+                   Information, PhysConstants, Temperature)
 from .filestats import file_temperature
 
 ISOTHERMAL_WRITE = "isothermal_write"
@@ -33,8 +33,11 @@ ADIABATIC_ATTENUATION = "adiabatic_attenuation"
 ISOTHERMAL_READ = "isothermal_read"
 ADIABATIC_AMPLIFICATION = "adiabatic_amplification"
 
+#: The smallest normal float64; a positive value below it has underflowed.
+_TINY = sys.float_info.min
 
-def carnot_efficiency(t_hot: Temperature | float, t_cold: Temperature | float) -> float:
+
+def carnot_efficiency(t_hot: float, t_cold: float) -> float:
     """Reversible work bound between two baths: eta = 1 - T_cold/T_hot."""
     th, tc = float(t_hot), float(t_cold)
     if not 0 < tc <= th:
@@ -42,21 +45,29 @@ def carnot_efficiency(t_hot: Temperature | float, t_cold: Temperature | float) -
     return 1.0 - tc / th
 
 
-def amplifier_work(
-    q_cold: Energy | float, t_hot: Temperature | float, t_cold: Temperature | float
-) -> tuple[Energy, Energy]:
+def amplifier_work(q_cold: float, t_hot: float, t_cold: float) -> tuple[Energy, Energy]:
     """Heat emitted and work injected by an entropy-conserving amplifier.
 
     Reads ``q_cold`` at T_cold and re-emits Q_hot = Q_cold * T_hot/T_cold;
     the work W = Q_hot - Q_cold satisfies W / Q_hot = 1 - T_cold/T_hot.
+    Q_cold * T_hot is taken first unless it leaves float64's normal range;
+    then the division by T_cold comes first, of Q_cold where the product
+    underflows and of T_hot where it overflows. A Q_hot outside that range
+    is an input error.
     """
-    th, tc = float(t_hot), float(t_cold)
-    qc = float(q_cold)
+    qc, th, tc = float(q_cold), float(t_hot), float(t_cold)
     if not 0 < tc < th:
         raise ValueError("require 0 < T_cold < T_hot")
     if not qc > 0:
         raise ValueError("heat read must be positive")
-    qh = qc * th / tc
+    product = qc * th
+    if _TINY <= product < math.inf:
+        qh = product / tc
+    else:
+        qh = qc / tc * th if product < _TINY else qc * (th / tc)
+    if not _TINY <= qh < math.inf:
+        raise ValueError(f"q_cold = {qc!r}, t_hot = {th!r} and t_cold = {tc!r} make the heat "
+                         "emitted q_cold*t_hot/t_cold leave float64's normal range")
     return Energy(qh), Energy(qh - qc)
 
 
@@ -65,30 +76,29 @@ class AmplifierAudit:
     """Second-law audit of one amplification with a given work input."""
 
     q_hot: Energy
-    entropy_balance_k: float
+    entropy_balance_k: Entropy
     verdict: str
 
 
-def amplifier_entropy_balance(
-    q_cold: Energy | float,
-    t_hot: Temperature | float,
-    t_cold: Temperature | float,
-    work: Energy | float,
-    consts: PhysConstants = REDUCED,
-) -> AmplifierAudit:
+def amplifier_entropy_balance(q_cold: float, t_hot: float, t_cold: float, work: float,
+                              consts: PhysConstants = REDUCED) -> AmplifierAudit:
     """Entropy balance Q_hot/T_hot - Q_cold/T_cold (k units) for an
     amplifier injecting ``work``; negative balance means the second law is
-    violated and the verdict says so."""
-    th, tc = float(t_hot), float(t_cold)
-    qc, w = float(q_cold), float(work)
+    violated and the verdict says so. A balance that overflows, or whose
+    kT rounds to 0, is an input error."""
+    qc, w, th, tc = float(q_cold), float(work), float(t_hot), float(t_cold)
     if not (th > 0 and tc > 0):
         raise ValueError("temperatures must be positive")
     if qc < 0 or w < 0:
         raise ValueError("heat and work must be non-negative")
     qh = qc + w
-    balance = qh / (consts.k_boltzmann * th) - qc / (consts.k_boltzmann * tc)
+    kth, ktc = consts.k_boltzmann * th, consts.k_boltzmann * tc
+    balance = qh / kth - qc / ktc if kth and ktc else math.nan
+    if not math.isfinite(balance):
+        raise ValueError(f"q_cold = {qc!r}, work = {w!r}, t_hot = {th!r} and t_cold = {tc!r} make "
+                         f"kT round to 0 or the balance overflow float64 ({consts.mode} units)")
     verdict = SATISFIED if balance >= -CLAUSIUS_TOL_K else VIOLATED
-    return AmplifierAudit(q_hot=Energy(qh), entropy_balance_k=balance, verdict=verdict)
+    return AmplifierAudit(q_hot=Energy(qh), entropy_balance_k=Entropy(balance), verdict=verdict)
 
 
 @dataclass(frozen=True)
@@ -175,10 +185,6 @@ class ChainResult:
         return (self.cycle,) * self.n_spans if self.cycle is not None else ()
 
 
-#: The smallest normal float64; a positive value below it has underflowed.
-_TINY = sys.float_info.min
-
-
 def _check_range(cfg: FiberChainConfig, consts: PhysConstants, cycle: tuple[float, ...],
                  totals: tuple[float, ...] = ()) -> None:
     """Reject a chain whose positive cycle quantities are not normal
@@ -207,23 +213,23 @@ def simulate_chain(cfg: FiberChainConfig, consts: PhysConstants = REDUCED) -> Ch
     eps_low = g * eps0
     info = cfg.file_length * LN2
     t_hot = file_temperature(eps0, consts)
-    t_cold = g * float(t_hot)  # a float until checked: a Temperature cannot be 0
+    t_cold = g * t_hot  # a float until checked: a Temperature cannot be 0
     q_hot = cfg.file_length * eps0 / 2.0
     q_cold = g * q_hot
-    _check_range(cfg, consts, (eps_low, float(t_hot), t_cold, q_hot, q_cold))
+    _check_range(cfg, consts, (eps_low, t_hot, t_cold, q_hot, q_cold))
     _, work = amplifier_work(q_cold, t_hot, t_cold)
     n = cfg.n_spans
-    total_work, total_hot, total_cold = n * float(work), n * q_hot, n * q_cold
-    _check_range(cfg, consts, (float(work),), (total_work, total_hot, total_cold))
+    total_work, total_hot, total_cold = n * work, n * q_hot, n * q_cold
+    _check_range(cfg, consts, (work,), (total_work, total_hot, total_cold))
     steps = (
-        StepRecord(ISOTHERMAL_WRITE, eps0, eps0, float(t_hot), float(t_hot),
+        StepRecord(ISOTHERMAL_WRITE, eps0, eps0, t_hot, t_hot,
                    heat=q_hot, work=0.0, info_nats=info),
-        StepRecord(ADIABATIC_ATTENUATION, eps0, eps_low, float(t_hot), t_cold,
+        StepRecord(ADIABATIC_ATTENUATION, eps0, eps_low, t_hot, t_cold,
                    heat=0.0, work=0.0, info_nats=info),
         StepRecord(ISOTHERMAL_READ, eps_low, eps_low, t_cold, t_cold,
                    heat=q_cold, work=0.0, info_nats=info),
-        StepRecord(ADIABATIC_AMPLIFICATION, eps_low, eps0, t_cold, float(t_hot),
-                   heat=0.0, work=float(work), info_nats=info),
+        StepRecord(ADIABATIC_AMPLIFICATION, eps_low, eps0, t_cold, t_hot,
+                   heat=0.0, work=work, info_nats=info),
     )
     cycle = CycleRecord(
         steps=steps,
@@ -290,7 +296,7 @@ def export_csv(records, path) -> None:
                 rec = run[0]
                 att = rec.steps[1]
                 tail = "," + ",".join(
-                    format(float(x), ".12g")
+                    format(x, ".12g")
                     for x in (att.epsilon_start, att.epsilon_end, rec.t_hot, rec.t_cold,
                               rec.q_hot, rec.q_cold, rec.work_in, rec.info)
                 ) + "\n"

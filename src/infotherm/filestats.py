@@ -65,11 +65,11 @@ def file_temperature(epsilon: float, consts: PhysConstants = REDUCED) -> Tempera
     return Temperature(epsilon / (2.0 * consts.k_boltzmann * LN2))
 
 
-def average_nat_energy(epsilon: float) -> float:
+def average_nat_energy(epsilon: float) -> Energy:
     """Energy per nat of a random file: eps / (2 ln 2)."""
     if not epsilon > 0:
         raise ValueError("bit energy must be positive")
-    return epsilon / (2.0 * LN2)
+    return Energy(epsilon / (2.0 * LN2))
 
 
 def file_heat_and_entropy(length: int, epsilon: float) -> tuple[Energy, Entropy]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .core import K_BOLTZMANN_SI, LN2, Temperature
+from .core import K_BOLTZMANN_SI, LN2, Energy, Temperature
 
 DEFAULT_MARGIN = 10.0
 
@@ -53,7 +53,9 @@ def device_temperature(power_w: float, bit_rate_hz: float) -> Temperature:
 def max_bit_rate(power_w: float, noise_temperature_k: float, margin: float = DEFAULT_MARGIN) -> float:
     """Upper bound on bit rate: f_max = P / (margin k T_n ln 2), 1/s.
 
-    By construction device_temperature(P, f_max) = margin * T_n.
+    By construction device_temperature(P, f_max) = margin * T_n. Inputs
+    for which that temperature or energy_per_bit(P, f_max) leaves float64's
+    normal range are input errors here, named as the caller gave them.
     """
     if not power_w > 0:
         raise ValueError("power must be positive")
@@ -61,15 +63,18 @@ def max_bit_rate(power_w: float, noise_temperature_k: float, margin: float = DEF
         raise ValueError("noise temperature must be positive")
     if not margin >= 1:
         raise ValueError("margin must be at least 1")
-    return _ratio(power_w, margin * K_BOLTZMANN_SI * noise_temperature_k * LN2,
-                  f"power = {power_w!r}, noise_temp = {noise_temperature_k!r} "
-                  f"and margin = {margin!r}")
+    inputs = f"power = {power_w!r}, noise_temp = {noise_temperature_k!r} and margin = {margin!r}"
+    f_max = _ratio(power_w, margin * K_BOLTZMANN_SI * noise_temperature_k * LN2, inputs)
+    for denominator in (K_BOLTZMANN_SI * f_max * LN2, f_max):
+        _ratio(power_w, denominator, inputs)
+    return f_max
 
 
-def energy_per_bit(power_w: float, bit_rate_hz: float) -> float:
+def energy_per_bit(power_w: float, bit_rate_hz: float) -> Energy:
     """Energy spent per bit, P/f, in joules."""
     if not power_w > 0:
         raise ValueError("power must be positive")
     if not bit_rate_hz > 0:
         raise ValueError("bit rate must be positive")
-    return _ratio(power_w, bit_rate_hz, f"power = {power_w!r} and bit_rate = {bit_rate_hz!r}")
+    inputs = f"power = {power_w!r} and bit_rate = {bit_rate_hz!r}"
+    return Energy(_ratio(power_w, bit_rate_hz, inputs))

@@ -14,6 +14,7 @@ dS >= k*dI in ledger form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import (CLAUSIUS_TOL_K, LN2, REDUCED, SATISFIED, VIOLATED, Energy, Entropy,
@@ -40,7 +41,7 @@ class ClausiusCheck:
     """Verdict on dS >= k*dI, with the signed margin in k units."""
 
     verdict: str
-    margin_k: float
+    margin_k: Entropy
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,8 @@ def broadcast_balance(
     dI is the order-k conditional-rate estimate times L, which is what
     makes the margin positive for correlated streams. Each receiver side
     still absorbs heat worth k * L ln 2 of entropy, so the margin is
-    k * (L ln 2 - dI), realizing dS >= k*dI.
+    k * (L ln 2 - dI), realizing dS >= k*dI. Receivers so many that their
+    k * N * L ln 2 overflows are an input error.
     """
     if n_receivers < 1:
         raise ValueError("receiver count must be at least 1")
@@ -82,11 +84,14 @@ def broadcast_balance(
                 "re-analyze with a smaller markov order" % stats.markov_order
             )
         info = stats.length * stats.info_rate_markov
+    if not n_receivers * (stats.length * LN2) < math.inf:
+        raise ValueError(f"receivers = {n_receivers!r} make the entropy the receivers absorb "
+                         f"from a file of {stats.length} bits overflow float64")
     t_hot = file_temperature(epsilon_hot, consts)
     return BroadcastResult(
         n_receivers=n_receivers,
         t_hot=t_hot,
-        t_cold=Temperature(float(t_hot) / n_receivers),
+        t_cold=Temperature(t_hot / n_receivers),
         info_sent=Information(info),
         entropy_removed=Entropy(info),
         entropy_deposited=Entropy(n_receivers * info),
@@ -95,28 +100,28 @@ def broadcast_balance(
     )
 
 
-def clausius_check(entropy_change: Entropy | float, info_change: Information | float) -> ClausiusCheck:
+def clausius_check(entropy_change: float, info_change: float) -> ClausiusCheck:
     """Check the informatic Clausius inequality dS >= k*dI.
 
     ``entropy_change`` is in k units, so the comparison is direct; the
-    margin is dS/k - dI.
+    margin is dS/k - dI. A margin that overflows is an input error.
     """
-    margin = float(entropy_change) - float(info_change)
+    entropy, info = float(entropy_change), float(info_change)
+    margin = entropy - info
+    if not math.isfinite(margin):
+        raise ValueError(f"entropy = {entropy!r} and info = {info!r} make the margin "
+                         "entropy - info overflow float64")
     verdict = SATISFIED if margin >= -CLAUSIUS_TOL_K else VIOLATED
-    return ClausiusCheck(verdict=verdict, margin_k=margin)
+    return ClausiusCheck(verdict=verdict, margin_k=Entropy(margin))
 
 
-def combined_balance(
-    heat: Energy | float,
-    temperature: Temperature | float,
-    info_delta: Information | float,
-    entropy_actual: Entropy | float,
-    consts: PhysConstants = REDUCED,
-) -> CombinedLedger:
+def combined_balance(heat: float, temperature: float, info_delta: float, entropy_actual: float,
+                     consts: PhysConstants = REDUCED) -> CombinedLedger:
     """Audit a process that moves both heat and information.
 
     The entropy change must cover dQ/T plus k*dI; the bound and the
-    actual change are compared in k units.
+    actual change are compared in k units. A bound that overflows, or
+    whose kT rounds to 0, is an input error.
     """
     t = float(temperature)
     if not t > 0:
@@ -124,9 +129,12 @@ def combined_balance(
     q = float(heat)
     if q < 0:
         raise ValueError("heat must be non-negative")
-    info = float(info_delta)
-    actual = float(entropy_actual)
-    bound = q / (consts.k_boltzmann * t) + info
+    info, actual = float(info_delta), float(entropy_actual)
+    kt = consts.k_boltzmann * t
+    bound = (q / kt if kt else math.inf) + info
+    if not math.isfinite(bound):
+        raise ValueError(f"heat = {q!r}, temperature = {t!r} and info = {info!r} make kT round to "
+                         f"0 or the bound heat/(kT) + info overflow float64 ({consts.mode} units)")
     verdict = SATISFIED if actual >= bound - CLAUSIUS_TOL_K else VIOLATED
     return CombinedLedger(
         thermal_heat=Energy(q),

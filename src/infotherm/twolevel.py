@@ -127,9 +127,8 @@ def temperature_numeric(gas: TwoLevelGas, consts: PhysConstants = REDUCED) -> Te
     return Temperature(2.0 * gas.epsilon / (consts.k_boltzmann * ds))
 
 
-def occupation_from_temperature(
-    length: int, epsilon: float, temperature: Temperature | float, consts: PhysConstants = REDUCED
-) -> float:
+def occupation_from_temperature(length: int, epsilon: float, temperature: float,
+                                consts: PhysConstants = REDUCED) -> float:
     """Invert the occupation law: expected n = L / (1 + exp(eps/kT))."""
     if length < 1:
         raise ValueError("state count must be at least 1")
@@ -218,7 +217,7 @@ def _heat_over_temperature(heat: float, bath: TwoLevelGas) -> float:
     """dQ/T of a bath at its closed-form temperature, in k units when
     ``heat`` is in the bath's level energy; 0 where T diverges."""
     try:
-        return heat / float(temperature_closed(bath))
+        return heat / temperature_closed(bath)
     except InfiniteTemperatureError:
         return 0.0
 

@@ -63,6 +63,24 @@ def test_ledger_check_satisfied_exits_0(capsys):
     assert "satisfied" in out
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["combined", "--heat", "1", "--temperature", "1e-320", "--info", "1", "--entropy-actual", "1"],
+     ("heat = 1.0", "temperature = 1e-320", "info = 1.0")),
+    (["combined", "--heat", "0", "--temperature", "1e-310", "--info", "1", "--entropy-actual", "1",
+      "--units", "si"], ("heat = 0.0", "temperature = 1e-310", "info = 1.0", "si units")),
+    (["check", "--entropy", "1e308", "--info=-1e308"], ("entropy = 1e+308", "info = -1e+308")),
+], ids=["combined-bound-overflow", "combined-si-kt-underflow", "check-margin-overflow"])
+def test_ledger_non_finite_bound_or_margin_exits_2(argv, names, capsys):
+    """A Clausius bound or margin that overflows is an input error naming
+    the flags, not a verdict on inf."""
+    assert cli.run(["ledger", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("infotherm: error: ")
+    for name in names:
+        assert name in captured.err
+
+
 def test_ledger_combined_matches_library(capsys):
     status, out = run_capture(
         ["ledger", "combined", "--heat", "1", "--temperature", "1",
@@ -80,6 +98,13 @@ def test_broadcast_single_receiver(random_file, capsys):
     doc = json.loads(out)
     assert doc["results"]["net_gain"]["value"] == 0.0
     assert doc["verdicts"]["equilibrium"] == "random"
+
+
+def test_broadcast_receivers_that_overflow_exit_2(random_file, capsys):
+    assert cli.run(["broadcast", "--file", str(random_file), "--receivers", "1" + "0" * 306]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "receivers = 1" + "0" * 306 in captured.err
 
 
 def test_broadcast_clausius_verdict_can_fail(random_file, monkeypatch, capsys):
@@ -309,9 +334,9 @@ def test_fiber_simulate_rejects_attenuation_rounding_to_0_or_1(alpha, spans, cap
     ["--epsilon0", "1e-310", "--alpha", "0.1", "--spans", "1", "--file-length", "1"],
     ["--units", "si", "--epsilon0-joules", "1e300", "--alpha", "0.1", "--spans", "1",
      "--file-length", "1"],
-    ["--epsilon0", "1e300", "--alpha", "0.1", "--spans", "1", "--file-length", "1000000"],
+    ["--epsilon0", "1e300", "--alpha", "0.1", "--spans", "1", "--file-length", "1000000000"],
 ], ids=["temperature-underflow", "temperature-underflow-zero-spans", "subnormal-epsilon0",
-        "si-temperature-overflow", "work-overflow"])
+        "si-temperature-overflow", "heat-overflow"])
 def test_fiber_simulate_rejects_cycle_outside_float_range(argv, capsys):
     """A cycle whose temperatures, heats or work round to 0 or overflow is
     an input error naming the inputs, in both unit modes and at 0 spans."""
@@ -320,6 +345,21 @@ def test_fiber_simulate_rejects_cycle_outside_float_range(argv, capsys):
     assert captured.out == ""
     for name in ("epsilon0 = ", "alpha_per_km*span_km = ", "file_length = "):
         assert name in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--units", "si", "--epsilon0-joules", "1e-300", "--alpha", "1", "--spans", "3",
+     "--file-length", "1"],
+    ["--epsilon0", "1e300", "--alpha", "0.1", "--spans", "1", "--file-length", "1000000"],
+], ids=["product-underflow", "product-overflow"])
+def test_fiber_simulate_cycle_in_range_runs(argv, capsys):
+    """A cycle whose every quantity is normal runs, although the product
+    q_cold * t_hot in the amplifier's work leaves float64's range."""
+    status, out = run_capture(["fiber", "simulate", "--span-km", "1", *argv, "--json"], capsys)
+    assert status == 0
+    results = {key: entry["value"] for key, entry in json.loads(out)["results"].items()}
+    assert results["work_per_span"] == pytest.approx(
+        results["q_hot_per_span"] * results["span_efficiency"], rel=1e-12)
 
 
 HUGE = "1" + "0" * 400
@@ -350,6 +390,31 @@ def test_fiber_amplifier_audit(capsys):
     assert status == 1
     doc = json.loads(out)
     assert doc["verdicts"]["second_law"] == "violated"
+
+
+def test_fiber_amplifier_divides_first_where_the_product_underflows(capsys):
+    """q_cold * t_hot is subnormal here, and dividing it by t_cold gave
+    9.000000001157123e-300; q_cold / t_cold * t_hot is correctly rounded."""
+    status, out = run_capture(["fiber", "amplifier", "--q-cold", "3e-300", "--t-hot", "3e-15",
+                               "--t-cold", "1e-15", "--json"], capsys)
+    assert status == 0
+    assert json.loads(out)["results"]["q_hot"]["value"] == 9e-300
+
+
+@pytest.mark.parametrize("argv", [
+    ["--q-cold", "1e308", "--t-hot", "1e10", "--t-cold", "1"],
+    ["--q-cold", "1e308", "--t-hot", "1.5", "--t-cold", "1", "--work", "1e308"],
+    ["--q-cold", "1", "--t-hot", "1", "--t-cold", "1e-320", "--units", "si"],
+], ids=["q-hot-overflow", "balance-overflow", "si-kt-underflow"])
+def test_fiber_amplifier_outside_the_normal_range_exits_2(argv, capsys):
+    """An amplifier whose heat or entropy balance leaves float64's range is
+    an input error naming the flags, not an infinite verdict."""
+    assert cli.run(["fiber", "amplifier", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    for name in ("q_cold = ", "t_hot = ", "t_cold = "):
+        assert name in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_fiber_efficiency(capsys):
@@ -543,3 +608,14 @@ def test_landauer_outside_the_normal_range_exits_2(flags, capsys):
     assert captured.out == ""
     assert captured.err.startswith("infotherm: error: power = ")
     assert "normal range" in captured.err
+
+
+def test_landauer_names_the_flags_given(capsys):
+    """f_max is normal here but the device temperature at f_max is not;
+    the error names the flags given, not the computed bit rate."""
+    assert cli.run(["landauer", "--power", "1e-306", "--noise-temp", "300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "infotherm: error: power = 1e-306, noise_temp = 300.0 and margin = 10.0 make ")
+    assert "bit_rate" not in captured.err

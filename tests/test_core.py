@@ -1,11 +1,12 @@
 """Unit conversions, quantity types, and mode consistency."""
 
+import json
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from infotherm import core
+from infotherm import cli, core
 
 
 def test_nats_to_bits_zero_and_identity():
@@ -67,3 +68,50 @@ def test_verdicts_live_in_core():
         assert module.SATISFIED is core.SATISFIED
         assert module.VIOLATED is core.VIOLATED
         assert module.CLAUSIUS_TOL_K is core.CLAUSIUS_TOL_K
+
+
+QUANTITIES = (core.Energy, core.Entropy, core.Temperature, core.Information)
+
+
+@pytest.mark.parametrize("kind", QUANTITIES)
+def test_quantity_is_a_float_without_a_dict(kind):
+    quantity = kind(2.5)
+    assert isinstance(quantity, float)
+    assert quantity == 2.5
+    assert not hasattr(quantity, "__dict__")
+    assert type(quantity + 1.0) is float
+
+
+@pytest.mark.parametrize("kind, value, message", [
+    (core.Energy, -1.0, "energy must be non-negative"),
+    (core.Energy, math.nan, "energy must be non-negative"),
+    (core.Information, -1.0, "information must be non-negative"),
+    (core.Information, math.nan, "information must be non-negative"),
+    (core.Temperature, 0.0, "zero temperature is an error, not a value"),
+    (core.Temperature, -0.0, "zero temperature is an error, not a value"),
+])
+def test_quantity_domain_errors(kind, value, message):
+    with pytest.raises(ValueError) as info:
+        kind(value)
+    assert str(info.value) == message
+
+
+def test_quantities_of_different_types_compare_as_floats():
+    """Quantities are the numbers they hold: a unit type is not part of
+    equality."""
+    assert core.Energy(1.0) == core.Entropy(1.0) == 1.0
+    assert hash(core.Temperature(3.0)) == hash(3.0)
+
+
+@pytest.mark.parametrize("kind", QUANTITIES)
+@given(value=st.floats(min_value=1e-300, max_value=1e300))
+def test_quantity_renders_as_its_float(kind, value):
+    """A report prints and serialises a quantity exactly as its float."""
+    report = cli.Report("probe", core.SI, {"given": kind(value)})
+    report.add("result", kind(value))
+    plain = cli.Report("probe", core.SI, {"given": value})
+    plain.add("result", value, report.results["result"]["unit"])
+    assert report.to_text() == plain.to_text()
+    assert report.to_json() == plain.to_json()
+    assert json.loads(report.to_json())["results"]["result"]["value"] == value
+

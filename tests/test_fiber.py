@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infotherm import fiber
+from infotherm import core, fiber
 from infotherm.fiber import (
     ADIABATIC_AMPLIFICATION,
     ADIABATIC_ATTENUATION,
@@ -198,3 +198,31 @@ def test_chain_rejects_totals_that_overflow():
                            file_length=10**300)
     with pytest.raises(ValueError, match=r"epsilon0 = .*n_spans = 10{20} .*overflow"):
         simulate_chain(cfg)
+
+
+@pytest.mark.parametrize("q_cold, t_hot, t_cold, q_hot", [
+    (3e-300, 3e-15, 1e-15, 9e-300),
+    (1e300, 1e10, 1e5, 1.0000000000000001e305),
+], ids=["product-underflow", "product-overflow"])
+def test_amplifier_work_where_q_cold_times_t_hot_leaves_the_range(q_cold, t_hot, t_cold, q_hot):
+    """Q_hot is the correctly rounded Q_cold T_hot / T_cold in each case,
+    whether or not the product Q_cold T_hot is a normal float64."""
+    assert amplifier_work(q_cold, t_hot, t_cold)[0] == q_hot
+
+
+@pytest.mark.parametrize("q_cold, t_hot, t_cold", [(1e308, 1e10, 1.0), (1e-320, 2.0, 1.0)],
+                         ids=["overflow", "subnormal"])
+def test_amplifier_work_rejects_q_hot_outside_the_normal_range(q_cold, t_hot, t_cold):
+    with pytest.raises(ValueError, match=r"q_cold = .*t_hot = .*t_cold = .*normal range"):
+        amplifier_work(q_cold, t_hot, t_cold)
+
+
+def test_amplifier_entropy_balance_rejects_overflow():
+    with pytest.raises(ValueError, match=r"q_cold = 1e\+308, work = 1e\+308, .*overflow"):
+        amplifier_entropy_balance(1e308, 1.5, 1.0, 1e308)
+
+
+def test_audit_balance_is_an_entropy():
+    audit = amplifier_entropy_balance(25.0, 1.0, 0.5, 22.5)
+    assert type(audit.entropy_balance_k) is core.Entropy
+    assert type(audit.q_hot) is core.Energy

@@ -2,7 +2,7 @@
 
 import pytest
 
-from infotherm.core import K_BOLTZMANN_SI, LN2
+from infotherm.core import K_BOLTZMANN_SI, LN2, Energy
 from infotherm.landauer import (
     device_temperature,
     energy_per_bit,
@@ -65,11 +65,12 @@ def test_input_validation():
     (lambda: max_bit_rate(1e-9, 1e-320), ("power = 1e-09", "noise_temp = 1e-320", "margin = 10.0")),
     (lambda: max_bit_rate(1e300, 1e-300), ("power = 1e+300", "noise_temp = 1e-300")),
     (lambda: max_bit_rate(1e-300, 1e300, 1e10), ("noise_temp = 1e+300", "margin = 10000000000.0")),
+    (lambda: max_bit_rate(1e-306, 300.0), ("power = 1e-306", "noise_temp = 300.0", "margin = 10.0")),
     (lambda: energy_per_bit(1e-9, 1e-320), ("power = 1e-09", "bit_rate = 1e-320")),
     (lambda: energy_per_bit(1e300, 1e-300), ("power = 1e+300", "bit_rate = 1e-300")),
     (lambda: energy_per_bit(1e-300, 1e300), ("power = 1e-300", "bit_rate = 1e+300")),
 ], ids=["temperature-subnormal-rate", "temperature-underflow", "temperature-overflow",
-        "rate-subnormal-noise", "rate-overflow", "rate-underflow",
+        "rate-subnormal-noise", "rate-overflow", "rate-underflow", "temperature-at-rate-underflow",
         "energy-subnormal-rate", "energy-overflow", "energy-underflow"])
 def test_bound_outside_the_normal_range_is_an_input_error(call, inputs):
     """A denominator or result that rounds to 0, is subnormal or overflows
@@ -86,3 +87,7 @@ def test_bound_at_the_edge_of_the_normal_range():
     tiny = 2.2250738585072014e-308  # the smallest normal float64
     assert energy_per_bit(tiny, 1.0) == tiny
     assert energy_per_bit(1.0, tiny) == 1.0 / tiny
+
+
+def test_energy_per_bit_is_an_energy():
+    assert type(energy_per_bit(1e-12, 1e9)) is Energy

@@ -149,3 +149,19 @@ def test_combined_balance_si_mode():
 def test_combined_balance_rejects_nonpositive_temperature():
     with pytest.raises(ValueError, match="temperature"):
         combined_balance(1.0, 0.0, 0.0, 0.0)
+
+
+def test_clausius_check_rejects_a_margin_that_overflows():
+    with pytest.raises(ValueError, match=r"entropy = 1e\+308 and info = -1e\+308 .*overflow"):
+        clausius_check(1e308, -1e308)
+
+
+@pytest.mark.parametrize("args", [(1.0, 1e-320, 1.0, 1.0), (0.0, 1e-310, 1.0, 1.0, core.SI)],
+                         ids=["bound-overflow", "si-kt-underflow"])
+def test_combined_balance_rejects_a_bound_that_is_not_finite(args):
+    with pytest.raises(ValueError, match=r"heat = .*temperature = .*info = .*overflow"):
+        combined_balance(*args)
+
+
+def test_margin_is_an_entropy():
+    assert type(clausius_check(5.0, 10.0).margin_k) is core.Entropy
