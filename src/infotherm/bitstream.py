@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Information
+from .core import Information, Validated
 from .filestats import (  # noqa: F401  (re-exported; these need no numpy)
     BIT_ORDERS,
     GENERATOR_KINDS,
@@ -74,20 +74,22 @@ def _integers_upto(values: np.ndarray, top: int) -> bool:
     return bool(np.all((values >= 0) & (values <= top) & (values == np.trunc(values))))
 
 
-@dataclass(frozen=True, eq=False)
 class Bitstream:
     """An ordered sequence of ``length`` bits, packed MSB first: bit i is
     bit 7 - i % 8 of byte i // 8 of ``packed``, and the bits of the last
     byte past ``length`` are 0. ``ones`` is counted when the stream is
-    built."""
+    built. Its attributes cannot be set, and two streams are equal only
+    when they are the same object."""
+
+    __slots__ = ("packed", "length", "ones")
 
     packed: np.ndarray
     length: int
-    ones: int = field(init=False)
+    ones: int
 
-    def __post_init__(self):
-        packed = np.asarray(self.packed)
-        length = int(self.length)
+    def __init__(self, packed: np.ndarray, length: int):
+        packed = np.asarray(packed)
+        length = int(length)
         if length < 1 or packed.ndim != 1 or packed.size != (length + 7) // 8:
             raise ValueError("a bitstream of L >= 1 bits packs into a 1-d array of ceil(L/8) bytes")
         if packed.dtype != np.uint8 and not _integers_upto(packed, 255):
@@ -98,6 +100,15 @@ class Bitstream:
         object.__setattr__(self, "packed", packed)
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "ones", _scan(_slices(packed)).ones)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Bitstream(packed={self.packed!r}, length={self.length!r}, ones={self.ones!r})"
 
     @classmethod
     def from_bits(cls, bits) -> Bitstream:
@@ -253,23 +264,22 @@ def _check_bit_order(bit_order: str) -> None:
         raise ValueError(f"bit_order must be one of {BIT_ORDERS}")
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Validated, namedtuple("GeneratorSpec", "kind length seed p q",
+                                          defaults=(0, None, None))):
     """Recipe for a synthetic corpus.
 
     kinds: bernoulli (iid ones-probability ``p``), markov (flip the
     previous bit with probability ``q``; stationary ones-density 1/2 for
     every q, so corpora differ in information at equal energy),
     ordered_block (L/2 ones then zeros), alternating (0101...).
+
+    Fields: ``kind`` (str), ``length`` (int), ``seed`` (int, default 0),
+    ``p`` and ``q`` (float or None, default None).
     """
 
-    kind: str
-    length: int
-    seed: int = 0
-    p: float | None = None
-    q: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.length < 1:

@@ -206,6 +206,9 @@ def _cmd_gas_transfer(args, report: Report) -> None:
     from . import twolevel
 
     record = twolevel.transfer_balance(args.length, args.n_hot, args.n_cold, args.epsilon)
+    if not sys.float_info.min <= record.gas_heat < math.inf:
+        raise ValueError(f"n_hot = {args.n_hot!r} and epsilon = {args.epsilon!r} make the heat "
+                         "n_hot*epsilon leave float64's normal range")
     report.add("gas_heat", record.gas_heat)
     report.add("entropy_removed_hot", record.entropy_removed_hot)
     report.add("entropy_added_cold", record.entropy_added_cold)

@@ -15,12 +15,18 @@ The four quantity types are floats tagged with what they measure. Each
 checks its domain when built and otherwise behaves as its float: arithmetic
 returns plain floats and equality ignores the type. Only the CLI's report
 reads the type, to name the unit under a unit mode.
+
+The package's records are named tuples, whose classes are cheap to build
+at start-up. Result records are ``typing.NamedTuple`` classes; the types
+that check their fields, such as ``PhysConstants``, derive from
+``Validated``. Either kind is immutable, compares by value like the tuple
+it is, and has ``_asdict()`` and ``_replace()``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 LN2 = math.log(2.0)
 
@@ -39,14 +45,35 @@ VIOLATED = "violated"
 CLAUSIUS_TOL_K = 1e-9
 
 
-@dataclass(frozen=True)
-class PhysConstants:
-    """Unit-mode bundle handed to every temperature/entropy computation."""
+class Validated:
+    """Base of the named tuples that check their fields when built.
 
-    k_boltzmann: float
-    mode: str
+    A subclass lists ``Validated`` before its ``namedtuple`` base and
+    defines ``_check``, which raises ValueError for fields out of their
+    domain. ``__new__`` builds the tuple, then checks it; ``_make``, and
+    with it ``_replace``, builds through ``__new__``, so no value escapes
+    the check.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class PhysConstants(Validated, namedtuple("PhysConstants", "k_boltzmann mode")):
+    """Unit-mode bundle handed to every temperature/entropy computation:
+    ``k_boltzmann`` (float) and ``mode`` (str)."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.mode not in _MODES:
             raise ValueError(f"unknown unit mode {self.mode!r}, expected one of {_MODES}")
         if not self.k_boltzmann > 0:

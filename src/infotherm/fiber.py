@@ -18,14 +18,14 @@ for free.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .core import (CLAUSIUS_TOL_K, LN2, REDUCED, SATISFIED, VIOLATED, Energy, Entropy,
-                   Information, PhysConstants, Temperature)
+                   Information, PhysConstants, Temperature, Validated)
 from .filestats import file_temperature
 
 ISOTHERMAL_WRITE = "isothermal_write"
@@ -38,10 +38,14 @@ _TINY = sys.float_info.min
 
 
 def carnot_efficiency(t_hot: float, t_cold: float) -> float:
-    """Reversible work bound between two baths: eta = 1 - T_cold/T_hot."""
+    """Reversible work bound between two baths: eta = 1 - T_cold/T_hot.
+    A temperature outside float64's normal range is an input error."""
     th, tc = float(t_hot), float(t_cold)
     if not 0 < tc <= th:
         raise ValueError("require 0 < T_cold <= T_hot")
+    if not _TINY <= tc <= th < math.inf:
+        raise ValueError(f"t_hot = {th!r} and t_cold = {tc!r} put a temperature outside "
+                         "float64's normal range")
     return 1.0 - tc / th
 
 
@@ -71,8 +75,7 @@ def amplifier_work(q_cold: float, t_hot: float, t_cold: float) -> tuple[Energy, 
     return Energy(qh), Energy(qh - qc)
 
 
-@dataclass(frozen=True)
-class AmplifierAudit:
+class AmplifierAudit(NamedTuple):
     """Second-law audit of one amplification with a given work input."""
 
     q_hot: Energy
@@ -101,8 +104,7 @@ def amplifier_entropy_balance(q_cold: float, t_hot: float, t_cold: float, work: 
     return AmplifierAudit(q_hot=Energy(qh), entropy_balance_k=Entropy(balance), verdict=verdict)
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One of the four cycle steps. Heat is the energy exchanged at the
     step's fixed temperature; attenuation loss is not ledgered (it leaves
     the informatics system)."""
@@ -117,8 +119,7 @@ class StepRecord:
     info_nats: float
 
 
-@dataclass(frozen=True)
-class CycleRecord:
+class CycleRecord(NamedTuple):
     """Four-step bookkeeping of one amplifier span."""
 
     steps: tuple[StepRecord, ...]
@@ -130,18 +131,15 @@ class CycleRecord:
     info: Information
 
 
-@dataclass(frozen=True)
-class FiberChainConfig:
-    """Chain geometry: launch bit energy, loss, spacing, span count, and
-    the (random) file length in bits."""
+class FiberChainConfig(Validated, namedtuple("FiberChainConfig",
+                                               "epsilon0 alpha_per_km span_km n_spans file_length")):
+    """Chain geometry: launch bit energy ``epsilon0``, loss ``alpha_per_km``
+    and spacing ``span_km`` (floats), span count ``n_spans`` and the
+    (random) file length in bits ``file_length`` (ints)."""
 
-    epsilon0: float
-    alpha_per_km: float
-    span_km: float
-    n_spans: int
-    file_length: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not self.epsilon0 > 0:
             raise ValueError("launch bit energy must be positive")
         if not self.alpha_per_km > 0:
@@ -163,8 +161,7 @@ class FiberChainConfig:
         return math.exp(-self.alpha_per_km * self.span_km)
 
 
-@dataclass(frozen=True)
-class ChainResult:
+class ChainResult(NamedTuple):
     """The cycle every span repeats, the span count and the chain totals.
     ``cycle`` is None when there are no spans."""
 
@@ -177,11 +174,11 @@ class ChainResult:
     info: Information
     span_efficiency: float
 
-    @functools.cached_property
+    @property
     def records(self) -> tuple[CycleRecord, ...]:
-        """One record per span, the same object each time, built on first
-        access. It takes 8 bytes a span; ``cycle`` and ``n_spans`` say the
-        same in constant space."""
+        """One record per span, the same object each time, built anew on
+        each access. It takes 8 bytes a span; ``cycle`` and ``n_spans`` say
+        the same in constant space."""
         return (self.cycle,) * self.n_spans if self.cycle is not None else ()
 
 

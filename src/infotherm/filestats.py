@@ -11,7 +11,7 @@ code (generators, file I/O, estimators) and re-exports every name here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import LN2, REDUCED, Energy, Entropy, Information, PhysConstants, Temperature
 
@@ -23,8 +23,7 @@ GENERATOR_KINDS = ("bernoulli", "markov", "ordered_block", "alternating")
 BIT_ORDERS = ("msb_first", "lsb_first")
 
 
-@dataclass(frozen=True)
-class FileStats:
+class FileStats(NamedTuple):
     """Summary statistics of one stream.
 
     ``info_rate_markov`` is the order-``markov_order`` conditional entropy

@@ -15,15 +15,14 @@ dS >= k*dI in ledger form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (CLAUSIUS_TOL_K, LN2, REDUCED, SATISFIED, VIOLATED, Energy, Entropy,
                    Information, PhysConstants, Temperature)
 from .filestats import RANDOM, FileStats, file_temperature
 
 
-@dataclass(frozen=True)
-class BroadcastResult:
+class BroadcastResult(NamedTuple):
     """One-to-N broadcast balance. All entropies in k units."""
 
     n_receivers: int
@@ -36,16 +35,14 @@ class BroadcastResult:
     clausius_margin: Entropy
 
 
-@dataclass(frozen=True)
-class ClausiusCheck:
+class ClausiusCheck(NamedTuple):
     """Verdict on dS >= k*dI, with the signed margin in k units."""
 
     verdict: str
     margin_k: Entropy
 
 
-@dataclass(frozen=True)
-class CombinedLedger:
+class CombinedLedger(NamedTuple):
     """Combined thermal + informatic entropy audit."""
 
     thermal_heat: Energy

@@ -16,25 +16,25 @@ so the closed forms, and the commands built on them, load without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .core import (CLAUSIUS_TOL_K, REDUCED, SATISFIED, VIOLATED, Energy, Entropy, PhysConstants,
-                   Temperature)
+                   Temperature, Validated)
 
 
 class InfiniteTemperatureError(ValueError):
     """Raised where the temperature diverges (n = L/2, ln((L-n)/n) = 0)."""
 
 
-@dataclass(frozen=True)
-class TwoLevelGas:
-    """L sites, n of them excited at level energy epsilon."""
+class TwoLevelGas(Validated, namedtuple("TwoLevelGas", "length excited epsilon",
+                                          defaults=(1.0,))):
+    """L sites, n of them excited at level energy epsilon: ``length`` (int),
+    ``excited`` (int) and ``epsilon`` (float, default 1.0)."""
 
-    length: int
-    excited: int
-    epsilon: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.length < 1:
             raise ValueError("state count must be at least 1")
         if not 0 <= self.excited <= self.length:
@@ -145,8 +145,7 @@ def occupation_from_temperature(length: int, epsilon: float, temperature: float,
     return length / (1.0 + math.exp(x))
 
 
-@dataclass(frozen=True)
-class TransferRecord:
+class TransferRecord(NamedTuple):
     """Entropy bookkeeping for moving a two-level gas between two baths.
 
     All entropies are in k units; ``net`` must not fall below
@@ -222,17 +221,14 @@ def _heat_over_temperature(heat: float, bath: TwoLevelGas) -> float:
         return 0.0
 
 
-@dataclass(frozen=True)
-class McConfig:
-    """Metropolis run parameters. ``kT`` is the bath energy in the same
-    units as the level energy."""
+class McConfig(Validated, namedtuple("McConfig", "steps burn_in seed kT")):
+    """Metropolis run parameters: ``steps``, ``burn_in`` and ``seed``
+    (ints) and ``kT`` (float), the bath energy in the same units as the
+    level energy."""
 
-    steps: int
-    burn_in: int
-    seed: int
-    kT: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.steps < 1:
             raise ValueError("steps must be positive")
         if not 0 <= self.burn_in < self.steps:
@@ -245,8 +241,7 @@ class McConfig:
             raise ValueError("kT must be finite")
 
 
-@dataclass(frozen=True)
-class McResult:
+class McResult(NamedTuple):
     """Occupation statistics from a Metropolis chain."""
 
     mean_n: float

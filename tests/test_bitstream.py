@@ -1,6 +1,5 @@
 """Bitstreams: generators, file I/O, estimators, and the randomness test."""
 
-import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -532,7 +531,7 @@ def test_analyze_memory_is_the_packed_stream_plus_a_bounded_part():
 
 def exact(stats):
     """The fields of a FileStats, floats as ``float.hex``: equal means bit-equal."""
-    fields = dataclasses.asdict(stats)
+    fields = stats._asdict()
     return {k: v.hex() if isinstance(v, float) else v for k, v in fields.items()}
 
 

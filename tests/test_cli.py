@@ -1,6 +1,5 @@
 """CLI: exit codes, report structure, library equivalence, determinism."""
 
-import dataclasses
 import itertools
 import json
 import subprocess
@@ -114,7 +113,7 @@ def test_broadcast_clausius_verdict_can_fail(random_file, monkeypatch, capsys):
 
     def inflated(path, markov_order=3, bit_order="msb_first"):
         stats = real_analyze(path, markov_order, bit_order)
-        return dataclasses.replace(stats, equilibrium=bitstream.ORDERED, info_rate_markov=0.8)
+        return stats._replace(equilibrium=bitstream.ORDERED, info_rate_markov=0.8)
 
     monkeypatch.setattr(bitstream, "analyze_file", inflated)
     status, out = run_capture(["broadcast", "--file", str(random_file), "--receivers", "3"], capsys)
@@ -413,6 +412,28 @@ def test_fiber_amplifier_outside_the_normal_range_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     for name in ("q_cold = ", "t_hot = ", "t_cold = "):
+        assert name in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["fiber", "efficiency", "--t-hot", "1e-320", "--t-cold", "1e-321"],
+     ("t_hot = 1e-320", "t_cold = 1e-321")),
+    (["fiber", "efficiency", "--t-hot", "1", "--t-cold", "1e-310"], ("t_hot = 1.0", "t_cold = 1e-310")),
+    (["gas", "transfer", "--length", "1000", "--n-hot", "300", "--n-cold", "100", "--units", "si",
+      "--epsilon-joules", "1e-320"], ("n_hot = 300", "epsilon = 1e-320")),
+    (["gas", "transfer", "--length", "1000", "--n-hot", "300", "--n-cold", "100",
+      "--epsilon", "1e308"], ("n_hot = 300", "epsilon = 1e+308")),
+], ids=["efficiency-subnormal", "efficiency-cold-subnormal", "transfer-heat-subnormal",
+        "transfer-heat-overflow"])
+def test_closed_form_outside_the_normal_range_exits_2(argv, names, capsys):
+    """A temperature or heat outside float64's normal range is an input
+    error naming the flags, not a result that lost its digits."""
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "normal range" in captured.err
+    for name in names:
         assert name in captured.err
     assert captured.err.count("\n") == 1
 

@@ -1,6 +1,7 @@
 """Carnot efficiency, amplifier work, and the chain simulation."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +39,23 @@ def test_carnot_efficiency_rejects_bad_ordering():
         carnot_efficiency(1.0, 2.0)
     with pytest.raises(ValueError, match="T_cold <= T_hot"):
         carnot_efficiency(1.0, 0.0)
+
+
+@pytest.mark.parametrize("t_hot, t_cold", [(1e-320, 1e-321), (1.0, 1e-310), (math.inf, 1.0),
+                                           (math.inf, math.inf)],
+                         ids=["both-subnormal", "cold-subnormal", "hot-infinite", "both-infinite"])
+def test_carnot_efficiency_rejects_temperatures_outside_the_normal_range(t_hot, t_cold):
+    """A subnormal temperature has lost digits: 1 - 1e-321/1e-320 rounds to
+    0.900197628458498, not 0.9. Such temperatures are input errors naming
+    both."""
+    with pytest.raises(ValueError, match=r"t_hot = .* and t_cold = .*normal range"):
+        carnot_efficiency(t_hot, t_cold)
+
+
+def test_carnot_efficiency_accepts_the_normal_range_edges():
+    tiny = sys.float_info.min
+    assert carnot_efficiency(tiny, tiny) == 0.0
+    assert carnot_efficiency(sys.float_info.max, tiny) == 1.0
 
 
 def test_amplifier_work_examples():

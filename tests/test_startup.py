@@ -153,3 +153,42 @@ def test_unknown_attribute_raises():
 @pytest.mark.parametrize("name", MOVED)
 def test_bitstream_reexports_the_closed_forms(name):
     assert getattr(bitstream, name) is getattr(filestats, name)
+
+
+#: Runs ``cli.run`` on each JSON-encoded argv in sys.argv[1:], stdout
+#: dropped, and fails on an input error; then prints whether
+#: ``dataclasses`` and ``inspect`` are loaded.
+RUN_EACH = ("import contextlib, io, json, sys\nfrom infotherm.cli import run\n"
+            "for argv in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        if run(json.loads(argv)) == 2:\n"
+            "            sys.exit(argv)\n"
+            "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM)
+def test_closed_form_command_loads_no_dataclasses_or_inspect(name, tmp_path):
+    """The records are named tuples: a closed-form command, as text and as
+    JSON, imports neither ``dataclasses`` nor the ``inspect`` it brings."""
+    argv, _ = CASES[name]
+    proc = python(RUN_EACH, json.dumps(argv), json.dumps([*argv, "--json"]), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"False False\n"
+
+
+#: Commands that import numpy, which itself imports ``inspect``.
+ARRAY_COMMANDS = {
+    "generate": ["generate", "--kind", "markov", "--q", "0.1", "--length", "4096", "--out", "g.bin"],
+    "file": ["file", "data.bin"],
+    "broadcast": ["broadcast", "--file", "data.bin", "--receivers", "3"],
+    "gas_metropolis": ["gas", "metropolis", "--length", "100", "--kt", "1.0", "--steps", "1000",
+                       "--burn-in", "100", "--seed", "42"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_COMMANDS))
+def test_array_command_loads_no_dataclasses(name, tmp_path):
+    (tmp_path / "data.bin").write_bytes(bytes(range(256)) * 16)
+    proc = python(RUN_EACH, json.dumps(ARRAY_COMMANDS[name]), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[0] == b"False"

@@ -1,7 +1,6 @@
 """Two-level gas: multiplicity, entropies, temperatures, transfer, Metropolis."""
 
 import math
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from itertools import combinations
 
@@ -485,7 +484,7 @@ def assert_identical(result, expected):
     sample both standard errors must be NaN."""
     if math.isnan(expected.std_error):
         assert math.isnan(result.std_error)
-        result, expected = replace(result, std_error=0.0), replace(expected, std_error=0.0)
+        result, expected = result._replace(std_error=0.0), expected._replace(std_error=0.0)
     assert result == expected
 
 
