@@ -26,6 +26,7 @@ it is, and has ``_asdict()`` and ``_replace()``.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 LN2 = math.log(2.0)
@@ -39,10 +40,36 @@ _MODES = ("si", "reduced")
 SATISFIED = "satisfied"
 VIOLATED = "violated"
 
-#: Slack (k units) when comparing an entropy change to its Clausius
-#: lower bound. ``transfer_balance`` scales it by the size of its dQ/T
-#: terms, whose rounding grows with them.
+#: Slack (k units) of a Clausius margin, per unit of the size of the terms
+#: whose rounding the margin carries; see ``clausius_verdict``.
 CLAUSIUS_TOL_K = 1e-9
+
+#: The smallest normal float64; a positive value below it has underflowed.
+NORMAL_MIN = sys.float_info.min
+
+
+def clausius_verdict(margin: float, *terms: float) -> str:
+    """The verdict on a Clausius margin (k units), the entropy change less
+    its lower bound. ``terms`` are the terms whose rounding the margin
+    carries; the slack is ``CLAUSIUS_TOL_K`` times the larger of 1 and
+    their summed size, so a reversible process reads ``SATISFIED`` at any
+    scale. The slack is summed term by term and stays finite however
+    large the terms. A NaN margin is ``VIOLATED``."""
+    slack = max(CLAUSIUS_TOL_K, sum(CLAUSIUS_TOL_K * abs(term) for term in terms))
+    return SATISFIED if margin >= -slack else VIOLATED
+
+
+def require_normal(inputs: dict, what: str, *values: float) -> None:
+    """Raise ValueError unless every value is a normal float64 number:
+    |value| in [NORMAL_MIN, inf); temperatures may be negative. The error
+    names ``inputs``, each input's name mapped to its value, which are
+    formatted only then."""
+    for value in values:
+        if not NORMAL_MIN <= abs(value) < math.inf:
+            *rest, last = (f"{name} = {given!r}" for name, given in inputs.items())
+            names = f"{', '.join(rest)} and {last} make" if rest else f"{last} makes"
+            raise ValueError(f"{names} {what} round to 0, fall below float64's normal range "
+                             "or overflow")
 
 
 class Validated:

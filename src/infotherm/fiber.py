@@ -20,21 +20,16 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from collections import namedtuple
 from typing import NamedTuple
 
-from .core import (CLAUSIUS_TOL_K, LN2, REDUCED, SATISFIED, VIOLATED, Energy, Entropy,
-                   Information, PhysConstants, Temperature, Validated)
-from .filestats import file_temperature
+from .core import (LN2, NORMAL_MIN, REDUCED, Energy, Entropy, Information, PhysConstants,
+                   Temperature, Validated, clausius_verdict, require_normal)
 
 ISOTHERMAL_WRITE = "isothermal_write"
 ADIABATIC_ATTENUATION = "adiabatic_attenuation"
 ISOTHERMAL_READ = "isothermal_read"
 ADIABATIC_AMPLIFICATION = "adiabatic_amplification"
-
-#: The smallest normal float64; a positive value below it has underflowed.
-_TINY = sys.float_info.min
 
 
 def carnot_efficiency(t_hot: float, t_cold: float) -> float:
@@ -43,9 +38,7 @@ def carnot_efficiency(t_hot: float, t_cold: float) -> float:
     th, tc = float(t_hot), float(t_cold)
     if not 0 < tc <= th:
         raise ValueError("require 0 < T_cold <= T_hot")
-    if not _TINY <= tc <= th < math.inf:
-        raise ValueError(f"t_hot = {th!r} and t_cold = {tc!r} put a temperature outside "
-                         "float64's normal range")
+    require_normal({"t_hot": th, "t_cold": tc}, "a temperature", th, tc)
     return 1.0 - tc / th
 
 
@@ -56,8 +49,8 @@ def amplifier_work(q_cold: float, t_hot: float, t_cold: float) -> tuple[Energy, 
     the work W = Q_hot - Q_cold satisfies W / Q_hot = 1 - T_cold/T_hot.
     Q_cold * T_hot is taken first unless it leaves float64's normal range;
     then the division by T_cold comes first, of Q_cold where the product
-    underflows and of T_hot where it overflows. A Q_hot outside that range
-    is an input error.
+    underflows and of T_hot where it overflows. A Q_hot or W outside that
+    range is an input error.
     """
     qc, th, tc = float(q_cold), float(t_hot), float(t_cold)
     if not 0 < tc < th:
@@ -65,13 +58,12 @@ def amplifier_work(q_cold: float, t_hot: float, t_cold: float) -> tuple[Energy, 
     if not qc > 0:
         raise ValueError("heat read must be positive")
     product = qc * th
-    if _TINY <= product < math.inf:
+    if NORMAL_MIN <= product < math.inf:
         qh = product / tc
     else:
-        qh = qc / tc * th if product < _TINY else qc * (th / tc)
-    if not _TINY <= qh < math.inf:
-        raise ValueError(f"q_cold = {qc!r}, t_hot = {th!r} and t_cold = {tc!r} make the heat "
-                         "emitted q_cold*t_hot/t_cold leave float64's normal range")
+        qh = qc / tc * th if product < NORMAL_MIN else qc * (th / tc)
+    require_normal({"q_cold": qc, "t_hot": th, "t_cold": tc},
+                   "the heat emitted q_cold*t_hot/t_cold or the work", qh, qh - qc)
     return Energy(qh), Energy(qh - qc)
 
 
@@ -86,9 +78,10 @@ class AmplifierAudit(NamedTuple):
 def amplifier_entropy_balance(q_cold: float, t_hot: float, t_cold: float, work: float,
                               consts: PhysConstants = REDUCED) -> AmplifierAudit:
     """Entropy balance Q_hot/T_hot - Q_cold/T_cold (k units) for an
-    amplifier injecting ``work``; negative balance means the second law is
-    violated and the verdict says so. A balance that overflows, or whose
-    kT rounds to 0, is an input error."""
+    amplifier injecting ``work``; negative balance beyond the rounding of
+    its two terms means the second law is violated and the verdict says
+    so. A balance that overflows, or whose kT rounds to 0, is an input
+    error."""
     qc, w, th, tc = float(q_cold), float(work), float(t_hot), float(t_cold)
     if not (th > 0 and tc > 0):
         raise ValueError("temperatures must be positive")
@@ -96,12 +89,13 @@ def amplifier_entropy_balance(q_cold: float, t_hot: float, t_cold: float, work: 
         raise ValueError("heat and work must be non-negative")
     qh = qc + w
     kth, ktc = consts.k_boltzmann * th, consts.k_boltzmann * tc
-    balance = qh / kth - qc / ktc if kth and ktc else math.nan
+    s_hot, s_cold = (qh / kth, qc / ktc) if kth and ktc else (math.nan, math.nan)
+    balance = s_hot - s_cold
     if not math.isfinite(balance):
         raise ValueError(f"q_cold = {qc!r}, work = {w!r}, t_hot = {th!r} and t_cold = {tc!r} make "
                          f"kT round to 0 or the balance overflow float64 ({consts.mode} units)")
-    verdict = SATISFIED if balance >= -CLAUSIUS_TOL_K else VIOLATED
-    return AmplifierAudit(q_hot=Energy(qh), entropy_balance_k=Entropy(balance), verdict=verdict)
+    return AmplifierAudit(q_hot=Energy(qh), entropy_balance_k=Entropy(balance),
+                          verdict=clausius_verdict(balance, s_hot, s_cold))
 
 
 class StepRecord(NamedTuple):
@@ -182,19 +176,6 @@ class ChainResult(NamedTuple):
         return (self.cycle,) * self.n_spans if self.cycle is not None else ()
 
 
-def _check_range(cfg: FiberChainConfig, consts: PhysConstants, cycle: tuple[float, ...],
-                 totals: tuple[float, ...] = ()) -> None:
-    """Reject a chain whose positive cycle quantities are not normal
-    float64 numbers, or whose totals overflow."""
-    if all(_TINY <= value < math.inf for value in cycle) and all(t < math.inf for t in totals):
-        return
-    raise ValueError(
-        f"epsilon0 = {cfg.epsilon0!r}, alpha_per_km*span_km = {cfg.alpha_per_km * cfg.span_km!r}, "
-        f"file_length = {cfg.file_length!r} and n_spans = {cfg.n_spans!r} make a bit energy, "
-        f"temperature, heat or work of the chain round to 0 or overflow in float64 "
-        f"({consts.mode} units)")
-
-
 def simulate_chain(cfg: FiberChainConfig, consts: PhysConstants = REDUCED) -> ChainResult:
     """Run the file through ``n_spans`` identical amplifier Carnot cycles.
 
@@ -205,19 +186,27 @@ def simulate_chain(cfg: FiberChainConfig, consts: PhysConstants = REDUCED) -> Ch
     cycle, at any span count, or chain totals leave float64's normal
     range is an input error.
     """
+    inputs = {"epsilon0": cfg.epsilon0, "alpha_per_km*span_km": cfg.alpha_per_km * cfg.span_km,
+              "file_length": cfg.file_length, "n_spans": cfg.n_spans}
+    what = f"a bit energy, temperature, heat or work of the chain ({consts.mode} units)"
     g = cfg.attenuation
     eps0 = cfg.epsilon0
     eps_low = g * eps0
     info = cfg.file_length * LN2
-    t_hot = file_temperature(eps0, consts)
-    t_cold = g * t_hot  # a float until checked: a Temperature cannot be 0
+    # floats until checked, as a Temperature cannot be 0
+    t_hot = eps0 / (2.0 * consts.k_boltzmann * LN2)  # the file temperature
+    t_cold = g * t_hot
     q_hot = cfg.file_length * eps0 / 2.0
     q_cold = g * q_hot
-    _check_range(cfg, consts, (eps_low, t_hot, t_cold, q_hot, q_cold))
-    _, work = amplifier_work(q_cold, t_hot, t_cold)
+    require_normal(inputs, what, eps_low, t_hot, t_cold, q_hot, q_cold)
+    try:
+        _, work = amplifier_work(q_cold, t_hot, t_cold)
+    except ValueError:
+        work = math.nan  # named below as the chain's inputs, as any other cycle quantity
     n = cfg.n_spans
     total_work, total_hot, total_cold = n * work, n * q_hot, n * q_cold
-    _check_range(cfg, consts, (work,), (total_work, total_hot, total_cold))
+    # at n >= 1 a total is at least its normal per-span value, so only overflow remains
+    require_normal(inputs, what, work, *((total_work, total_hot, total_cold) if n else ()))
     steps = (
         StepRecord(ISOTHERMAL_WRITE, eps0, eps0, t_hot, t_hot,
                    heat=q_hot, work=0.0, info_nats=info),
@@ -230,7 +219,7 @@ def simulate_chain(cfg: FiberChainConfig, consts: PhysConstants = REDUCED) -> Ch
     )
     cycle = CycleRecord(
         steps=steps,
-        t_hot=t_hot,
+        t_hot=Temperature(t_hot),
         t_cold=Temperature(t_cold),
         q_hot=Energy(q_hot),
         q_cold=Energy(q_cold),
@@ -247,11 +236,6 @@ def simulate_chain(cfg: FiberChainConfig, consts: PhysConstants = REDUCED) -> Ch
         info=Information(info),
         span_efficiency=1.0 - g,
     )
-
-
-#: Records read per CSV block: a multiple of 100, so the rows of a
-#: repeated record fall in whole hundreds.
-_CSV_BLOCK = 2000
 
 
 def _numbered_rows(start: int, stop: int, tail: str, digits: list[str]):
@@ -274,28 +258,23 @@ def _numbered_rows(start: int, stop: int, tail: str, digits: list[str]):
 def export_csv(records, path) -> None:
     """Write one CSV row per span record, numbered from 0, 12 significant
     digits per number. ``records`` may be any iterable, such as
-    ``itertools.repeat(cycle, n_spans)``. It is read ``_CSV_BLOCK`` records
-    at a time; each run of one record within a block is formatted once and
-    written as a few joined pieces."""
-    records = iter(records)
-    first = next(records, None)
+    ``itertools.repeat(cycle, n_spans)``. Each run of equal records is
+    formatted once and written as a few joined pieces."""
+    runs = itertools.groupby(records)
+    first = next(runs, None)
     if first is None:
         raise ValueError("no spans to export")
-    records = itertools.chain((first,), records)
     digits = [f"{j:02d}" for j in range(100)]
     span = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("span,epsilon_in,epsilon_out,t_hot,t_cold,q_hot,q_cold,work,info_nats\n")
-        while block := list(itertools.islice(records, _CSV_BLOCK)):
-            # the block holds every record alive, so equal ids are one record
-            for _, run in itertools.groupby(block, key=id):
-                run = list(run)
-                rec = run[0]
-                att = rec.steps[1]
-                tail = "," + ",".join(
-                    format(x, ".12g")
-                    for x in (att.epsilon_start, att.epsilon_end, rec.t_hot, rec.t_cold,
-                              rec.q_hot, rec.q_cold, rec.work_in, rec.info)
-                ) + "\n"
-                fh.writelines(_numbered_rows(span, span + len(run), tail, digits))
-                span += len(run)
+        for rec, run in itertools.chain((first,), runs):
+            count = sum(1 for _ in run)
+            att = rec.steps[1]
+            tail = "," + ",".join(
+                format(x, ".12g")
+                for x in (att.epsilon_start, att.epsilon_end, rec.t_hot, rec.t_cold,
+                          rec.q_hot, rec.q_cold, rec.work_in, rec.info)
+            ) + "\n"
+            fh.writelines(_numbered_rows(span, span + count, tail, digits))
+            span += count

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import LN2, REDUCED, Energy, Entropy, Information, PhysConstants, Temperature
+from .core import (LN2, REDUCED, Energy, Entropy, Information, PhysConstants, Temperature,
+                   require_normal)
 
 RANDOM = "random"
 ORDERED = "ordered"
@@ -58,26 +59,35 @@ def file_temperature(epsilon: float, consts: PhysConstants = REDUCED) -> Tempera
 
     Meaningful only in equilibrium (a random stream); the caller asserts
     that. The average nat energy eps/(2 ln 2) then equals kT identically.
+    A temperature outside float64's normal range is an input error.
     """
     if not epsilon > 0:
         raise ValueError("bit energy must be positive")
-    return Temperature(epsilon / (2.0 * consts.k_boltzmann * LN2))
+    t = epsilon / (2.0 * consts.k_boltzmann * LN2)
+    require_normal({"epsilon": epsilon}, f"the file temperature ({consts.mode} units)", t)
+    return Temperature(t)
 
 
 def average_nat_energy(epsilon: float) -> Energy:
-    """Energy per nat of a random file: eps / (2 ln 2)."""
+    """Energy per nat of a random file: eps / (2 ln 2). An energy outside
+    float64's normal range is an input error."""
     if not epsilon > 0:
         raise ValueError("bit energy must be positive")
-    return Energy(epsilon / (2.0 * LN2))
+    energy = epsilon / (2.0 * LN2)
+    require_normal({"epsilon": epsilon}, "the average nat energy", energy)
+    return Energy(energy)
 
 
 def file_heat_and_entropy(length: int, epsilon: float) -> tuple[Energy, Entropy]:
     """Heat and entropy carried by a random file: (L eps / 2, L ln 2 k).
 
-    Their ratio reproduces the file temperature exactly.
+    Their ratio reproduces the file temperature exactly. A heat outside
+    float64's normal range is an input error.
     """
     if length < 1:
         raise ValueError("length must be positive")
     if not epsilon > 0:
         raise ValueError("bit energy must be positive")
-    return Energy(length * epsilon / 2.0), Entropy(length * LN2)
+    heat = length * epsilon / 2.0
+    require_normal({"length": length, "epsilon": epsilon}, "the file's heat", heat)
+    return Energy(heat), Entropy(length * LN2)

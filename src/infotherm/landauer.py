@@ -17,27 +17,20 @@ rounds to 0, is subnormal or overflows) are input errors.
 
 from __future__ import annotations
 
-import math
-import sys
-
-from .core import K_BOLTZMANN_SI, LN2, Energy, Temperature
+from .core import K_BOLTZMANN_SI, LN2, Energy, Temperature, require_normal
 
 DEFAULT_MARGIN = 10.0
 
-#: The smallest normal float64; a positive value below it has underflowed.
-_TINY = sys.float_info.min
 
-
-def _ratio(numerator: float, denominator: float, inputs: str) -> float:
+def _ratio(numerator: float, denominator: float, inputs: dict) -> float:
     """numerator / denominator, both positive, where the denominator and
     the quotient are normal float64 numbers; otherwise a ValueError that
     names the ``inputs``."""
-    if _TINY <= denominator < math.inf:
-        quotient = numerator / denominator
-        if _TINY <= quotient < math.inf:
-            return quotient
-    raise ValueError(f"{inputs} make a denominator or result of the bound round to 0, "
-                     "fall below float64's normal range or overflow")
+    what = "a denominator or result of the bound"
+    require_normal(inputs, what, denominator)
+    quotient = numerator / denominator
+    require_normal(inputs, what, quotient)
+    return quotient
 
 
 def device_temperature(power_w: float, bit_rate_hz: float) -> Temperature:
@@ -47,7 +40,7 @@ def device_temperature(power_w: float, bit_rate_hz: float) -> Temperature:
     if not bit_rate_hz > 0:
         raise ValueError("bit rate must be positive")
     return Temperature(_ratio(power_w, K_BOLTZMANN_SI * bit_rate_hz * LN2,
-                              f"power = {power_w!r} and bit_rate = {bit_rate_hz!r}"))
+                              {"power": power_w, "bit_rate": bit_rate_hz}))
 
 
 def max_bit_rate(power_w: float, noise_temperature_k: float, margin: float = DEFAULT_MARGIN) -> float:
@@ -63,7 +56,7 @@ def max_bit_rate(power_w: float, noise_temperature_k: float, margin: float = DEF
         raise ValueError("noise temperature must be positive")
     if not margin >= 1:
         raise ValueError("margin must be at least 1")
-    inputs = f"power = {power_w!r}, noise_temp = {noise_temperature_k!r} and margin = {margin!r}"
+    inputs = {"power": power_w, "noise_temp": noise_temperature_k, "margin": margin}
     f_max = _ratio(power_w, margin * K_BOLTZMANN_SI * noise_temperature_k * LN2, inputs)
     for denominator in (K_BOLTZMANN_SI * f_max * LN2, f_max):
         _ratio(power_w, denominator, inputs)
@@ -76,5 +69,4 @@ def energy_per_bit(power_w: float, bit_rate_hz: float) -> Energy:
         raise ValueError("power must be positive")
     if not bit_rate_hz > 0:
         raise ValueError("bit rate must be positive")
-    inputs = f"power = {power_w!r} and bit_rate = {bit_rate_hz!r}"
-    return Energy(_ratio(power_w, bit_rate_hz, inputs))
+    return Energy(_ratio(power_w, bit_rate_hz, {"power": power_w, "bit_rate": bit_rate_hz}))

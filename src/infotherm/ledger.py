@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import (CLAUSIUS_TOL_K, LN2, REDUCED, SATISFIED, VIOLATED, Energy, Entropy,
-                   Information, PhysConstants, Temperature)
+from .core import (LN2, REDUCED, Energy, Entropy, Information, PhysConstants, Temperature,
+                   clausius_verdict, require_normal)
 from .filestats import RANDOM, FileStats, file_temperature
 
 
@@ -33,6 +33,7 @@ class BroadcastResult(NamedTuple):
     entropy_deposited: Entropy
     net_gain: Entropy
     clausius_margin: Entropy
+    verdict: str
 
 
 class ClausiusCheck(NamedTuple):
@@ -65,8 +66,10 @@ def broadcast_balance(
     dI is the order-k conditional-rate estimate times L, which is what
     makes the margin positive for correlated streams. Each receiver side
     still absorbs heat worth k * L ln 2 of entropy, so the margin is
-    k * (L ln 2 - dI), realizing dS >= k*dI. Receivers so many that their
-    k * N * L ln 2 overflows are an input error.
+    k * (L ln 2 - dI), realizing dS >= k*dI; its verdict allows for the
+    rounding of L ln 2 and dI. Receivers so many that their k * N * L ln 2
+    overflows, or a cold temperature T_hot/N outside float64's normal
+    range, are input errors.
     """
     if n_receivers < 1:
         raise ValueError("receiver count must be at least 1")
@@ -81,19 +84,22 @@ def broadcast_balance(
                 "re-analyze with a smaller markov order" % stats.markov_order
             )
         info = stats.length * stats.info_rate_markov
-    if not n_receivers * (stats.length * LN2) < math.inf:
-        raise ValueError(f"receivers = {n_receivers!r} make the entropy the receivers absorb "
-                         f"from a file of {stats.length} bits overflow float64")
+    heat_entropy = stats.length * LN2
     t_hot = file_temperature(epsilon_hot, consts)
+    t_cold = t_hot / n_receivers
+    require_normal({"epsilon": epsilon_hot, "receivers": n_receivers},
+                   f"the cold temperature ({consts.mode} units) or the entropy the receivers "
+                   f"absorb from a file of {stats.length} bits", t_cold, n_receivers * heat_entropy)
     return BroadcastResult(
         n_receivers=n_receivers,
         t_hot=t_hot,
-        t_cold=Temperature(t_hot / n_receivers),
+        t_cold=Temperature(t_cold),
         info_sent=Information(info),
         entropy_removed=Entropy(info),
         entropy_deposited=Entropy(n_receivers * info),
         net_gain=Entropy((n_receivers - 1) * info),
-        clausius_margin=Entropy(stats.length * LN2 - info),
+        clausius_margin=Entropy(heat_entropy - info),
+        verdict=clausius_verdict(heat_entropy - info, heat_entropy, info),
     )
 
 
@@ -108,8 +114,7 @@ def clausius_check(entropy_change: float, info_change: float) -> ClausiusCheck:
     if not math.isfinite(margin):
         raise ValueError(f"entropy = {entropy!r} and info = {info!r} make the margin "
                          "entropy - info overflow float64")
-    verdict = SATISFIED if margin >= -CLAUSIUS_TOL_K else VIOLATED
-    return ClausiusCheck(verdict=verdict, margin_k=Entropy(margin))
+    return ClausiusCheck(verdict=clausius_verdict(margin), margin_k=Entropy(margin))
 
 
 def combined_balance(heat: float, temperature: float, info_delta: float, entropy_actual: float,
@@ -117,8 +122,9 @@ def combined_balance(heat: float, temperature: float, info_delta: float, entropy
     """Audit a process that moves both heat and information.
 
     The entropy change must cover dQ/T plus k*dI; the bound and the
-    actual change are compared in k units. A bound that overflows, or
-    whose kT rounds to 0, is an input error.
+    actual change are compared in k units, with a slack for the rounding
+    of heat/(kT) and dI. A bound that overflows, or whose kT rounds to 0,
+    is an input error, as is a negative dI.
     """
     t = float(temperature)
     if not t > 0:
@@ -128,16 +134,16 @@ def combined_balance(heat: float, temperature: float, info_delta: float, entropy
         raise ValueError("heat must be non-negative")
     info, actual = float(info_delta), float(entropy_actual)
     kt = consts.k_boltzmann * t
-    bound = (q / kt if kt else math.inf) + info
+    heat_entropy = q / kt if kt else math.inf
+    bound = heat_entropy + info
     if not math.isfinite(bound):
         raise ValueError(f"heat = {q!r}, temperature = {t!r} and info = {info!r} make kT round to "
                          f"0 or the bound heat/(kT) + info overflow float64 ({consts.mode} units)")
-    verdict = SATISFIED if actual >= bound - CLAUSIUS_TOL_K else VIOLATED
     return CombinedLedger(
         thermal_heat=Energy(q),
         bath_temperature=Temperature(t),
         info_delta=Information(info),
         entropy_lower_bound=Entropy(bound),
         entropy_actual=Entropy(actual),
-        verdict=verdict,
+        verdict=clausius_verdict(actual - bound, heat_entropy, info),
     )

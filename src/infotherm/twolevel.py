@@ -19,8 +19,8 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from .core import (CLAUSIUS_TOL_K, REDUCED, SATISFIED, VIOLATED, Energy, Entropy, PhysConstants,
-                   Temperature, Validated)
+from .core import (REDUCED, Energy, Entropy, PhysConstants, Temperature, Validated,
+                   clausius_verdict, require_normal)
 
 
 class InfiniteTemperatureError(ValueError):
@@ -94,7 +94,8 @@ def entropy_stirling(gas: TwoLevelGas) -> Entropy:
 def temperature_closed(gas: TwoLevelGas, consts: PhysConstants = REDUCED) -> Temperature:
     """Closed-form occupation temperature T = eps / (k ln((L-n)/n)).
 
-    Negative for n > L/2 (population inversion).
+    Negative for n > L/2 (population inversion). A temperature outside
+    float64's normal range is an input error.
     """
     L, n = gas.length, gas.excited
     if n == 0 or n == L:
@@ -104,7 +105,9 @@ def temperature_closed(gas: TwoLevelGas, consts: PhysConstants = REDUCED) -> Tem
     log_ratio = math.log((L - n) / n)
     if log_ratio == 0.0:
         raise InfiniteTemperatureError("ln((L-n)/n) rounds to 0: temperature diverges")
-    return Temperature(gas.epsilon / (consts.k_boltzmann * log_ratio))
+    t = gas.epsilon / (consts.k_boltzmann * log_ratio)
+    require_normal(_inputs(gas), f"the closed-form temperature ({consts.mode} units)", t)
+    return Temperature(t)
 
 
 def temperature_numeric(gas: TwoLevelGas, consts: PhysConstants = REDUCED) -> Temperature:
@@ -112,7 +115,8 @@ def temperature_numeric(gas: TwoLevelGas, consts: PhysConstants = REDUCED) -> Te
 
     Central difference over n +/- 1 using the exact log-multiplicity:
     T ~ (U(n+1) - U(n-1)) / (S(n+1) - S(n-1)). Agrees with the closed form
-    to O(1/L) away from the boundaries and the symmetric point.
+    to O(1/L) away from the boundaries and the symmetric point. A
+    temperature outside float64's normal range is an input error.
     """
     L, n = gas.length, gas.excited
     if L < 4:
@@ -124,7 +128,14 @@ def temperature_numeric(gas: TwoLevelGas, consts: PhysConstants = REDUCED) -> Te
     ds = log_multiplicity(L, n + 1) - log_multiplicity(L, n - 1)
     if ds == 0.0:
         raise InfiniteTemperatureError("entropy difference vanished; temperature diverges")
-    return Temperature(2.0 * gas.epsilon / (consts.k_boltzmann * ds))
+    t = 2.0 * gas.epsilon / (consts.k_boltzmann * ds)
+    require_normal(_inputs(gas), f"the finite-difference temperature ({consts.mode} units)", t)
+    return Temperature(t)
+
+
+def _inputs(gas: TwoLevelGas) -> dict:
+    """The gas's fields by name, as an error message names them."""
+    return {"length": gas.length, "excited": gas.excited, "epsilon": gas.epsilon}
 
 
 def occupation_from_temperature(length: int, epsilon: float, temperature: float,
@@ -149,8 +160,8 @@ class TransferRecord(NamedTuple):
     """Entropy bookkeeping for moving a two-level gas between two baths.
 
     All entropies are in k units; ``net`` must not fall below
-    ``clausius_lower_bound`` (within CLAUSIUS_TOL_K times the size of
-    its dQ/T terms) or the verdict flips to violated.
+    ``clausius_lower_bound`` (within the slack of ``core.clausius_verdict``
+    for the size of its dQ/T terms) or the verdict flips to violated.
     """
 
     gas_heat: Energy
@@ -200,15 +211,13 @@ def transfer_balance(
     into_cold = _heat_over_temperature(n_hot, TwoLevelGas(length, n_cold, 1.0))
     out_of_hot = _heat_over_temperature(n_hot, TwoLevelGas(length, n_hot, 1.0))
     bound = into_cold - out_of_hot
-    slack = CLAUSIUS_TOL_K * max(1.0, abs(into_cold) + abs(out_of_hot))
-    verdict = SATISFIED if net >= bound - slack else VIOLATED
     return TransferRecord(
         gas_heat=Energy(heat),
         entropy_removed_hot=Entropy(ds_hot),
         entropy_added_cold=Entropy(ds_cold),
         net=Entropy(net),
         clausius_lower_bound=Entropy(bound),
-        verdict=verdict,
+        verdict=clausius_verdict(net - bound, into_cold, out_of_hot),
     )
 
 

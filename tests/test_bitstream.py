@@ -302,6 +302,19 @@ def test_file_heat_rejects_empty():
         file_heat_and_entropy(0, 1.0)
 
 
+@pytest.mark.parametrize("call, names", [
+    (lambda: file_temperature(1e-320), "epsilon = 1e-320"),
+    (lambda: file_temperature(1e300, core.SI), "epsilon = 1e\\+300"),
+    (lambda: average_nat_energy(1e-320), "epsilon = 1e-320"),
+    (lambda: file_heat_and_entropy(1000, 1e308), "length = 1000 and epsilon = 1e\\+308"),
+    (lambda: file_heat_and_entropy(1, 1e-308), "length = 1 and epsilon = 1e-308"),
+], ids=["temperature-subnormal", "si-temperature-overflow", "energy-subnormal",
+        "heat-overflow", "heat-subnormal"])
+def test_file_closed_forms_outside_the_normal_range_are_input_errors(call, names):
+    with pytest.raises(ValueError, match=names + ".*normal range"):
+        call()
+
+
 # --- the blocked integer generators and the packed-window counter ---------
 
 def reference_generate(spec):

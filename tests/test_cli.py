@@ -80,6 +80,26 @@ def test_ledger_non_finite_bound_or_margin_exits_2(argv, names, capsys):
         assert name in captured.err
 
 
+@pytest.mark.parametrize("inflated", [False, True], ids=["random", "inflated-rate"])
+def test_broadcast_verdict_is_the_records(random_file, monkeypatch, capsys, inflated):
+    """The CLI reports ``BroadcastResult.verdict`` as its clausius verdict,
+    also when an inflated information rate makes it violated."""
+    real_analyze = bitstream.analyze_file
+
+    def analyze_file(path, markov_order=3, bit_order="msb_first"):
+        stats = real_analyze(path, markov_order, bit_order)
+        if inflated:
+            stats = stats._replace(equilibrium=bitstream.ORDERED, info_rate_markov=0.8)
+        return stats
+
+    monkeypatch.setattr(bitstream, "analyze_file", analyze_file)
+    status, out = run_capture(["broadcast", "--file", str(random_file), "--receivers", "3",
+                               "--json"], capsys)
+    result = ledger.broadcast_balance(analyze_file(random_file), 1.0, 3)
+    assert json.loads(out)["verdicts"]["clausius"] == result.verdict
+    assert (status, result.verdict) == ((1, "violated") if inflated else (0, "satisfied"))
+
+
 def test_ledger_combined_matches_library(capsys):
     status, out = run_capture(
         ["ledger", "combined", "--heat", "1", "--temperature", "1",
@@ -416,6 +436,89 @@ def test_fiber_amplifier_outside_the_normal_range_exits_2(argv, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["fiber", "amplifier", "--q-cold", "7564188655.511792", "--t-hot", "2939.2271582074713",
+     "--t-cold", "127.96746105408722"],
+    ["fiber", "simulate", "--epsilon0", "4074.634035473458", "--alpha", "0.5324565655568095",
+     "--span-km", "5.886162620706569", "--spans", "3", "--file-length", "85278065"],
+    ["ledger", "combined", "--heat", "151465807.59950042", "--temperature", "6.385120517023365",
+     "--info", "8.680453071432968", "--entropy-actual", "23721692.11550767"],
+], ids=["fiber-amplifier", "fiber-simulate", "ledger-combined"])
+def test_reversible_or_exact_bound_is_satisfied(argv, capsys):
+    """An ideal amplifier, the cycle a chain builds, and an entropy equal
+    to the correctly rounded bound are no violation, whatever the size of
+    their terms."""
+    status, out = run_capture([*argv, "--json"], capsys)
+    assert status == 0
+    assert set(json.loads(out)["verdicts"].values()) == {"satisfied"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["fiber", "amplifier", "--q-cold", "1.7e308", "--t-hot", "1.01", "--t-cold", "1",
+     "--work", "0"],
+    ["fiber", "amplifier", "--q-cold", "25", "--t-hot", "1", "--t-cold", "0.5", "--work", "22.5"],
+    ["ledger", "combined", "--heat", "1e300", "--temperature", "1", "--info", "1e300",
+     "--entropy-actual", "1e300"],
+    ["ledger", "check", "--entropy", "5", "--info", "10"],
+], ids=["amplifier-huge-terms", "amplifier", "combined-huge-terms", "check"])
+def test_real_violation_is_violated_however_large_the_terms(argv, capsys):
+    """A deficit beyond the slack reads violated, exit 1, also where the
+    summed size of the terms overflows float64."""
+    status, out = run_capture([*argv, "--json"], capsys)
+    assert status == 1
+    assert set(json.loads(out)["verdicts"].values()) == {"violated"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["ledger", "combined", "--heat", "1e308", "--temperature", "1", "--info=-1e308",
+     "--entropy-actual=-1e300"],
+    ["ledger", "combined", "--heat", "1e9", "--temperature", "1", "--info=-1e9",
+     "--entropy-actual=-1.5"],
+], ids=["overflowing-terms", "cancelling-terms"])
+def test_combined_negative_info_cannot_cancel_the_heat(argv, capsys):
+    """Information is non-negative, so the bound heat/kT + dI never
+    cancels: a negative dI is an input error, exit 2."""
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "information must be non-negative" in captured.err
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["gas", "temperature", "--length", "1000", "--excited", "100", "--epsilon", "1e-320"],
+     ("length = 1000", "excited = 100", "epsilon = 1e-320")),
+    (["gas", "temperature", "--length", "1000", "--excited", "100", "--epsilon", "1e308"],
+     ("length = 1000", "excited = 100", "epsilon = 1e+308")),
+    (["gas", "temperature", "--length", "1000", "--excited", "900", "--epsilon", "1e-320"],
+     ("length = 1000", "excited = 900", "epsilon = 1e-320")),
+    (["file", "{random}", "--epsilon", "1e-320"], ("epsilon = 1e-320",)),
+    (["file", "{random}", "--epsilon", "1e308"], ("length = 4096", "epsilon = 1e+308")),
+    (["file", "{random}", "--units", "si", "--epsilon-joules", "1e-320"], ("epsilon = 1e-320",)),
+    (["broadcast", "--file", "{random}", "--receivers", "3", "--epsilon", "1e-320"],
+     ("epsilon = 1e-320",)),
+    (["broadcast", "--file", "{random}", "--receivers", "1000", "--epsilon", "1e-306"],
+     ("epsilon = 1e-306", "receivers = 1000")),
+    (["fiber", "amplifier", "--q-cold", "2.2250738585072014e-308", "--t-hot", "1.0000000000000002",
+      "--t-cold", "1"], ("q_cold = 2.2250738585072014e-308", "t_hot = 1.0000000000000002")),
+    (["fiber", "simulate", "--epsilon0", "1e-307", "--alpha", "1e-15", "--span-km", "1",
+      "--spans", "1", "--file-length", "1"], ("epsilon0 = 1e-307", "alpha_per_km*span_km = 1e-15")),
+], ids=["temperature-subnormal", "temperature-overflow", "inverted-temperature-subnormal",
+        "file-temperature-subnormal", "file-heat-overflow", "file-si-energy-subnormal",
+        "broadcast-subnormal", "broadcast-cold-subnormal", "amplifier-work-subnormal",
+        "chain-work-subnormal"])
+def test_reported_quantity_outside_the_normal_range_exits_2(argv, names, random_file, capsys):
+    """A reported temperature, heat or energy outside float64's normal
+    range is an input error naming the flags, not a subnormal or infinite
+    result."""
+    assert cli.run([arg.replace("{random}", str(random_file)) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "normal range" in captured.err
+    for name in names:
+        assert name in captured.err
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, names", [
     (["fiber", "efficiency", "--t-hot", "1e-320", "--t-cold", "1e-321"],
      ("t_hot = 1e-320", "t_cold = 1e-321")),
@@ -480,22 +583,21 @@ def per_row_csv(records):
     return "".join(rows)
 
 
-def test_export_csv_blocks_match_per_row_writer(tmp_path, monkeypatch):
-    """Runs of repeated records across hundreds and block edges, and
-    equal but distinct records, give the per-row text for any block size."""
+def test_export_csv_runs_match_per_row_writer(tmp_path):
+    """Runs of repeated records across hundreds, and equal but distinct
+    records, give the per-row text."""
     def cycle(epsilon0):
         return fiber.simulate_chain(fiber.FiberChainConfig(
             epsilon0=epsilon0, alpha_per_km=LN2, span_km=1.0, n_spans=1, file_length=100)).cycle
     a, b, c, a_again = cycle(1.0), cycle(2.0), cycle(0.5), cycle(1.0)
+    assert a == a_again and a is not a_again
     path = tmp_path / "runs.csv"
     for records in ([a] * 2500 + [b],
                     [b] + [a] * 2998 + [b] + [a] * 4001 + [c, b, b, a_again] + [a] * 12_000 + [c]):
         expected = per_row_csv(records).splitlines(keepends=True)
-        for block in (1, 7, 100, 1000, fiber._CSV_BLOCK):
-            monkeypatch.setattr(fiber, "_CSV_BLOCK", block)
-            cli.export_csv(iter(records), path)
-            # lines, not one string: a failing compare then names the first bad row
-            assert path.read_text(encoding="utf-8").splitlines(keepends=True) == expected, block
+        cli.export_csv(iter(records), path)
+        # lines, not one string: a failing compare then names the first bad row
+        assert path.read_text(encoding="utf-8").splitlines(keepends=True) == expected
 
 
 def test_fiber_simulate_quadrillion_spans_without_csv(capsys):

@@ -60,14 +60,82 @@ def test_information_bits_property():
 
 
 def test_verdicts_live_in_core():
-    """The verdicts and the Clausius slack are ``core``'s objects wherever
-    they are read, so a ledger need not load ``twolevel``."""
-    from infotherm import fiber, ledger, twolevel
+    """Every Clausius verdict is decided by ``core.clausius_verdict`` and
+    is one of ``core``'s two objects, so a ledger need not load
+    ``twolevel`` and no module keeps a rule of its own."""
+    from infotherm import fiber, filestats, ledger, twolevel
 
     for module in (twolevel, ledger, fiber):
-        assert module.SATISFIED is core.SATISFIED
-        assert module.VIOLATED is core.VIOLATED
-        assert module.CLAUSIUS_TOL_K is core.CLAUSIUS_TOL_K
+        assert module.clausius_verdict is core.clausius_verdict
+        for name in ("CLAUSIUS_TOL_K", "SATISFIED", "VIOLATED"):
+            assert not hasattr(module, name), (module.__name__, name)
+    stats = filestats.FileStats(length=64, ones=32, p_hat=0.5, info_iid=core.Information(1.0),
+                                info_rate_markov=0.8, markov_order=3,
+                                equilibrium=filestats.ORDERED, correlation_lag1=0.0)
+    verdicts = [
+        twolevel.transfer_balance(1000, 300, 100).verdict,
+        ledger.clausius_check(5.0, 10.0).verdict,
+        ledger.clausius_check(10.0, 5.0).verdict,
+        ledger.combined_balance(1.0, 1.0, 0.693, 1.5).verdict,
+        ledger.combined_balance(1.0, 1.0, 0.693, 2.0).verdict,
+        ledger.broadcast_balance(stats, 1.0, 3).verdict,
+        ledger.broadcast_balance(stats._replace(equilibrium=filestats.RANDOM), 1.0, 3).verdict,
+        fiber.amplifier_entropy_balance(25.0, 1.0, 0.5, 22.5).verdict,
+        fiber.amplifier_entropy_balance(25.0, 1.0, 0.5, 25.0).verdict,
+    ]
+    assert sum(verdict is core.SATISFIED for verdict in verdicts) == 5
+    assert sum(verdict is core.VIOLATED for verdict in verdicts) == 4
+
+
+@pytest.mark.parametrize("margin, scale, verdict", [
+    (0.0, 1.0, "satisfied"),
+    (-1e-9, 1.0, "satisfied"),
+    (-1.1e-9, 1.0, "violated"),
+    (-1.1e-9, 0.0, "violated"),  # the slack never falls below CLAUSIUS_TOL_K
+    (-1e-3, 1e6, "satisfied"),
+    (-1.1e-3, 1e6, "violated"),
+    (math.nan, 1.0, "violated"),
+    (-1e-9, math.nan, "satisfied"),
+])
+def test_clausius_verdict_slack_scales_with_the_terms(margin, scale, verdict):
+    assert core.clausius_verdict(margin, scale) == verdict
+
+
+@pytest.mark.parametrize("margin, verdict", [
+    (-1e299, "satisfied"),
+    (-1e300, "violated"),
+    (-1.6831683168316944e306, "violated"),
+    (-math.inf, "violated"),
+])
+def test_clausius_verdict_slack_stays_finite_for_huge_terms(margin, verdict):
+    """Terms whose sum overflows still give a finite slack, 1e-9 of their
+    summed size, so a finite deficit beyond it reads violated."""
+    assert core.clausius_verdict(margin, 1.7e308, 1.7e308) == verdict
+
+
+def test_amplifier_with_huge_terms_and_no_work_is_violated():
+    from infotherm import fiber
+
+    audit = fiber.amplifier_entropy_balance(1.7e308, 1.01, 1.0, 0.0)
+    assert audit.entropy_balance_k < -1e306
+    assert audit.verdict is core.VIOLATED
+
+
+@pytest.mark.parametrize("values", [(1.0,), (-1.0,), (core.NORMAL_MIN, -core.NORMAL_MIN),
+                                    (1.7e308, -1.7e308), ()])
+def test_require_normal_accepts_normal_numbers(values):
+    core.require_normal({"x": 1.0}, "y", *values)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, -1e-310, math.inf, -math.inf, math.nan])
+def test_require_normal_names_the_inputs(value):
+    with pytest.raises(ValueError) as info:
+        core.require_normal({"a": 1.0, "b*c": 2, "d": -3e-320}, "the thing", 1.0, value)
+    assert str(info.value) == ("a = 1.0, b*c = 2 and d = -3e-320 make the thing round to 0, fall "
+                               "below float64's normal range or overflow")
+    with pytest.raises(ValueError) as info:
+        core.require_normal({"a": 1.0}, "the thing", value)
+    assert str(info.value).startswith("a = 1.0 makes the thing round to 0")
 
 
 QUANTITIES = (core.Energy, core.Entropy, core.Temperature, core.Information)

@@ -244,3 +244,35 @@ def test_audit_balance_is_an_entropy():
     audit = amplifier_entropy_balance(25.0, 1.0, 0.5, 22.5)
     assert type(audit.entropy_balance_k) is core.Entropy
     assert type(audit.q_hot) is core.Energy
+
+
+@settings(max_examples=300, deadline=None)
+@given(epsilon0=st.floats(1e-6, 1e6), alpha_span=st.floats(1e-4, 200.0),
+       file_length=st.integers(1, 10**9), n_spans=st.integers(1, 5),
+       consts=st.sampled_from([core.REDUCED, core.SI]))
+def test_every_chain_cycle_audits_satisfied(epsilon0, alpha_span, file_length, n_spans, consts):
+    """The cycle of a chain is reversible by construction, so its audit
+    is satisfied whatever the size of its Q/kT terms."""
+    chain = simulate_chain(FiberChainConfig(epsilon0=epsilon0, alpha_per_km=alpha_span,
+                                            span_km=1.0, n_spans=n_spans,
+                                            file_length=file_length), consts)
+    cycle = chain.cycle
+    audit = amplifier_entropy_balance(cycle.q_cold, cycle.t_hot, cycle.t_cold, cycle.work_in,
+                                      consts)
+    assert audit.verdict is core.SATISFIED
+
+
+def test_ideal_amplifier_with_large_terms_is_satisfied():
+    """Q/T terms near 6e7 carry rounding beyond an absolute 1e-9 slack."""
+    q_cold, t_hot, t_cold = 7564188655.511792, 2939.2271582074713, 127.96746105408722
+    _, work = amplifier_work(q_cold, t_hot, t_cold)
+    assert amplifier_entropy_balance(q_cold, t_hot, t_cold, work).verdict == "satisfied"
+    assert amplifier_entropy_balance(q_cold, t_hot, t_cold, 0.999 * work).verdict == "violated"
+
+
+def test_chain_rejects_a_subnormal_temperature_with_its_own_message():
+    """A file temperature that underflows is named as the chain's inputs."""
+    cfg = FiberChainConfig(epsilon0=1e-308, alpha_per_km=0.1, span_km=1.0, n_spans=1,
+                           file_length=1000)
+    with pytest.raises(ValueError, match=r"epsilon0 = 1e-308, alpha_per_km\*span_km = .*normal range"):
+        simulate_chain(cfg)

@@ -1,8 +1,11 @@
 """Broadcast balance, informatic Clausius check, and the combined ledger."""
 
 import math
+import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from infotherm import core
 from infotherm.bitstream import GeneratorSpec, analyze, generate
@@ -165,3 +168,48 @@ def test_combined_balance_rejects_a_bound_that_is_not_finite(args):
 
 def test_margin_is_an_entropy():
     assert type(clausius_check(5.0, 10.0).margin_k) is core.Entropy
+
+
+@settings(max_examples=300, deadline=None)
+@given(heat=st.floats(1e6, 1e9), temperature=st.floats(0.1, 100.0), info=st.floats(0.0, 100.0),
+       consts=st.sampled_from([core.REDUCED, core.SI]))
+@example(heat=151465807.59950042, temperature=6.385120517023365, info=8.680453071432968,
+         consts=core.REDUCED)
+def test_combined_balance_at_the_exact_bound_is_satisfied(heat, temperature, info, consts):
+    """An entropy equal to the correctly rounded bound heat/(kT) + info
+    satisfies the ledger; one short of it by more than the slack does not."""
+    if consts is core.SI:
+        heat *= core.K_BOLTZMANN_SI
+    kt = consts.k_boltzmann * temperature
+    exact = float(Fraction(heat) / Fraction(kt) + Fraction(info))
+    assert combined_balance(heat, temperature, info, exact, consts).verdict == "satisfied"
+    short = exact - 3 * core.CLAUSIUS_TOL_K * (heat / kt + info)
+    assert combined_balance(heat, temperature, info, short, consts).verdict == "violated"
+
+
+@pytest.mark.parametrize("equilibrium, rate, verdict", [
+    ("random", None, "satisfied"), ("ordered", 0.5, "satisfied"), ("ordered", 0.8, "violated"),
+])
+def test_broadcast_verdict_audits_the_margin(equilibrium, rate, verdict):
+    """The verdict compares dI with the L ln 2 the receivers' heat carries:
+    satisfied for a random file or a lower rate, violated above ln 2."""
+    stats = random_stats()._replace(equilibrium=equilibrium, info_rate_markov=rate)
+    result = broadcast_balance(stats, 1.0, 3)
+    assert result.verdict == verdict
+
+
+def test_broadcast_verdict_allows_for_rounding_at_a_large_file():
+    """A rate one ulp above ln 2 on 2^40 bits is rounding, not a violation,
+    although its margin is far beyond an absolute 1e-9."""
+    stats = random_stats()._replace(length=2**40, ones=2**39, equilibrium="ordered",
+                                    info_rate_markov=math.nextafter(LN2, 1.0))
+    result = broadcast_balance(stats, 1.0, 7)
+    assert -1e-3 < result.clausius_margin < -1e-9
+    assert result.verdict == "satisfied"
+
+
+@pytest.mark.parametrize("epsilon, receivers", [(1e-320, 3), (1e-306, 1000), (1e-300, 10**300)],
+                         ids=["hot-subnormal", "cold-subnormal", "cold-underflow"])
+def test_broadcast_rejects_a_temperature_outside_the_normal_range(epsilon, receivers):
+    with pytest.raises(ValueError, match=re.escape(f"epsilon = {epsilon!r}") + ".*normal range"):
+        broadcast_balance(random_stats(), epsilon, receivers)

@@ -40,7 +40,7 @@ TYPES = {
                  ("mean_n", "std_error", "acceptance_rate", "samples")),
     "BroadcastResult": (lambda: ledger.broadcast_balance(_stats(), 1.0, 3),
                         ("n_receivers", "t_hot", "t_cold", "info_sent", "entropy_removed",
-                         "entropy_deposited", "net_gain", "clausius_margin")),
+                         "entropy_deposited", "net_gain", "clausius_margin", "verdict")),
     "ClausiusCheck": (lambda: ledger.clausius_check(5.0, 10.0), ("verdict", "margin_k")),
     "CombinedLedger": (lambda: ledger.combined_balance(1.0, 1.0, 0.693, 1.5),
                        ("thermal_heat", "bath_temperature", "info_delta", "entropy_lower_bound",

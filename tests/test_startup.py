@@ -109,7 +109,7 @@ COMMAND_MODULES = {
     "gas_entropy": {"core", "twolevel"},
     "ledger_check": {"core", "filestats", "ledger"},
     "landauer_noise": {"core", "landauer"},
-    "fiber_efficiency": {"core", "filestats", "fiber"},
+    "fiber_efficiency": {"core", "fiber"},
 }
 
 

@@ -1,6 +1,7 @@
 """Two-level gas: multiplicity, entropies, temperatures, transfer, Metropolis."""
 
 import math
+import re
 from decimal import Decimal, localcontext
 from itertools import combinations
 
@@ -217,6 +218,21 @@ def test_temperature_numeric_rejects_boundary():
         temperature_numeric(TwoLevelGas(100, 0))
     with pytest.raises(ValueError, match="too small"):
         temperature_numeric(TwoLevelGas(3, 1))
+
+
+@pytest.mark.parametrize("temperature, excited, epsilon, consts", [
+    (temperature_closed, 100, 1e-320, core.REDUCED),
+    (temperature_closed, 900, 1e-320, core.REDUCED),
+    (temperature_closed, 100, 1e300, core.SI),
+    (temperature_numeric, 100, 1e-320, core.REDUCED),
+    (temperature_numeric, 100, 1e308, core.REDUCED),
+], ids=["closed-subnormal", "closed-inverted-subnormal", "closed-si-overflow",
+        "numeric-subnormal", "numeric-overflow"])
+def test_temperature_outside_the_normal_range_is_an_input_error(temperature, excited, epsilon,
+                                                                 consts):
+    names = f"length = 1000, excited = {excited} and epsilon = {epsilon!r}"
+    with pytest.raises(ValueError, match=re.escape(names) + ".*normal range"):
+        temperature(TwoLevelGas(1000, excited, epsilon), consts)
 
 
 def test_temperature_mode_consistency():
