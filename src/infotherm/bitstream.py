@@ -22,7 +22,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .core import Information, Validated
+from .core import Validated
 from .filestats import (  # noqa: F401  (re-exported; these need no numpy)
     BIT_ORDERS,
     GENERATOR_KINDS,
@@ -35,26 +35,27 @@ from .filestats import (  # noqa: F401  (re-exported; these need no numpy)
     file_heat_and_entropy,
     file_temperature,
 )
+from .filescan import (  # noqa: F401  (re-exported; these need no numpy)
+    _CHUNK,
+    _REVERSED as _REVERSED_BYTES,
+    MAX_INT_ORDER,
+    MAX_MARKOV_ORDER,
+    MIN_SAMPLES_PER_CONTEXT,
+    MIN_TEST_LENGTH,
+    _check_bit_order,
+    _check_order,
+    _lag1,
+    _stats as _file_stats,
+    _verdict,
+    analyze_file,
+    window_rate,
+)
 from .rng import random_words, splitmix64
-
-#: Minimum stream length for the randomness verdict to be attempted.
-MIN_TEST_LENGTH = 64
-
-#: Required samples per order-k context before the conditional rate is
-#: reported: L >= 64 * 2**k.
-MIN_SAMPLES_PER_CONTEXT = 64
-
-MAX_MARKOV_ORDER = 16
 
 #: Words the generators draw at a time, a multiple of 8: the words and
 #: their compare flags stay in L2 cache, and ``write_generated`` writes
 #: each packed block as it is drawn.
 _BLOCK = 1 << 14
-
-#: Bytes the scanner takes at a time, and the size of the one buffer a
-#: file is read into. The scanner's temporaries are a few times this size,
-#: whatever the length of the stream.
-_CHUNK = 1 << 14
 
 #: Count-table bins the rate folds at a time, an even number: its
 #: temporaries, a few times this many float64s, stay below the scanner's.
@@ -64,7 +65,7 @@ _FOLD = 1 << 12
 #: v & (v >> 1)), and the value with its bit order reversed.
 _POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 _PAIRS = np.array([bin(v & (v >> 1)).count("1") for v in range(256)], dtype=np.uint8)
-_REVERSED = np.array([int(f"{v:08b}"[::-1], 2) for v in range(256)], dtype=np.uint8)
+_REVERSED = np.frombuffer(_REVERSED_BYTES, dtype=np.uint8)
 
 
 def _integers_upto(values: np.ndarray, top: int) -> bool:
@@ -236,14 +237,9 @@ class _Scanner:
     def lag1(self, length: int) -> float:
         """Sample autocorrelation of adjacent bits of the ``length`` bits
         fed, exact and rounded once (see ``lag1_autocorrelation``)."""
-        L, n = length, self.ones
-        if L < 2 or n in (0, L):
-            return 0.0
-        first = int(self.head[0]) >> 7
-        last = int(self.tail[-1]) >> (-L % 8) & 1
         pairs = int(self.histogram @ _PAIRS) + self.cross_pairs
-        numerator = pairs * L * L - n * L * (2 * n - first - last) + (L - 1) * n * n
-        return numerator / (L * (n * L - n * n))
+        return _lag1(length, self.ones, pairs, int(self.head[0]) >> 7,
+                     int(self.tail[-1]) >> (-length % 8) & 1)
 
 
 def _scan(chunks: Iterable[np.ndarray], order: int = 0, moments: bool = True) -> _Scanner:
@@ -252,16 +248,6 @@ def _scan(chunks: Iterable[np.ndarray], order: int = 0, moments: bool = True) ->
     for chunk in chunks:
         scan.feed(chunk)
     return scan
-
-
-def _check_order(order: int) -> None:
-    if not 0 <= order <= MAX_MARKOV_ORDER:
-        raise ValueError(f"markov order must lie in [0, {MAX_MARKOV_ORDER}]")
-
-
-def _check_bit_order(bit_order: str) -> None:
-    if bit_order not in BIT_ORDERS:
-        raise ValueError(f"bit_order must be one of {BIT_ORDERS}")
 
 
 class GeneratorSpec(Validated, namedtuple("GeneratorSpec", "kind length seed p q",
@@ -442,9 +428,10 @@ def conditional_entropy_rate(stream: Bitstream, order: int) -> float:
 
 def _rate(scan: _Scanner, length: int) -> float:
     """The conditional rate at the scanner's order of the ``length`` bits
-    it was fed.
+    it was fed. Up to ``MAX_INT_ORDER`` it is ``window_rate`` of the counts,
+    as ``analyze_file`` computes it.
 
-    The terms n(x) ln(n(context) / n(x)) of the windows x seen are
+    Above, the terms n(x) ln(n(context) / n(x)) of the windows x seen are
     computed ``_FOLD`` bins at a time and written in order over the
     count table itself, viewed as float64: a block's terms take no more
     slots than its bins, so the writes never pass a bin still to be read.
@@ -454,6 +441,8 @@ def _rate(scan: _Scanner, length: int) -> float:
     if scan.order == 0:
         return binary_entropy(scan.ones / length)
     counts = scan.window_counts(length)
+    if scan.order <= MAX_INT_ORDER:
+        return window_rate(counts.tolist(), length)
     terms = counts.view(np.float64)
     done = 0
     for i in range(0, counts.size, _FOLD):
@@ -482,21 +471,6 @@ def randomness_test(stream: Bitstream) -> str:
     return _verdict(L, stream.ones, lag1_autocorrelation(stream))
 
 
-def _verdict(L: int, ones: int, lag1: float) -> str:
-    """The randomness verdict from a stream's length, ones and lag-1
-    autocorrelation (see ``randomness_test``)."""
-    sqrt_l = math.sqrt(L)
-    dev_p = abs(ones / L - 0.5)
-    dev_r = abs(lag1)
-    sigma_p = 0.5 / sqrt_l
-    sigma_r = 1.0 / sqrt_l
-    if dev_p <= 3 * sigma_p and dev_r <= 3 * sigma_r:
-        return RANDOM
-    if dev_p > 5 * sigma_p or dev_r > 5 * sigma_r:
-        return ORDERED
-    return UNDECIDED
-
-
 def analyze(stream: Bitstream, markov_order: int = 3) -> FileStats:
     """Full per-stream statistics.
 
@@ -509,33 +483,7 @@ def analyze(stream: Bitstream, markov_order: int = 3) -> FileStats:
     return _stats(_scan(_slices(stream.packed), markov_order), stream.length)
 
 
-def analyze_file(path: str | os.PathLike, markov_order: int = 3,
-                 bit_order: str = "msb_first") -> FileStats:
-    """``analyze(read_bitstream(path, bit_order), markov_order)``, with the
-    file read ``_CHUNK`` bytes at a time into one buffer: the memory it
-    takes does not grow with the file."""
-    _check_order(markov_order)
-    _check_bit_order(bit_order)
-    scan = _scan(_read_chunks(path, bit_order), markov_order)
-    if scan.size == 0:
-        raise ValueError(f"file {path!s} is empty")
-    return _stats(scan, 8 * scan.size)
-
-
 def _stats(scan: _Scanner, length: int) -> FileStats:
     """The statistics of the ``length`` bits a scanner was fed."""
-    L, n, order = length, scan.ones, scan.order
-    p_hat = n / L
-    rate = _rate(scan, L) if L >= MIN_SAMPLES_PER_CONTEXT * (2 ** order) else None
-    lag1 = scan.lag1(L)
-    verdict = _verdict(L, n, lag1) if L >= MIN_TEST_LENGTH else UNDECIDED
-    return FileStats(
-        length=L,
-        ones=n,
-        p_hat=p_hat,
-        info_iid=Information(L * binary_entropy(p_hat)),
-        info_rate_markov=rate,
-        markov_order=order,
-        equilibrium=verdict,
-        correlation_lag1=lag1,
-    )
+    return _file_stats(length, scan.ones, scan.order, scan.lag1(length),
+                       lambda: _rate(scan, length))

@@ -144,8 +144,8 @@ def _add_units(parser: argparse.ArgumentParser) -> None:
 # its report lists them, and a handler. ``run`` builds each report from
 # the parse: command words, unit mode and inputs. A handler only computes
 # and adds results and verdicts. Each imports the modules it uses when it
-# runs, so a command loads only its own; only the handlers that read or
-# write bits import ``bitstream``, and with it numpy.
+# runs, so a command loads only its own; ``generate`` and the file scans
+# above ``MAX_INT_ORDER`` import ``bitstream``, and with it numpy.
 
 def _gas_entropy_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--length", type=int, required=True)
@@ -251,9 +251,9 @@ def _file_options(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_file(args, report: Report) -> None:
-    from . import bitstream, filestats
+    from . import filescan, filestats
 
-    stats = bitstream.analyze_file(args.path, markov_order=args.markov_order, bit_order=args.bit_order)
+    stats = filescan.analyze_file(args.path, markov_order=args.markov_order, bit_order=args.bit_order)
     report.add("length", stats.length, "bit")
     report.add("ones", stats.ones, "bit")
     report.add("p_hat", stats.p_hat)
@@ -308,10 +308,10 @@ def _broadcast_options(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_broadcast(args, report: Report) -> None:
-    from . import bitstream, ledger
+    from . import filescan, ledger
 
     del report.inputs["bit_order"]
-    stats = bitstream.analyze_file(args.file, markov_order=args.markov_order, bit_order=args.bit_order)
+    stats = filescan.analyze_file(args.file, markov_order=args.markov_order, bit_order=args.bit_order)
     result = ledger.broadcast_balance(stats, args.epsilon, args.receivers, report.consts)
     report.add("length", stats.length, "bit")
     report.add("t_hot", result.t_hot)

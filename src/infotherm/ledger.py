@@ -124,7 +124,8 @@ def combined_balance(heat: float, temperature: float, info_delta: float, entropy
     The entropy change must cover dQ/T plus k*dI; the bound and the
     actual change are compared in k units, with a slack for the rounding
     of heat/(kT) and dI. A bound that overflows, or whose kT rounds to 0,
-    is an input error, as is a negative dI.
+    is an input error, as are a nonzero heat/(kT) outside float64's normal
+    range and a negative dI.
     """
     t = float(temperature)
     if not t > 0:
@@ -135,6 +136,9 @@ def combined_balance(heat: float, temperature: float, info_delta: float, entropy
     info, actual = float(info_delta), float(entropy_actual)
     kt = consts.k_boltzmann * t
     heat_entropy = q / kt if kt else math.inf
+    if q:
+        require_normal({"heat": q, "temperature": t, "info": info},
+                       f"heat/(kT) ({consts.mode} units)", heat_entropy)
     bound = heat_entropy + info
     if not math.isfinite(bound):
         raise ValueError(f"heat = {q!r}, temperature = {t!r} and info = {info!r} make kT round to "

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from infotherm import bitstream, core
+from infotherm import bitstream, core, filescan
 from infotherm.bitstream import (
     Bitstream,
     GeneratorSpec,
@@ -349,9 +349,18 @@ def scanned_window_counts(stream, order):
 
 
 def reference_conditional_entropy_rate(bits, order):
-    """The plug-in rate computed from ``reference_window_counts``."""
+    """The plug-in rate computed from ``reference_window_counts``. Up to
+    ``MAX_INT_ORDER`` its terms n (ln n(context) - ln n) are taken with
+    ``math.log`` and summed by ``math.fsum``; above, with numpy. (``np.log``
+    and ``math.log`` differ in the last digit on some integers, and so do
+    numpy's pairwise sum and ``fsum``.)"""
     if order == 0:
         return binary_entropy(float(bits.mean()))
+    if order <= bitstream.MAX_INT_ORDER:
+        counts = reference_window_counts(bits, order).tolist()
+        terms = [n * (math.log(counts[x & ~1] + counts[x | 1]) - math.log(n))
+                 for x, n in enumerate(counts) if n]
+        return math.fsum(terms) / bits.size
     counts = reference_window_counts(bits, order).astype(np.float64)
     context = counts.reshape(-1, 2).sum(axis=1)
     ctx_rep = np.repeat(context, 2)
@@ -568,6 +577,7 @@ def test_streamed_file_stats_equal_in_memory_analyze(seam_file, data, order, bit
     for chunk in (1, 2, 3, 7):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bitstream, "_CHUNK", chunk)
+            mp.setattr(filescan, "_CHUNK", chunk)
             assert exact(analyze_file(seam_file, order, bit_order)) == expected
 
 
@@ -582,3 +592,38 @@ def test_streamed_generate_writes_the_generated_stream(kind, param, length, bit_
     write_bitstream(stream, tmp_path / "whole.bin", bit_order)
     assert write_generated(spec, tmp_path / "streamed.bin", bit_order) == stream.ones
     assert (tmp_path / "streamed.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
+
+
+# --- the int scanner -----------------------------------------------------
+
+KIB = 1024
+
+
+@given(size=st.integers(min_value=1, max_value=3 * 16 * KIB + 9),
+       order=st.integers(min_value=0, max_value=filescan.MAX_INT_ORDER),
+       chunk=st.sampled_from([KIB, 2 * KIB, 3 * KIB, 7 * KIB, 16 * KIB]),
+       bit_order=st.sampled_from(["msb_first", "lsb_first"]),
+       p=st.floats(min_value=0.0, max_value=1.0), seed=st.integers(min_value=0, max_value=2**32))
+@example(size=1, order=filescan.MAX_INT_ORDER, chunk=KIB, bit_order="msb_first", p=0.5, seed=0)
+@example(size=KIB + 1, order=1, chunk=KIB, bit_order="lsb_first", p=0.5, seed=1)
+@example(size=2 * KIB - 1, order=4, chunk=2 * KIB, bit_order="msb_first", p=0.3, seed=2)
+@example(size=3 * 7 * KIB + 5, order=3, chunk=7 * KIB, bit_order="lsb_first", p=0.5, seed=3)
+@example(size=2 * 16 * KIB + 3, order=4, chunk=16 * KIB, bit_order="msb_first", p=0.9, seed=4)
+@example(size=3 * KIB, order=2, chunk=3 * KIB, bit_order="msb_first", p=1.0, seed=5)
+@settings(max_examples=40, deadline=None)
+def test_int_scanner_counts_what_the_array_scanner_counts(seam_file, size, order, chunk,
+                                                          bit_order, p, seed):
+    """Whatever the chunk size, the int scanner's ones, pairs of adjacent
+    ones, end bits and cyclic window counts are ``_Scanner``'s."""
+    bits = (np.random.default_rng(seed).random(8 * size) < p).astype(np.uint8)
+    seam_file.write_bytes(np.packbits(bits).tobytes())
+    scan = bitstream._scan(bitstream._read_chunks(seam_file, bit_order), order)
+    L = 8 * scan.size
+    expected = (L, scan.ones, int(scan.histogram @ bitstream._PAIRS) + scan.cross_pairs,
+                int(scan.head[0]) >> 7, int(scan.tail[-1]) & 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filescan, "_CHUNK", chunk)
+        *moments, counts = filescan._scan(seam_file, order, bit_order)
+    assert tuple(moments) == expected
+    if order:
+        assert counts == scan.window_counts(L).tolist()

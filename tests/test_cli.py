@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from infotherm import bitstream, cli, fiber, landauer, ledger
+from infotherm import bitstream, cli, fiber, filescan, landauer, ledger
 from infotherm.bitstream import GeneratorSpec, generate, write_bitstream
 
 LN2 = 0.6931471805599453
@@ -84,7 +84,7 @@ def test_ledger_non_finite_bound_or_margin_exits_2(argv, names, capsys):
 def test_broadcast_verdict_is_the_records(random_file, monkeypatch, capsys, inflated):
     """The CLI reports ``BroadcastResult.verdict`` as its clausius verdict,
     also when an inflated information rate makes it violated."""
-    real_analyze = bitstream.analyze_file
+    real_analyze = filescan.analyze_file
 
     def analyze_file(path, markov_order=3, bit_order="msb_first"):
         stats = real_analyze(path, markov_order, bit_order)
@@ -92,7 +92,7 @@ def test_broadcast_verdict_is_the_records(random_file, monkeypatch, capsys, infl
             stats = stats._replace(equilibrium=bitstream.ORDERED, info_rate_markov=0.8)
         return stats
 
-    monkeypatch.setattr(bitstream, "analyze_file", analyze_file)
+    monkeypatch.setattr(filescan, "analyze_file", analyze_file)
     status, out = run_capture(["broadcast", "--file", str(random_file), "--receivers", "3",
                                "--json"], capsys)
     result = ledger.broadcast_balance(analyze_file(random_file), 1.0, 3)
@@ -129,13 +129,13 @@ def test_broadcast_receivers_that_overflow_exit_2(random_file, capsys):
 def test_broadcast_clausius_verdict_can_fail(random_file, monkeypatch, capsys):
     """An information estimate above ln 2 per bit is more than the
     receivers' heat can account for: the verdict is violated, exit 1."""
-    real_analyze = bitstream.analyze_file
+    real_analyze = filescan.analyze_file
 
     def inflated(path, markov_order=3, bit_order="msb_first"):
         stats = real_analyze(path, markov_order, bit_order)
         return stats._replace(equilibrium=bitstream.ORDERED, info_rate_markov=0.8)
 
-    monkeypatch.setattr(bitstream, "analyze_file", inflated)
+    monkeypatch.setattr(filescan, "analyze_file", inflated)
     status, out = run_capture(["broadcast", "--file", str(random_file), "--receivers", "3"], capsys)
     assert status == 1
     assert "verdict clausius = violated" in out
@@ -502,10 +502,12 @@ def test_combined_negative_info_cannot_cancel_the_heat(argv, capsys):
       "--t-cold", "1"], ("q_cold = 2.2250738585072014e-308", "t_hot = 1.0000000000000002")),
     (["fiber", "simulate", "--epsilon0", "1e-307", "--alpha", "1e-15", "--span-km", "1",
       "--spans", "1", "--file-length", "1"], ("epsilon0 = 1e-307", "alpha_per_km*span_km = 1e-15")),
+    (["ledger", "combined", "--heat", "1e-300", "--temperature", "1e10", "--info", "0",
+      "--entropy-actual", "0"], ("heat = 1e-300", "temperature = 10000000000.0")),
 ], ids=["temperature-subnormal", "temperature-overflow", "inverted-temperature-subnormal",
         "file-temperature-subnormal", "file-heat-overflow", "file-si-energy-subnormal",
         "broadcast-subnormal", "broadcast-cold-subnormal", "amplifier-work-subnormal",
-        "chain-work-subnormal"])
+        "chain-work-subnormal", "combined-heat-entropy-subnormal"])
 def test_reported_quantity_outside_the_normal_range_exits_2(argv, names, random_file, capsys):
     """A reported temperature, heat or energy outside float64's normal
     range is an input error naming the flags, not a subnormal or infinite

@@ -142,9 +142,10 @@ def test_chain_builds_one_cycle(n_spans, monkeypatch):
     monkeypatch.setattr(fiber, "amplifier_work", counted)
     chain = simulate_chain(half_loss_config(n_spans=n_spans))
     assert len(calls) == 1
-    assert len(chain.records) == n_spans
-    assert all(rec is chain.records[0] for rec in chain.records)
-    assert float(chain.total_work) == n_spans * float(chain.records[0].work_in)
+    records = chain.records
+    assert len(records) == n_spans
+    assert all(rec is records[0] for rec in records)
+    assert float(chain.total_work) == n_spans * float(records[0].work_in)
 
 
 def test_empty_chain():

@@ -166,6 +166,13 @@ def test_combined_balance_rejects_a_bound_that_is_not_finite(args):
         combined_balance(*args)
 
 
+def test_combined_balance_rejects_a_heat_entropy_below_the_normal_range():
+    """A nonzero heat/(kT) that underflows is an input error; zero heat is not."""
+    with pytest.raises(ValueError, match=r"heat = 1e-300, temperature = 10000000000.0 .*normal range"):
+        combined_balance(1e-300, 1e10, 0.0, 0.0)
+    assert combined_balance(0.0, 1e10, 0.0, 0.0).entropy_lower_bound == 0.0
+
+
 def test_margin_is_an_entropy():
     assert type(clausius_check(5.0, 10.0).margin_k) is core.Entropy
 

@@ -1,9 +1,10 @@
 """What importing the package and starting a command load.
 
-Only the array code imports numpy: ``bitstream``, behind ``file``,
-``generate`` and ``broadcast``, and the Metropolis chain behind ``gas
-metropolis``. Every closed-form command runs in a fresh interpreter
-without it, with the same stdout and exit status as its golden. The
+Only the array code imports numpy: ``bitstream``, behind ``generate`` and
+behind ``file`` and ``broadcast`` above ``filescan.MAX_INT_ORDER``, and the
+Metropolis chain behind ``gas metropolis``. Every closed-form command runs
+in a fresh interpreter without it, with the same stdout and exit status as
+its golden, and so do ``file`` and ``broadcast`` at the default order. The
 package resolves every public name on first use, so importing it or the
 CLI loads no other ``infotherm`` module, and a command loads only the
 modules it runs.
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import infotherm
-from infotherm import bitstream, filestats
+from infotherm import bitstream, filescan, filestats
 from test_golden import CASES, GOLDEN
 
 SRC = Path(infotherm.__file__).resolve().parent.parent
@@ -55,6 +56,40 @@ def test_closed_form_command_runs_without_numpy(name, tmp_path):
         assert proc.returncode == status[name + suffix], proc.stderr
         assert proc.stdout == (GOLDEN / (name + suffix)).read_bytes()
         assert proc.stderr == b"False\n"
+
+
+#: Bytes that ``file`` and ``broadcast`` read in the tests below.
+DATA = bytes(range(256)) * 16
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (["file", "data.bin"], False),
+    (["broadcast", "--file", "data.bin", "--receivers", "3"], False),
+    (["file", "data.bin", "--markov-order", str(filescan.MAX_INT_ORDER)], False),
+    (["file", "data.bin", "--markov-order", str(filescan.MAX_INT_ORDER + 1)], True),
+    (["file", "data.bin", "--markov-order", "16"], True),
+    (["broadcast", "--file", "data.bin", "--receivers", "3", "--markov-order", "16"], True),
+], ids=["file", "broadcast", "file-int-orders", "file-past-int-orders", "file-o16",
+        "broadcast-o16"])
+def test_file_commands_load_numpy_only_above_the_int_orders(argv, loads_numpy, tmp_path):
+    (tmp_path / "data.bin").write_bytes(DATA)
+    proc = python(RUN_CLI, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"{loads_numpy}\n".encode()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["file", "data.bin", "--markov-order", "17"], "markov order must lie in [0, 16]"),
+    (["file", "empty.bin"], "file empty.bin is empty"),
+    (["file", "missing.bin"], "[Errno 2] No such file or directory: 'missing.bin'"),
+    (["broadcast", "--file", "empty.bin", "--receivers", "3"], "file empty.bin is empty"),
+], ids=["order-17", "empty", "missing", "broadcast-empty"])
+def test_file_input_errors_load_no_numpy(argv, message, tmp_path):
+    (tmp_path / "data.bin").write_bytes(DATA)
+    (tmp_path / "empty.bin").write_bytes(b"")
+    proc = python(RUN_CLI, *argv, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == f"infotherm: error: {message}\nFalse\n".encode()
 
 
 def test_unaligned_generate_fails_without_numpy(tmp_path):
@@ -110,11 +145,14 @@ COMMAND_MODULES = {
     "ledger_check": {"core", "filestats", "ledger"},
     "landauer_noise": {"core", "landauer"},
     "fiber_efficiency": {"core", "fiber"},
+    "file": {"core", "filestats", "filescan"},
+    "broadcast": {"core", "filestats", "filescan", "ledger"},
 }
 
 
 @pytest.mark.parametrize("name", sorted(COMMAND_MODULES))
 def test_command_loads_only_its_modules(name, tmp_path):
+    (tmp_path / "corpus.bin").write_bytes(DATA)
     proc = python(LOADED, RUN_QUIET, *CASES[name][0], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.decode().split()[:-2])
@@ -153,6 +191,12 @@ def test_unknown_attribute_raises():
 @pytest.mark.parametrize("name", MOVED)
 def test_bitstream_reexports_the_closed_forms(name):
     assert getattr(bitstream, name) is getattr(filestats, name)
+
+
+@pytest.mark.parametrize("name", ["MIN_TEST_LENGTH", "MIN_SAMPLES_PER_CONTEXT", "MAX_MARKOV_ORDER",
+                                  "MAX_INT_ORDER", "analyze_file", "window_rate", "_verdict"])
+def test_bitstream_reexports_the_file_scan_rules(name):
+    assert getattr(bitstream, name) is getattr(filescan, name)
 
 
 #: Runs ``cli.run`` on each JSON-encoded argv in sys.argv[1:], stdout
