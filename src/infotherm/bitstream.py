@@ -22,6 +22,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
+from . import filescan
 from .core import Validated
 from .filestats import (  # noqa: F401  (re-exported; these need no numpy)
     BIT_ORDERS,
@@ -36,7 +37,6 @@ from .filestats import (  # noqa: F401  (re-exported; these need no numpy)
     file_temperature,
 )
 from .filescan import (  # noqa: F401  (re-exported; these need no numpy)
-    _CHUNK,
     _REVERSED as _REVERSED_BYTES,
     MAX_INT_ORDER,
     MAX_MARKOV_ORDER,
@@ -134,8 +134,9 @@ class Bitstream:
 
 
 def _slices(packed: np.ndarray) -> Iterator[np.ndarray]:
-    """Packed bytes as views of ``_CHUNK`` bytes, in order."""
-    return (packed[i : i + _CHUNK] for i in range(0, packed.size, _CHUNK))
+    """Packed bytes as views of ``filescan._CHUNK`` bytes, in order."""
+    chunk = filescan._CHUNK
+    return (packed[i : i + chunk] for i in range(0, packed.size, chunk))
 
 
 class _Scanner:
@@ -378,10 +379,10 @@ def read_bitstream(path: str | os.PathLike, bit_order: str = "msb_first") -> Bit
 
 
 def _read_chunks(path: str | os.PathLike, bit_order: str) -> Iterator[np.ndarray]:
-    """The bytes of a file, read ``_CHUNK`` at a time into one buffer and
-    bit-reversed there for ``lsb_first``. Each chunk is a view of the
-    buffer, which the next read overwrites."""
-    buf = np.empty(_CHUNK, dtype=np.uint8)
+    """The bytes of a file, read ``filescan._CHUNK`` at a time into one
+    buffer and bit-reversed there for ``lsb_first``. Each chunk is a view of
+    the buffer, which the next read overwrites."""
+    buf = np.empty(filescan._CHUNK, dtype=np.uint8)
     with open(path, "rb", buffering=0) as f:
         while size := f.readinto(buf):
             chunk = buf[:size]
@@ -481,6 +482,15 @@ def analyze(stream: Bitstream, markov_order: int = 3) -> FileStats:
     """
     _check_order(markov_order)
     return _stats(_scan(_slices(stream.packed), markov_order), stream.length)
+
+
+def _array_analyze_file(path: str | os.PathLike, markov_order: int, bit_order: str) -> FileStats:
+    """``analyze_file`` with the array scanner, which ``filescan`` calls
+    above ``MAX_INT_ORDER`` and for files past its int budget."""
+    scan = _scan(_read_chunks(path, bit_order), markov_order)
+    if scan.size == 0:
+        raise ValueError(f"file {path!s} is empty")
+    return _stats(scan, 8 * scan.size)
 
 
 def _stats(scan: _Scanner, length: int) -> FileStats:

@@ -145,7 +145,7 @@ def _add_units(parser: argparse.ArgumentParser) -> None:
 # the parse: command words, unit mode and inputs. A handler only computes
 # and adds results and verdicts. Each imports the modules it uses when it
 # runs, so a command loads only its own; ``generate`` and the file scans
-# above ``MAX_INT_ORDER`` import ``bitstream``, and with it numpy.
+# that ``filescan`` hands on import ``bitstream``, and with it numpy.
 
 def _gas_entropy_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--length", type=int, required=True)

@@ -8,17 +8,21 @@ splits each window mask by bit j of the window, ANDing it with the stream
 shifted into line, and the popcounts of the 2^(k+1) leaves are the counts.
 The last k bits carry over each seam, and the first k bits close the wrap.
 
-Up to ``MAX_INT_ORDER`` this is faster than importing numpy; above it,
-``analyze_file`` hands the file to ``bitstream``. Either way the rate comes
-from ``window_rate`` or the array fold above that order, so the statistics
-equal ``analyze`` of the stream in memory. The order and verdict rules and
-the ``FileStats`` assembly live here, and ``bitstream`` imports them.
+Its cost grows with the file and doubles with each order, while the array
+scan's is mostly the numpy import. So ``analyze_file`` counts with ints only
+up to ``MAX_INT_ORDER`` and while the file's bits times 2^k stay within
+``_INT_BUDGET``, and hands other files to ``bitstream``. Either way the
+rate comes from ``window_rate`` up to that order and from the array fold
+above it, so the statistics equal ``analyze`` of the stream in memory.
+The order and verdict rules and the ``FileStats`` assembly live here, and
+``bitstream`` imports them.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import stat
 
 from .core import Information
 from .filestats import BIT_ORDERS, ORDERED, RANDOM, UNDECIDED, FileStats, binary_entropy
@@ -32,9 +36,14 @@ MIN_SAMPLES_PER_CONTEXT = 64
 
 MAX_MARKOV_ORDER = 16
 
-#: The highest order counted with ints. A chunk costs about 5 * 2^k big-int
-#: operations; up to here a 1 MiB file costs less than the numpy import.
+#: The highest order counted with ints, and rated by ``window_rate``.
 MAX_INT_ORDER = 4
+
+#: The most file bits times 2^k that the int scan takes on: 64, 32, 16, 8
+#: and 4 MiB at orders 0 to 4. On a 2-core Xeon the int scan costs ~8, 10,
+#: 19 and 35 ms/MiB at orders 1 to 4, the array scan ~8 plus the ~130 ms
+#: numpy import, and ``file`` at this budget still runs faster with ints.
+_INT_BUDGET = 1 << 29
 
 #: Bytes read at a time, into one buffer.
 _CHUNK = 1 << 14
@@ -104,17 +113,16 @@ def analyze_file(path: str | os.PathLike, markov_order: int = 3,
                  bit_order: str = "msb_first") -> FileStats:
     """``analyze(read_bitstream(path, bit_order), markov_order)``, with the
     file read ``_CHUNK`` bytes at a time into one buffer: the memory it
-    takes does not grow with the file."""
+    takes does not grow with the file. A file that is not a regular file,
+    such as a pipe, has no size to budget and goes to the array scan."""
     _check_order(markov_order)
     _check_bit_order(bit_order)
     k = markov_order
-    if k > MAX_INT_ORDER:
+    info = os.stat(path)
+    if k > MAX_INT_ORDER or not stat.S_ISREG(info.st_mode) or 8 * info.st_size << k > _INT_BUDGET:
         from . import bitstream
 
-        scan = bitstream._scan(bitstream._read_chunks(path, bit_order), k)
-        if scan.size == 0:
-            raise ValueError(f"file {path!s} is empty")
-        return bitstream._stats(scan, 8 * scan.size)
+        return bitstream._array_analyze_file(path, k, bit_order)
     L, ones, pairs, first, last, counts = _scan(path, k, bit_order)
     return _stats(L, ones, k, _lag1(L, ones, pairs, first, last),
                   lambda: window_rate(counts, L) if k else binary_entropy(ones / L))

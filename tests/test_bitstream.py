@@ -527,7 +527,7 @@ def test_counts_do_not_depend_on_the_chunk_size(length, order, p, seed):
     expected = _packed_statistics(bits, order)
     for chunk in (1, 3, 7):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bitstream, "_CHUNK", chunk)
+            mp.setattr(filescan, "_CHUNK", chunk)
             counts, rate, ones, lag1 = _packed_statistics(bits, order)
         if counts is not None:
             np.testing.assert_array_equal(counts, expected[0])
@@ -571,14 +571,35 @@ def seam_file(tmp_path_factory):
 @settings(max_examples=40, deadline=None)
 def test_streamed_file_stats_equal_in_memory_analyze(seam_file, data, order, bit_order):
     """``analyze_file`` reads the file through one reused buffer; whatever
-    the chunk size, its statistics are those of the whole stream in memory."""
+    the chunk size and whichever scanner counts, its statistics are those
+    of the whole stream in memory."""
     seam_file.write_bytes(data)
     expected = exact(analyze(read_bitstream(seam_file, bit_order), order))
     for chunk in (1, 2, 3, 7):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bitstream, "_CHUNK", chunk)
-            mp.setattr(filescan, "_CHUNK", chunk)
-            assert exact(analyze_file(seam_file, order, bit_order)) == expected
+        for budget in (0, filescan._INT_BUDGET):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(filescan, "_CHUNK", chunk)
+                mp.setattr(filescan, "_INT_BUDGET", budget)
+                assert exact(analyze_file(seam_file, order, bit_order)) == expected
+
+
+@pytest.mark.parametrize("order", range(filescan.MAX_INT_ORDER + 2))
+def test_ints_count_files_within_the_budget_at_the_int_orders(order, tmp_path, monkeypatch):
+    """The int scanner takes a file while its bits times 2^order stay within
+    ``_INT_BUDGET`` and the order within ``MAX_INT_ORDER``; the array
+    scanner takes the rest."""
+    path = tmp_path / "data.bin"
+    path.write_bytes(bytes(range(100)))
+    used = []
+    int_scan, array_scan = filescan._scan, bitstream._array_analyze_file
+    monkeypatch.setattr(filescan, "_scan", lambda *a: used.append("int") or int_scan(*a))
+    monkeypatch.setattr(bitstream, "_array_analyze_file",
+                        lambda *a: used.append("array") or array_scan(*a))
+    work = 8 * 100 << order
+    for budget in (work, work - 1):
+        monkeypatch.setattr(filescan, "_INT_BUDGET", budget)
+        analyze_file(path, order)
+    assert used == (["int", "array"] if order <= filescan.MAX_INT_ORDER else ["array", "array"])
 
 
 @pytest.mark.parametrize("kind, param", [("bernoulli", {"p": 0.3}), ("markov", {"q": 0.1}),

@@ -1,13 +1,13 @@
 """What importing the package and starting a command load.
 
 Only the array code imports numpy: ``bitstream``, behind ``generate`` and
-behind ``file`` and ``broadcast`` above ``filescan.MAX_INT_ORDER``, and the
-Metropolis chain behind ``gas metropolis``. Every closed-form command runs
-in a fresh interpreter without it, with the same stdout and exit status as
-its golden, and so do ``file`` and ``broadcast`` at the default order. The
-package resolves every public name on first use, so importing it or the
-CLI loads no other ``infotherm`` module, and a command loads only the
-modules it runs.
+behind ``file`` and ``broadcast`` above ``filescan.MAX_INT_ORDER`` or past
+its int budget, and the Metropolis chain behind ``gas metropolis``. Every
+closed-form command runs in a fresh interpreter without it, with the same
+stdout and exit status as its golden, and so do ``file`` and ``broadcast``
+at the default order. The package resolves every public name on first
+use, so importing it or the CLI loads no other ``infotherm`` module, and a
+command loads only the modules it runs.
 """
 
 import importlib
@@ -39,10 +39,10 @@ MOVED = ("RANDOM", "ORDERED", "UNDECIDED", "GENERATOR_KINDS", "BIT_ORDERS", "Fil
          "binary_entropy", "file_temperature", "average_nat_energy", "file_heat_and_entropy")
 
 
-def python(code: str, *argv: str, cwd: Path) -> subprocess.CompletedProcess:
+def python(code: str, *argv: str, cwd: Path, input: bytes | None = None) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env, input=input,
                           capture_output=True, timeout=60)
 
 
@@ -76,6 +76,29 @@ def test_file_commands_load_numpy_only_above_the_int_orders(argv, loads_numpy, t
     proc = python(RUN_CLI, *argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == f"{loads_numpy}\n".encode()
+
+
+@pytest.mark.parametrize("extra, loads_numpy", [(0, False), (1, True)], ids=["at", "past"])
+def test_file_past_the_int_budget_loads_numpy(extra, loads_numpy, tmp_path):
+    """At ``MAX_INT_ORDER`` a file of ``_INT_BUDGET`` bits / 2^order is
+    counted with ints, and one byte more goes to the array scanner."""
+    order = filescan.MAX_INT_ORDER
+    (tmp_path / "big.bin").write_bytes(bytes(filescan._INT_BUDGET // (8 << order) + extra))
+    proc = python(RUN_CLI, "file", "big.bin", "--markov-order", str(order), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"{loads_numpy}\n".encode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_file_from_a_pipe_goes_to_the_array_scanner(tmp_path):
+    """A pipe has no size to budget, so even at the default order it is
+    counted by the array scanner, with the statistics of the same bytes."""
+    proc = python(RUN_CLI, "file", "/dev/stdin", cwd=tmp_path, input=DATA)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b"True\n"
+    (tmp_path / "data.bin").write_bytes(DATA)
+    regular = python(RUN_CLI, "file", "data.bin", cwd=tmp_path)
+    assert proc.stdout.replace(b"/dev/stdin", b"data.bin") == regular.stdout
 
 
 @pytest.mark.parametrize("argv, message", [
