@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -44,8 +44,6 @@ from .filescan import (  # noqa: F401  (re-exported; these need no numpy)
     MIN_TEST_LENGTH,
     _check_bit_order,
     _check_order,
-    _lag1,
-    _stats as _file_stats,
     _verdict,
     analyze_file,
     window_rate,
@@ -61,10 +59,7 @@ _BLOCK = 1 << 14
 #: temporaries, a few times this many float64s, stay below the scanner's.
 _FOLD = 1 << 12
 
-#: Per byte value: its ones, its adjacent pairs of ones (the ones of
-#: v & (v >> 1)), and the value with its bit order reversed.
-_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
-_PAIRS = np.array([bin(v & (v >> 1)).count("1") for v in range(256)], dtype=np.uint8)
+#: Each byte value with its bit order reversed.
 _REVERSED = np.frombuffer(_REVERSED_BYTES, dtype=np.uint8)
 
 
@@ -100,7 +95,7 @@ class Bitstream:
             raise ValueError("the padding bits of the last byte must be 0")
         object.__setattr__(self, "packed", packed)
         object.__setattr__(self, "length", length)
-        object.__setattr__(self, "ones", _scan(_slices(packed)).ones)
+        object.__setattr__(self, "ones", _moments(self)[1])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -139,60 +134,44 @@ def _slices(packed: np.ndarray) -> Iterator[np.ndarray]:
     return (packed[i : i + chunk] for i in range(0, packed.size, chunk))
 
 
+def _moments(stream: Bitstream, windows=None) -> tuple[int, int, int, int, int]:
+    """The length, ones, pairs of adjacent ones, first and last bit of a
+    stream, by ``filescan._scan``, which also feeds ``windows``."""
+    return filescan._scan(_slices(stream.packed), windows, -stream.length % 8)
+
+
 class _Scanner:
-    """One pass over a stream's packed bytes, fed in order in chunks of any
-    size. It collects the ones, S11 (the pairs of adjacent ones), the end
-    bits and, at ``order`` k >= 1, the cyclic (k+1)-bit window counts.
+    """The cyclic (k+1)-bit window counts of a stream, at ``order`` k >= 1,
+    from its packed bytes fed in order in chunks of any size.
 
-    The ones and the pairs inside each byte come from a histogram of the
-    byte values and two tables. The pairs across a byte boundary come from
-    the last bit of each byte and the first bit of the next, so the last
-    byte fed carries over to the next chunk. The window at bit 8j + s is
-    bits s..s+k of the big-endian key of bytes j, j+1 (and j+2 when k > 8):
-    one shift and mask. The windows of byte j are counted once a byte past
-    its key has been fed; the last key-length bytes wait in ``tail`` until
-    ``window_counts`` knows whether the last byte is partial and closes the
-    wrap with the first bytes, kept in ``head``. 16-bit keys go into a key
-    histogram that is summed down to each offset's windows at the end;
-    24-bit keys are cut into each offset's windows and counted.
-
-    With ``moments`` false the byte histogram and the cross pairs are
-    skipped, and ``ones`` and ``lag1`` are not available.
+    The window at bit 8j + s is bits s..s+k of the big-endian key of bytes
+    j, j+1 (and j+2 when k > 8): one shift and mask. The windows of byte j
+    are counted once a byte past its key has been fed; the last key-length
+    bytes wait in ``tail`` until ``window_counts`` knows whether the last
+    byte is partial and closes the wrap with the first bytes, kept in
+    ``head``. 16-bit keys go into a key histogram that is summed down to
+    each offset's windows at the end; 24-bit keys are cut into each
+    offset's windows and counted.
     """
 
-    def __init__(self, order: int = 0, moments: bool = True):
+    def __init__(self, order: int):
         self.order = order
-        self.moments = moments
         self.key_bytes = 2 if order <= 8 else 3
-        self.counts = None
-        if order:
-            bins = 1 << (16 if self.key_bytes == 2 else order + 1)
-            self.counts = np.zeros(bins, dtype=np.int64)
-        self.histogram = np.zeros(256, dtype=np.int64)
-        self.size = self.cross_pairs = 0
+        self.counts = np.zeros(1 << (16 if self.key_bytes == 2 else order + 1), dtype=np.int64)
         self.head = self.tail = np.zeros(0, dtype=np.uint8)
 
-    @property
-    def ones(self) -> int:
-        return int(self.histogram @ _POPCOUNT)
-
-    def feed(self, chunk: np.ndarray) -> None:
-        """Take the next bytes of the stream, a non-empty uint8 array that
-        the caller may overwrite once this returns."""
+    def feed(self, chunk, y: int | None = None) -> None:
+        """Take the next bytes of the stream, non-empty, which the caller may
+        overwrite once this returns; ``y``, the same bytes as an int, is
+        for the int counter."""
+        chunk = np.frombuffer(chunk, dtype=np.uint8)
         k = self.key_bytes
-        if self.moments:
-            self.histogram += np.bincount(chunk, minlength=256)
-            self.cross_pairs += int(np.count_nonzero(chunk[:-1] & (chunk[1:] >> 7)))
-            if self.size:
-                self.cross_pairs += int(self.tail[-1]) & int(chunk[0]) >> 7
-        if self.size < 2:
-            self.head = np.concatenate([self.head, chunk[: 2 - self.size]])
-        if self.counts is not None:
-            held = self.tail.size
-            self._count(np.concatenate([self.tail, chunk[:k]]), min(held, held + chunk.size - k))
-            self._count(chunk, chunk.size - k)
+        if self.head.size < 2:
+            self.head = np.concatenate([self.head, chunk[: 2 - self.head.size]])
+        held = self.tail.size
+        self._count(np.concatenate([self.tail, chunk[:k]]), min(held, held + chunk.size - k))
+        self._count(chunk, chunk.size - k)
         self.tail = np.concatenate([self.tail, chunk[-k:]])[-k:]
-        self.size += chunk.size
 
     def _count(self, src: np.ndarray, starts: int) -> None:
         """Count the windows of the first ``starts`` bytes of ``src``,
@@ -235,20 +214,34 @@ class _Scanner:
             counts[(last >> (8 * k - width - s)) & ((1 << width) - 1)] += 1
         return counts
 
-    def lag1(self, length: int) -> float:
-        """Sample autocorrelation of adjacent bits of the ``length`` bits
-        fed, exact and rounded once (see ``lag1_autocorrelation``)."""
-        pairs = int(self.histogram @ _PAIRS) + self.cross_pairs
-        return _lag1(length, self.ones, pairs, int(self.head[0]) >> 7,
-                     int(self.tail[-1]) >> (-length % 8) & 1)
+    def rate(self, length: int) -> float:
+        """The conditional rate, nats/bit, of the ``length`` bits fed. Up to
+        ``MAX_INT_ORDER`` it is ``window_rate`` of the counts, as the int
+        counter's is.
 
-
-def _scan(chunks: Iterable[np.ndarray], order: int = 0, moments: bool = True) -> _Scanner:
-    """A scanner at ``order`` fed every chunk."""
-    scan = _Scanner(order, moments)
-    for chunk in chunks:
-        scan.feed(chunk)
-    return scan
+        Above, the terms n(x) ln(n(context) / n(x)) of the windows x seen
+        are computed ``_FOLD`` bins at a time and written in order over the
+        count table itself, viewed as float64: a block's terms take no more
+        slots than its bins, so the writes never pass a bin still to be
+        read. The terms end up contiguous and in bin order, so their numpy
+        sum is the one an array of their own would give, bit for bit.
+        """
+        counts = self.window_counts(length)
+        if self.order <= MAX_INT_ORDER:
+            return window_rate(counts.tolist(), length)
+        terms = counts.view(np.float64)
+        done = 0
+        for i in range(0, counts.size, _FOLD):
+            block = counts[i : i + _FOLD]
+            seen = block > 0
+            context = block.reshape(-1, 2).sum(axis=1).repeat(2)[seen].astype(np.float64)
+            n = block[seen].astype(np.float64)
+            out = terms[done : done + n.size]
+            np.log(context, out=out)
+            out -= np.log(n)
+            out *= n
+            done += n.size
+        return float(terms[:done].sum() / length)
 
 
 class GeneratorSpec(Validated, namedtuple("GeneratorSpec", "kind length seed p q",
@@ -358,12 +351,12 @@ def write_generated(spec: GeneratorSpec, path: str | os.PathLike, bit_order: str
     _check_bit_order(bit_order)
     if spec.length % 8 != 0:
         raise ValueError("stream length must be a multiple of 8 to write raw bytes")
-    scan = _Scanner()
+    ones = 0
     with open(path, "wb") as out:
         for block in _blocks(spec):
-            scan.feed(block)
+            ones += int.from_bytes(block, "big").bit_count()
             out.write(block if bit_order == "msb_first" else _REVERSED[block])
-    return scan.ones
+    return ones
 
 
 def read_bitstream(path: str | os.PathLike, bit_order: str = "msb_first") -> Bitstream:
@@ -376,19 +369,6 @@ def read_bitstream(path: str | os.PathLike, bit_order: str = "msb_first") -> Bit
     if bit_order == "lsb_first":
         data = _REVERSED[data]
     return Bitstream(data, 8 * data.size)
-
-
-def _read_chunks(path: str | os.PathLike, bit_order: str) -> Iterator[np.ndarray]:
-    """The bytes of a file, read ``filescan._CHUNK`` at a time into one
-    buffer and bit-reversed there for ``lsb_first``. Each chunk is a view of
-    the buffer, which the next read overwrites."""
-    buf = np.empty(filescan._CHUNK, dtype=np.uint8)
-    with open(path, "rb", buffering=0) as f:
-        while size := f.readinto(buf):
-            chunk = buf[:size]
-            if bit_order == "lsb_first":
-                _REVERSED.take(chunk, out=chunk)
-            yield chunk
 
 
 def write_bitstream(stream: Bitstream, path: str | os.PathLike, bit_order: str = "msb_first") -> None:
@@ -409,7 +389,7 @@ def lag1_autocorrelation(stream: Bitstream) -> float:
     and n - n^2/L. Times L^2 both are integers, and their quotient is one
     correctly rounded int/int division.
     """
-    return _scan(_slices(stream.packed)).lag1(stream.length)
+    return filescan._lag1(*_moments(stream))
 
 
 def conditional_entropy_rate(stream: Bitstream, order: int) -> float:
@@ -424,39 +404,12 @@ def conditional_entropy_rate(stream: Bitstream, order: int) -> float:
     _check_order(order)
     if stream.length < order + 1:
         raise ValueError("stream shorter than the block size")
-    return _rate(_scan(_slices(stream.packed), order, moments=order == 0), stream.length)
-
-
-def _rate(scan: _Scanner, length: int) -> float:
-    """The conditional rate at the scanner's order of the ``length`` bits
-    it was fed. Up to ``MAX_INT_ORDER`` it is ``window_rate`` of the counts,
-    as ``analyze_file`` computes it.
-
-    Above, the terms n(x) ln(n(context) / n(x)) of the windows x seen are
-    computed ``_FOLD`` bins at a time and written in order over the
-    count table itself, viewed as float64: a block's terms take no more
-    slots than its bins, so the writes never pass a bin still to be read.
-    The terms end up contiguous and in bin order, so their numpy sum is
-    the one an array of their own would give, bit for bit.
-    """
-    if scan.order == 0:
-        return binary_entropy(scan.ones / length)
-    counts = scan.window_counts(length)
-    if scan.order <= MAX_INT_ORDER:
-        return window_rate(counts.tolist(), length)
-    terms = counts.view(np.float64)
-    done = 0
-    for i in range(0, counts.size, _FOLD):
-        block = counts[i : i + _FOLD]
-        seen = block > 0
-        context = block.reshape(-1, 2).sum(axis=1).repeat(2)[seen].astype(np.float64)
-        n = block[seen].astype(np.float64)
-        out = terms[done : done + n.size]
-        np.log(context, out=out)
-        out -= np.log(n)
-        out *= n
-        done += n.size
-    return float(terms[:done].sum() / length)
+    if order == 0:
+        return binary_entropy(stream.ones / stream.length)
+    windows = _Scanner(order)
+    for chunk in _slices(stream.packed):
+        windows.feed(chunk)
+    return windows.rate(stream.length)
 
 
 def randomness_test(stream: Bitstream) -> str:
@@ -481,19 +434,6 @@ def analyze(stream: Bitstream, markov_order: int = 3) -> FileStats:
     to test.
     """
     _check_order(markov_order)
-    return _stats(_scan(_slices(stream.packed), markov_order), stream.length)
-
-
-def _array_analyze_file(path: str | os.PathLike, markov_order: int, bit_order: str) -> FileStats:
-    """``analyze_file`` with the array scanner, which ``filescan`` calls
-    above ``MAX_INT_ORDER`` and for files past its int budget."""
-    scan = _scan(_read_chunks(path, bit_order), markov_order)
-    if scan.size == 0:
-        raise ValueError(f"file {path!s} is empty")
-    return _stats(scan, 8 * scan.size)
-
-
-def _stats(scan: _Scanner, length: int) -> FileStats:
-    """The statistics of the ``length`` bits a scanner was fed."""
-    return _file_stats(length, scan.ones, scan.order, scan.lag1(length),
-                       lambda: _rate(scan, length))
+    k = markov_order
+    windows = _Scanner(k) if k and stream.length >= MIN_SAMPLES_PER_CONTEXT << k else None
+    return filescan._stats(*_moments(stream, windows), k, windows)

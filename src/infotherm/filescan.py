@@ -1,21 +1,20 @@
-"""File statistics without numpy, at low Markov order.
+"""Reading a bit stream, and file statistics without numpy at low order.
 
-``analyze_file`` reads a file ``_CHUNK`` bytes at a time and counts each
-chunk as one Python int, MSB first: the ones are its ``bit_count()``, the
-pairs of adjacent ones those of ``y & (y >> 1)`` plus the pair across each
-seam. The cyclic (k+1)-bit window counts come from a product tree: level j
-splits each window mask by bit j of the window, ANDing it with the stream
-shifted into line, and the popcounts of the 2^(k+1) leaves are the counts.
-The last k bits carry over each seam, and the first k bits close the wrap.
-
-Its cost grows with the file and doubles with each order, while the array
-scan's is mostly the numpy import. So ``analyze_file`` counts with ints only
-up to ``MAX_INT_ORDER`` and while the file's bits times 2^k stay within
-``_INT_BUDGET``, and hands other files to ``bitstream``. Either way the
-rate comes from ``window_rate`` up to that order and from the array fold
-above it, so the statistics equal ``analyze`` of the stream in memory.
-The order and verdict rules and the ``FileStats`` assembly live here, and
-``bitstream`` imports them.
+``_scan`` is the one pass over a stream, a file read ``_CHUNK`` bytes at a
+time into one buffer or a stream in memory. It takes each chunk as one
+Python int, MSB first: the ones are its ``bit_count()``, the pairs of
+adjacent ones those of ``y & (y >> 1)`` plus the pair across each seam.
+It feeds each chunk to a window counter when the order and length call for
+one. ``_Windows`` counts with ints, by a product tree: level j splits each
+window mask by bit j of the window, ANDing it with the stream shifted into
+line, and the popcounts of the 2^(k+1) leaves are the counts. Its cost
+grows with the file and doubles with each order, while the array counter's
+(``bitstream._Scanner``) is mostly the numpy import, so ``analyze_file``
+counts with ints only up to ``MAX_INT_ORDER`` and within ``_INT_BUDGET``.
+Either way the rate comes from ``window_rate`` up to that order and from
+the array fold above it, so the statistics equal ``analyze`` of the stream
+in memory. The order and verdict rules and the ``FileStats`` assembly live
+here, and ``bitstream`` imports them.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 import stat
+from collections.abc import Iterable, Iterator
 
 from .core import Information
 from .filestats import BIT_ORDERS, ORDERED, RANDOM, UNDECIDED, FileStats, binary_entropy
@@ -39,10 +39,11 @@ MAX_MARKOV_ORDER = 16
 #: The highest order counted with ints, and rated by ``window_rate``.
 MAX_INT_ORDER = 4
 
-#: The most file bits times 2^k that the int scan takes on: 64, 32, 16, 8
-#: and 4 MiB at orders 0 to 4. On a 2-core Xeon the int scan costs ~8, 10,
-#: 19 and 35 ms/MiB at orders 1 to 4, the array scan ~8 plus the ~130 ms
-#: numpy import, and ``file`` at this budget still runs faster with ints.
+#: The most file bits times 2^k whose windows are counted with ints at
+#: order k >= 1: 32, 16, 8 and 4 MiB at orders 1 to 4 (order 0 counts no
+#: windows). On a 2-core Xeon the int counter costs ~8, 10, 19 and 35 ms/MiB
+#: at orders 1 to 4, the array counter ~8 plus the ~130 ms numpy import, and
+#: ``file`` at this budget still runs faster with ints.
 _INT_BUDGET = 1 << 29
 
 #: Bytes read at a time, into one buffer.
@@ -84,48 +85,87 @@ def _count(counts: list[int], z: int, bits: int, k: int) -> None:
         counts[2 * i + 1] += ones
 
 
-def _scan(path: str | os.PathLike, k: int, bit_order: str) -> tuple[int, ...]:
-    """The length, ones, pairs of adjacent ones, first and last bit of a
-    non-empty file, and its cyclic (k+1)-bit window counts (k >= 1)."""
-    counts = [0] * (2 << k)
-    ones = pairs = length = first = head = last = tail = 0
+class _Windows:
+    """The cyclic (k+1)-bit window counts, at order k >= 1, of a stream of
+    whole bytes fed in order. The last k bits carry over each seam, and the
+    first k bits, kept in ``head``, close the wrap."""
+
+    def __init__(self, order: int):
+        self.order = order
+        self.counts = [0] * (2 << order)
+        self.bits = self.head = self.tail = 0
+
+    def feed(self, chunk, y: int) -> None:
+        """Take the next bytes of the stream and the same bytes as an int."""
+        k, w = self.order, 8 * len(chunk)
+        if not self.bits:
+            self.head = y >> (w - k)
+        _count(self.counts, self.tail << w | y, w + k if self.bits else w, k)
+        self.tail = y & ((1 << k) - 1)
+        self.bits += w
+
+    def window_counts(self, length: int) -> list[int]:
+        """How often each cyclic window occurs in the ``length`` bits fed,
+        indexed MSB first. Call once: the wrap is counted in place."""
+        k = self.order
+        _count(self.counts, self.tail << k | self.head, 2 * k, k)
+        return self.counts
+
+    def rate(self, length: int) -> float:
+        return window_rate(self.window_counts(length), length)
+
+
+def _read(path: str | os.PathLike, bit_order: str) -> Iterator[bytearray]:
+    """The bytes of a file, read ``_CHUNK`` at a time into one buffer and
+    bit-reversed for ``lsb_first``."""
     buf = bytearray(_CHUNK)
     with open(path, "rb", buffering=0) as f:
         while size := f.readinto(buf):
-            chunk = buf[:size] if bit_order == "msb_first" else buf[:size].translate(_REVERSED)
-            y, w = int.from_bytes(chunk, "big"), 8 * size
-            ones += y.bit_count()
-            pairs += (y & (y >> 1)).bit_count() + (last & y >> (w - 1))
-            if not length:
-                first, head = y >> (w - 1), y >> (w - k)
-            if k:
-                _count(counts, tail << w | y, w + k if length else w, k)
-                tail = y & ((1 << k) - 1)
-            last, length = y & 1, length + w
-    if not length:
-        raise ValueError(f"file {path!s} is empty")
-    if k:
-        _count(counts, tail << k | head, 2 * k, k)
-    return length, ones, pairs, first, last, counts
+            yield buf[:size] if bit_order == "msb_first" else buf[:size].translate(_REVERSED)
+
+
+def _scan(chunks: Iterable, windows=None, pad: int = 0) -> tuple[int, int, int, int, int]:
+    """The length, ones, pairs of adjacent ones, first and last bit of a
+    stream given as chunks of packed bytes, MSB first, whose last ``pad``
+    bits are padding zeros; (0, 0, 0, 0, 0) when there are none. Each chunk
+    is also fed, with its int, to ``windows``, a window counter."""
+    ones = pairs = length = first = last = y = 0
+    for chunk in chunks:
+        y, w = int.from_bytes(chunk, "big"), 8 * len(chunk)
+        ones += y.bit_count()
+        pairs += (y & (y >> 1)).bit_count() + (last & y >> (w - 1))
+        if not length:
+            first = y >> (w - 1)
+        if windows:
+            windows.feed(chunk, y)
+        last, length = y & 1, length + w
+    return length - pad, ones, pairs, first, y >> pad & 1
 
 
 def analyze_file(path: str | os.PathLike, markov_order: int = 3,
                  bit_order: str = "msb_first") -> FileStats:
-    """``analyze(read_bitstream(path, bit_order), markov_order)``, with the
-    file read ``_CHUNK`` bytes at a time into one buffer: the memory it
-    takes does not grow with the file. A file that is not a regular file,
-    such as a pipe, has no size to budget and goes to the array scan."""
+    """``analyze(read_bitstream(path, bit_order), markov_order)``, in memory
+    that does not grow with the file. Windows are counted only when the
+    file's size lets it report the rate. A pipe has no size, so its windows
+    go to the array counter; a regular file of size 0 may still hold data
+    (procfs), so only a positive size rules the rate out."""
     _check_order(markov_order)
     _check_bit_order(bit_order)
     k = markov_order
     info = os.stat(path)
-    if k > MAX_INT_ORDER or not stat.S_ISREG(info.st_mode) or 8 * info.st_size << k > _INT_BUDGET:
-        from . import bitstream
+    bits = 8 * info.st_size if stat.S_ISREG(info.st_mode) else None
+    if not k or (bits and bits < MIN_SAMPLES_PER_CONTEXT << k):
+        windows = None
+    elif k <= MAX_INT_ORDER and bits is not None and bits << k <= _INT_BUDGET:
+        windows = _Windows(k)
+    else:
+        from .bitstream import _Scanner
 
-        return bitstream._array_analyze_file(path, k, bit_order)
-    L, ones, pairs, first, last, counts = _scan(path, k, bit_order)
-    return _stats(L, ones, k, _lag1(L, ones, pairs, first, last),
-                  lambda: window_rate(counts, L) if k else binary_entropy(ones / L))
+        windows = _Scanner(k)
+    length, *moments = _scan(_read(path, bit_order), windows)
+    if not length:
+        raise ValueError(f"file {path!s} is empty")
+    return _stats(length, *moments, k, windows)
 
 
 def _lag1(L: int, n: int, pairs: int, first: int, last: int) -> float:
@@ -153,17 +193,21 @@ def _verdict(L: int, ones: int, lag1: float) -> str:
     return UNDECIDED
 
 
-def _stats(L: int, n: int, order: int, lag1: float, rate) -> FileStats:
-    """The statistics of a stream of L bits with n ones; ``rate()`` gives
-    its order-``order`` conditional rate, asked for only when the stream
-    offers enough samples per context."""
+def _stats(L: int, n: int, pairs: int, first: int, last: int, order: int, windows) -> FileStats:
+    """The statistics of a stream of L bits from its moments (see ``_scan``)
+    and, at order >= 1, the window counter it fed, which is asked for the
+    rate only when the stream offers enough samples per context."""
     p_hat = n / L
+    lag1 = _lag1(L, n, pairs, first, last)
+    rate = None
+    if L >= MIN_SAMPLES_PER_CONTEXT << order:
+        rate = windows.rate(L) if order else binary_entropy(p_hat)
     return FileStats(
         length=L,
         ones=n,
         p_hat=p_hat,
         info_iid=Information(L * binary_entropy(p_hat)),
-        info_rate_markov=rate() if L >= MIN_SAMPLES_PER_CONTEXT * (2 ** order) else None,
+        info_rate_markov=rate,
         markov_order=order,
         equilibrium=_verdict(L, n, lag1) if L >= MIN_TEST_LENGTH else UNDECIDED,
         correlation_lag1=lag1,

@@ -192,7 +192,8 @@ def transfer_balance(
     bookkeeping. Each dQ/T is taken in units of the level energy, as
     n_hot / (T/eps), so it neither underflows nor overflows for any eps.
     For this reversible construction the two sides agree to a few
-    roundings of each term, and the slack scales with the terms.
+    roundings of each term, and the slack scales with the terms. A heat
+    outside float64's normal range is an input error.
     """
     if length < 1:
         raise ValueError("state count must be at least 1")
@@ -211,6 +212,7 @@ def transfer_balance(
     into_cold = _heat_over_temperature(n_hot, TwoLevelGas(length, n_cold, 1.0))
     out_of_hot = _heat_over_temperature(n_hot, TwoLevelGas(length, n_hot, 1.0))
     bound = into_cold - out_of_hot
+    require_normal({"n_hot": n_hot, "epsilon": epsilon}, "the heat n_hot*epsilon", heat)
     return TransferRecord(
         gas_heat=Energy(heat),
         entropy_removed_hot=Entropy(ds_hot),

@@ -343,9 +343,11 @@ def reference_window_counts(bits, order):
 
 
 def scanned_window_counts(stream, order):
-    """The scanner's cyclic (order+1)-gram counts, fed ``_CHUNK`` bytes at a time."""
-    scan = bitstream._scan(bitstream._slices(stream.packed), order)
-    return scan.window_counts(stream.length)
+    """The array counter's cyclic (order+1)-gram counts, fed ``_CHUNK`` bytes at a time."""
+    windows = bitstream._Scanner(order)
+    for chunk in bitstream._slices(stream.packed):
+        windows.feed(chunk)
+    return windows.window_counts(stream.length)
 
 
 def reference_conditional_entropy_rate(bits, order):
@@ -464,6 +466,38 @@ def test_lag1_is_the_exact_rational_rounded_once(length, p, seed):
 def test_lag1_matches_exact_rational_on_generated_streams(spec):
     stream = generate(spec)
     assert lag1_autocorrelation(stream) == exact_lag1(stream.bits)
+
+
+def reference_verdict(bits):
+    """The randomness verdict from its definition: the ones density and the
+    exact lag-1 of the unpacked bits against their 3- and 5-sigma bands."""
+    L = bits.size
+    dev_p, dev_r = abs(int(bits.sum()) / L - 0.5), abs(exact_lag1(bits))
+    sigma_p, sigma_r = 0.5 / math.sqrt(L), 1.0 / math.sqrt(L)
+    if dev_p <= 3 * sigma_p and dev_r <= 3 * sigma_r:
+        return "random"
+    if dev_p > 5 * sigma_p or dev_r > 5 * sigma_r:
+        return "ordered"
+    return "undecided"
+
+
+@given(length=st.integers(min_value=1, max_value=70_000).filter(lambda n: n % 8),
+       p=st.floats(min_value=0.0, max_value=1.0), seed=st.integers(min_value=0, max_value=2**32))
+@example(length=1, p=1.0, seed=0)
+@example(length=63, p=0.5, seed=1)
+@example(length=65, p=1.0, seed=2)
+@example(length=8 * filescan._CHUNK + 1, p=0.5, seed=3)
+@example(length=69_999, p=0.5, seed=4)
+@settings(max_examples=40, deadline=None)
+def test_ragged_stream_moments_equal_the_unpacked_references(length, p, seed):
+    """A stream in memory whose last byte is partial: its ones, lag-1 and
+    verdict, read through the same loop as a file, ignore the padding."""
+    bits = (np.random.default_rng(seed).random(length) < p).astype(np.uint8)
+    stream = Bitstream.from_bits(bits)
+    assert stream.ones == int(bits.sum())
+    assert lag1_autocorrelation(stream) == exact_lag1(bits)
+    if length >= 64:
+        assert randomness_test(stream) == reference_verdict(bits)
 
 
 @pytest.mark.parametrize("bit_order", ["msb_first", "lsb_first"])
@@ -585,21 +619,20 @@ def test_streamed_file_stats_equal_in_memory_analyze(seam_file, data, order, bit
 
 @pytest.mark.parametrize("order", range(filescan.MAX_INT_ORDER + 2))
 def test_ints_count_files_within_the_budget_at_the_int_orders(order, tmp_path, monkeypatch):
-    """The int scanner takes a file while its bits times 2^order stay within
-    ``_INT_BUDGET`` and the order within ``MAX_INT_ORDER``; the array
-    scanner takes the rest."""
+    """The array counter is built for a file only when its bits times
+    2^order pass ``_INT_BUDGET`` or the order passes ``MAX_INT_ORDER``; at
+    order 0 none is built at any budget."""
     path = tmp_path / "data.bin"
-    path.write_bytes(bytes(range(100)))
-    used = []
-    int_scan, array_scan = filescan._scan, bitstream._array_analyze_file
-    monkeypatch.setattr(filescan, "_scan", lambda *a: used.append("int") or int_scan(*a))
-    monkeypatch.setattr(bitstream, "_array_analyze_file",
-                        lambda *a: used.append("array") or array_scan(*a))
-    work = 8 * 100 << order
-    for budget in (work, work - 1):
+    path.write_bytes(bytes(range(256)))
+    built = []
+    monkeypatch.setattr(bitstream._Scanner, "__init__",
+                        lambda self, k, init=bitstream._Scanner.__init__: built.append(k) or init(self, k))
+    work = 8 * 256 << order
+    for budget in (work, work - 1, 0):
         monkeypatch.setattr(filescan, "_INT_BUDGET", budget)
         analyze_file(path, order)
-    assert used == (["int", "array"] if order <= filescan.MAX_INT_ORDER else ["array", "array"])
+    arrays = 0 if order == 0 else 2 if order <= filescan.MAX_INT_ORDER else 3
+    assert built == [order] * arrays
 
 
 @pytest.mark.parametrize("kind, param", [("bernoulli", {"p": 0.3}), ("markov", {"q": 0.1}),
@@ -634,17 +667,34 @@ KIB = 1024
 @settings(max_examples=40, deadline=None)
 def test_int_scanner_counts_what_the_array_scanner_counts(seam_file, size, order, chunk,
                                                           bit_order, p, seed):
-    """Whatever the chunk size, the int scanner's ones, pairs of adjacent
-    ones, end bits and cyclic window counts are ``_Scanner``'s."""
+    """Whatever the chunk size, the read loop's length, ones, pairs of
+    adjacent ones and end bits are those of the unpacked bits, and both
+    window counters it feeds count the reference's cyclic windows."""
     bits = (np.random.default_rng(seed).random(8 * size) < p).astype(np.uint8)
-    seam_file.write_bytes(np.packbits(bits).tobytes())
-    scan = bitstream._scan(bitstream._read_chunks(seam_file, bit_order), order)
-    L = 8 * scan.size
-    expected = (L, scan.ones, int(scan.histogram @ bitstream._PAIRS) + scan.cross_pairs,
-                int(scan.head[0]) >> 7, int(scan.tail[-1]) & 1)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(filescan, "_CHUNK", chunk)
-        *moments, counts = filescan._scan(seam_file, order, bit_order)
-    assert tuple(moments) == expected
-    if order:
-        assert counts == scan.window_counts(L).tolist()
+    packed = np.packbits(bits)
+    seam_file.write_bytes((packed if bit_order == "msb_first" else bitstream._REVERSED[packed]).tobytes())
+    expected = (bits.size, int(bits.sum()), int((bits[:-1] & bits[1:]).sum()), int(bits[0]),
+                int(bits[-1]))
+    for counter in (filescan._Windows, bitstream._Scanner):
+        windows = counter(order) if order else None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filescan, "_CHUNK", chunk)
+            assert filescan._scan(filescan._read(seam_file, bit_order), windows) == expected
+        if order:
+            np.testing.assert_array_equal(windows.window_counts(bits.size),
+                                          reference_window_counts(bits, order))
+
+
+@pytest.mark.parametrize("order", [9, 16])
+@pytest.mark.parametrize("bit_order", ["msb_first", "lsb_first"])
+def test_file_rate_at_high_order_equals_in_memory_analyze(order, bit_order, tmp_path, monkeypatch):
+    """A file of 2^22 bits reports its rate up to order 16; the array
+    counter, fed by the read loop in chunks of an odd size, gives the
+    statistics of the stream in memory."""
+    path = tmp_path / "data.bin"
+    path.write_bytes(np.random.default_rng(order).integers(0, 256, 2**19, dtype=np.uint8).tobytes())
+    expected = exact(analyze(read_bitstream(path, bit_order), order))
+    monkeypatch.setattr(filescan, "_CHUNK", 3 * KIB + 1)
+    stats = analyze_file(path, order, bit_order)
+    assert stats.info_rate_markov is not None
+    assert exact(stats) == expected

@@ -1,13 +1,15 @@
 """What importing the package and starting a command load.
 
 Only the array code imports numpy: ``bitstream``, behind ``generate`` and
-behind ``file`` and ``broadcast`` above ``filescan.MAX_INT_ORDER`` or past
-its int budget, and the Metropolis chain behind ``gas metropolis``. Every
-closed-form command runs in a fresh interpreter without it, with the same
-stdout and exit status as its golden, and so do ``file`` and ``broadcast``
-at the default order. The package resolves every public name on first
-use, so importing it or the CLI loads no other ``infotherm`` module, and a
-command loads only the modules it runs.
+behind ``file`` and ``broadcast`` when they count windows above
+``filescan.MAX_INT_ORDER``, past its int budget or from a pipe, and the
+Metropolis chain behind ``gas metropolis``. Every closed-form command runs
+in a fresh interpreter without it, with the same stdout and exit status as
+its golden, and so do ``file`` and ``broadcast`` at the default order, at
+order 0 and at an order too high for the file to report the rate. The
+package resolves every public name on first use, so importing it or the
+CLI loads no other ``infotherm`` module, and a command loads only the
+modules it runs.
 """
 
 import importlib
@@ -61,18 +63,22 @@ def test_closed_form_command_runs_without_numpy(name, tmp_path):
 #: Bytes that ``file`` and ``broadcast`` read in the tests below.
 DATA = bytes(range(256)) * 16
 
+#: 2^22 bits, the fewest that report the rate at order 16.
+WIDE = DATA * 128
+
 
 @pytest.mark.parametrize("argv, loads_numpy", [
     (["file", "data.bin"], False),
     (["broadcast", "--file", "data.bin", "--receivers", "3"], False),
     (["file", "data.bin", "--markov-order", str(filescan.MAX_INT_ORDER)], False),
     (["file", "data.bin", "--markov-order", str(filescan.MAX_INT_ORDER + 1)], True),
-    (["file", "data.bin", "--markov-order", "16"], True),
-    (["broadcast", "--file", "data.bin", "--receivers", "3", "--markov-order", "16"], True),
+    (["file", "wide.bin", "--markov-order", "16"], True),
+    (["broadcast", "--file", "wide.bin", "--receivers", "3", "--markov-order", "16"], True),
 ], ids=["file", "broadcast", "file-int-orders", "file-past-int-orders", "file-o16",
         "broadcast-o16"])
 def test_file_commands_load_numpy_only_above_the_int_orders(argv, loads_numpy, tmp_path):
     (tmp_path / "data.bin").write_bytes(DATA)
+    (tmp_path / "wide.bin").write_bytes(WIDE)
     proc = python(RUN_CLI, *argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == f"{loads_numpy}\n".encode()
@@ -98,6 +104,32 @@ def test_file_from_a_pipe_goes_to_the_array_scanner(tmp_path):
     assert proc.stderr == b"True\n"
     (tmp_path / "data.bin").write_bytes(DATA)
     regular = python(RUN_CLI, "file", "data.bin", cwd=tmp_path)
+    assert proc.stdout.replace(b"/dev/stdin", b"data.bin") == regular.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_under_sampled_order_counts_no_windows(tmp_path):
+    """At order 16 a 4 KiB file is too short to report the rate, so its
+    windows are not counted and numpy is not loaded. The stdout is that of
+    the same bytes from a pipe, whose windows are counted and dropped."""
+    (tmp_path / "data.bin").write_bytes(DATA)
+    proc = python(RUN_CLI, "file", "data.bin", "--markov-order", "16", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b"False\n"
+    piped = python(RUN_CLI, "file", "/dev/stdin", "--markov-order", "16", cwd=tmp_path, input=DATA)
+    assert piped.stderr == b"True\n"
+    assert piped.stdout.replace(b"/dev/stdin", b"data.bin") == proc.stdout
+    assert b"info_rate_markov" not in proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_order_0_from_a_pipe_loads_no_numpy(tmp_path):
+    """Order 0 counts no windows, so not even a pipe needs the array counter."""
+    proc = python(RUN_CLI, "file", "/dev/stdin", "--markov-order", "0", cwd=tmp_path, input=DATA)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b"False\n"
+    (tmp_path / "data.bin").write_bytes(DATA)
+    regular = python(RUN_CLI, "file", "data.bin", "--markov-order", "0", cwd=tmp_path)
     assert proc.stdout.replace(b"/dev/stdin", b"data.bin") == regular.stdout
 
 

@@ -318,11 +318,16 @@ def test_transfer_balance_violation_seen_at_large_length(monkeypatch, epsilon):
     (10**18 + 1, 5 * 10**17, 3),
     (2**60, 2**59 - 1, 2**59 - 3),  # (L-n)/n rounds to 1: both baths at infinite T
 ])
-@pytest.mark.parametrize("epsilon", [1.0, 0.37, 5e-324, 1e-21, 1e308])
+@pytest.mark.parametrize("epsilon", [1.0, 0.37, 5e-324, 1e-290, 1e-21, 1e290, 1e308])
 def test_transfer_balance_reversible_satisfied_at_any_scale(length, n_hot, n_cold, epsilon):
     """The reversible transfer is satisfied for lengths where one ulp of a
     dQ/T term exceeds CLAUSIUS_TOL_K, and for level energies whose
-    temperature would underflow or whose heat overflows."""
+    temperature would underflow; a heat that leaves float64's normal range
+    is an input error."""
+    if not core.NORMAL_MIN <= n_hot * epsilon < math.inf:
+        with pytest.raises(ValueError, match=r"make the heat n_hot\*epsilon round to 0"):
+            transfer_balance(length, n_hot, n_cold, epsilon)
+        return
     rec = transfer_balance(length, n_hot, n_cold, epsilon)
     assert rec.verdict == "satisfied"
     assert float(rec.clausius_lower_bound) == pytest.approx(float(rec.net), rel=1e-12, abs=1e-12)
@@ -330,7 +335,7 @@ def test_transfer_balance_reversible_satisfied_at_any_scale(length, n_hot, n_col
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 10**18), st.data(),
-       st.sampled_from([1.0, 0.37, 5.0, 5e-324, 1e308]))
+       st.sampled_from([1.0, 0.37, 5.0, 1e-290, 1e290]))
 def test_transfer_balance_bound_within_slack(length, data, epsilon):
     a = data.draw(st.integers(1, length - 1))
     b = data.draw(st.integers(1, length - 1))
