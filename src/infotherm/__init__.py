@@ -39,13 +39,13 @@ _HOME = {
     "temperature_numeric": "twolevel",
     "transfer_balance": "twolevel",
     "Bitstream": "bitstream",
-    "FileStats": "filestats",
+    "FileStats": "filescan",
     "GeneratorSpec": "bitstream",
     "analyze": "bitstream",
-    "binary_entropy": "filestats",
+    "binary_entropy": "filescan",
     "conditional_entropy_rate": "bitstream",
-    "file_heat_and_entropy": "filestats",
-    "file_temperature": "filestats",
+    "file_heat_and_entropy": "filescan",
+    "file_temperature": "filescan",
     "generate": "bitstream",
     "lag1_autocorrelation": "bitstream",
     "randomness_test": "bitstream",

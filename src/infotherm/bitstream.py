@@ -24,30 +24,11 @@ import numpy as np
 
 from . import filescan
 from .core import Validated
-from .filestats import (  # noqa: F401  (re-exported; these need no numpy)
-    BIT_ORDERS,
-    GENERATOR_KINDS,
-    ORDERED,
-    RANDOM,
-    UNDECIDED,
-    FileStats,
-    average_nat_energy,
-    binary_entropy,
-    file_heat_and_entropy,
-    file_temperature,
-)
 from .filescan import (  # noqa: F401  (re-exported; these need no numpy)
-    _REVERSED as _REVERSED_BYTES,
-    MAX_INT_ORDER,
-    MAX_MARKOV_ORDER,
-    MIN_SAMPLES_PER_CONTEXT,
-    MIN_TEST_LENGTH,
-    _check_bit_order,
-    _check_order,
-    _verdict,
-    analyze_file,
-    window_rate,
-)
+    _REVERSED as _REVERSED_BYTES, BIT_ORDERS, GENERATOR_KINDS, MAX_INT_ORDER, MAX_MARKOV_ORDER,
+    MIN_SAMPLES_PER_CONTEXT, MIN_TEST_LENGTH, ORDERED, RANDOM, UNDECIDED, FileStats,
+    _check_bit_order, _check_order, _verdict, analyze_file, average_nat_energy, binary_entropy,
+    file_heat_and_entropy, file_temperature, window_rate)
 from .rng import random_words, splitmix64
 
 #: Words the generators draw at a time, a multiple of 8: the words and
@@ -95,7 +76,8 @@ class Bitstream:
             raise ValueError("the padding bits of the last byte must be 0")
         object.__setattr__(self, "packed", packed)
         object.__setattr__(self, "length", length)
-        object.__setattr__(self, "ones", _moments(self)[1])
+        ones = sum(int.from_bytes(chunk, "big").bit_count() for chunk in _slices(packed))
+        object.__setattr__(self, "ones", ones)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -145,13 +127,13 @@ class _Scanner:
     from its packed bytes fed in order in chunks of any size.
 
     The window at bit 8j + s is bits s..s+k of the big-endian key of bytes
-    j, j+1 (and j+2 when k > 8): one shift and mask. The windows of byte j
-    are counted once a byte past its key has been fed; the last key-length
-    bytes wait in ``tail`` until ``window_counts`` knows whether the last
-    byte is partial and closes the wrap with the first bytes, kept in
-    ``head``. 16-bit keys go into a key histogram that is summed down to
-    each offset's windows at the end; 24-bit keys are cut into each
-    offset's windows and counted.
+    j, j+1 (and j+2 when k > 8): one shift and mask. Each chunk is counted
+    behind the key-length bytes held in ``tail``, at every byte whose key
+    it completes, and leaves its last key-length bytes there; their
+    windows, and the wrap to the first bytes kept in ``head``, are counted
+    by ``window_counts``. 16-bit keys go into a key histogram that is
+    summed down to each offset's windows at the end; 24-bit keys are cut
+    into each offset's windows and counted.
     """
 
     def __init__(self, order: int):
@@ -164,18 +146,10 @@ class _Scanner:
         """Take the next bytes of the stream, non-empty, which the caller may
         overwrite once this returns; ``y``, the same bytes as an int, is
         for the int counter."""
-        chunk = np.frombuffer(chunk, dtype=np.uint8)
-        k = self.key_bytes
+        src = np.concatenate([self.tail, np.frombuffer(chunk, dtype=np.uint8)])
         if self.head.size < 2:
-            self.head = np.concatenate([self.head, chunk[: 2 - self.head.size]])
-        held = self.tail.size
-        self._count(np.concatenate([self.tail, chunk[:k]]), min(held, held + chunk.size - k))
-        self._count(chunk, chunk.size - k)
-        self.tail = np.concatenate([self.tail, chunk[-k:]])[-k:]
-
-    def _count(self, src: np.ndarray, starts: int) -> None:
-        """Count the windows of the first ``starts`` bytes of ``src``,
-        which holds their keys."""
+            self.head = src[:2]
+        self.tail, starts = src[-self.key_bytes :], src.size - self.key_bytes
         if starts <= 0:
             return
         keys = src[:starts].astype(np.int64)
@@ -195,23 +169,17 @@ class _Scanner:
     def window_counts(self, length: int) -> np.ndarray:
         """How often each cyclic window occurs in the ``length`` bits fed
         (length >= order + 1), indexed by the window read MSB-first. The
-        stream's last length % 8 bits followed by its first ``order`` bits,
-        packed MSB-first, then two zero bytes, close the wrap. Call once:
-        the table is completed in place."""
-        rest = length % 8
-        width = self.order + 1
-        k = self.key_bytes
-        whole = self.tail[: self.tail.size - (rest > 0)]
-        wrap_bits = np.concatenate([np.unpackbits(self.tail[-1:], count=rest),
-                                    np.unpackbits(self.head, count=width - 1)])
-        wrap = np.concatenate([np.packbits(wrap_bits), np.zeros(2, np.uint8)])
-        self._count(np.concatenate([whole, wrap]), whole.size)
-        counts = self.counts
-        if k == 2:
-            counts = sum(counts.reshape(1 << s, 1 << width, -1).sum(axis=(0, 2)) for s in range(8))
-        last = int.from_bytes(wrap[:k].tobytes(), "big")
-        for s in range(rest):
-            counts[(last >> (8 * k - width - s)) & ((1 << width) - 1)] += 1
+        windows that start in ``tail`` are read, one int each, off its
+        bits past the padding followed by the stream's first ``order``
+        bits. Call once: the table is completed in place."""
+        k, counts = self.order, self.counts
+        if self.key_bytes == 2:
+            counts = sum(counts.reshape(1 << s, 2 << k, -1).sum(axis=(0, 2)) for s in range(8))
+        pad, first = -length % 8, int.from_bytes(self.head, "big") >> (8 * self.head.size - k)
+        held = 8 * self.tail.size - pad
+        wrap = int.from_bytes(self.tail, "big") >> pad << k | first
+        for s in range(held):
+            counts[wrap >> (held - 1 - s) & ((2 << k) - 1)] += 1
         return counts
 
     def rate(self, length: int) -> float:
@@ -422,7 +390,8 @@ def randomness_test(stream: Bitstream) -> str:
     L = stream.length
     if L < MIN_TEST_LENGTH:
         raise ValueError(f"stream too short to test (need {MIN_TEST_LENGTH} bits)")
-    return _verdict(L, stream.ones, lag1_autocorrelation(stream))
+    moments = _moments(stream)
+    return _verdict(L, moments[1], filescan._lag1(*moments))
 
 
 def analyze(stream: Bitstream, markov_order: int = 3) -> FileStats:

@@ -144,8 +144,9 @@ def _add_units(parser: argparse.ArgumentParser) -> None:
 # its report lists them, and a handler. ``run`` builds each report from
 # the parse: command words, unit mode and inputs. A handler only computes
 # and adds results and verdicts. Each imports the modules it uses when it
-# runs, so a command loads only its own; ``generate`` and the file scans
-# that ``filescan`` hands on import ``bitstream``, and with it numpy.
+# runs, so a command loads only its own: the bit statistics of ``file``,
+# ``broadcast`` and the ledgers come from the numpy-free ``filescan``, and
+# ``generate`` and the scans it hands on import ``bitstream`` and numpy.
 
 def _gas_entropy_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--length", type=int, required=True)
@@ -238,7 +239,7 @@ def _cmd_gas_metropolis(args, report: Report) -> None:
 
 
 def _file_options(p: argparse.ArgumentParser) -> None:
-    from .filestats import BIT_ORDERS
+    from .filescan import BIT_ORDERS
 
     p.add_argument("path")
     p.add_argument("--bit-order", choices=BIT_ORDERS, default="msb_first")
@@ -248,7 +249,7 @@ def _file_options(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_file(args, report: Report) -> None:
-    from . import filescan, filestats
+    from . import filescan
 
     stats = filescan.analyze_file(args.path, markov_order=args.markov_order, bit_order=args.bit_order)
     report.add("length", stats.length, "bit")
@@ -260,16 +261,16 @@ def _cmd_file(args, report: Report) -> None:
         report.add("info_rate_markov", stats.info_rate_markov, "nat/bit")
     report.add("correlation_lag1", stats.correlation_lag1)
     report.verdicts["equilibrium"] = stats.equilibrium
-    if stats.equilibrium == filestats.RANDOM:
-        report.add("file_temperature", filestats.file_temperature(args.epsilon, report.consts))
-        report.add("average_nat_energy", filestats.average_nat_energy(args.epsilon))
-        heat, entropy = filestats.file_heat_and_entropy(stats.length, args.epsilon)
+    if stats.equilibrium == filescan.RANDOM:
+        report.add("file_temperature", filescan.file_temperature(args.epsilon, report.consts))
+        report.add("average_nat_energy", filescan.average_nat_energy(args.epsilon))
+        heat, entropy = filescan.file_heat_and_entropy(stats.length, args.epsilon)
         report.add("heat", heat)
         report.add("entropy", entropy)
 
 
 def _generate_options(p: argparse.ArgumentParser) -> None:
-    from .filestats import BIT_ORDERS, GENERATOR_KINDS
+    from .filescan import BIT_ORDERS, GENERATOR_KINDS
 
     p.add_argument("--kind", choices=GENERATOR_KINDS, required=True)
     p.add_argument("--length", type=int, required=True)
@@ -294,7 +295,7 @@ def _cmd_generate(args, report: Report) -> None:
 
 
 def _broadcast_options(p: argparse.ArgumentParser) -> None:
-    from .filestats import BIT_ORDERS
+    from .filescan import BIT_ORDERS
 
     p.add_argument("--file", required=True)
     p.add_argument("--receivers", type=int, required=True)

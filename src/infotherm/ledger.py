@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .core import (LN2, REDUCED, Energy, Entropy, Information, PhysConstants, Temperature,
                    clausius_verdict, require_normal)
-from .filestats import RANDOM, FileStats, file_temperature
+from .filescan import RANDOM, FileStats, file_temperature
 
 
 class BroadcastResult(NamedTuple):

@@ -240,6 +240,18 @@ def test_randomness_test_ordered_block_ordered():
     assert randomness_test(stream) == "ordered"
 
 
+def test_ones_are_a_popcount_and_the_verdict_one_scan(monkeypatch):
+    """Building a stream only popcounts its bytes; ``randomness_test``
+    takes the ones and lag-1 from one pass of the read loop."""
+    scans = []
+    scan = filescan._scan
+    monkeypatch.setattr(filescan, "_scan", lambda *args: scans.append(args) or scan(*args))
+    stream = generate(GeneratorSpec(kind="bernoulli", length=4099, seed=11, p=0.5))
+    assert stream.ones == int(stream.bits.sum()) and not scans
+    assert randomness_test(stream) == "random"
+    assert len(scans) == 1
+
+
 def test_randomness_test_rejects_short():
     with pytest.raises(ValueError, match="too short"):
         randomness_test(generate(GeneratorSpec(kind="alternating", length=32)))

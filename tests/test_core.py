@@ -63,15 +63,15 @@ def test_verdicts_live_in_core():
     """Every Clausius verdict is decided by ``core.clausius_verdict`` and
     is one of ``core``'s two objects, so a ledger need not load
     ``twolevel`` and no module keeps a rule of its own."""
-    from infotherm import fiber, filestats, ledger, twolevel
+    from infotherm import fiber, filescan, ledger, twolevel
 
     for module in (twolevel, ledger, fiber):
         assert module.clausius_verdict is core.clausius_verdict
         for name in ("CLAUSIUS_TOL_K", "SATISFIED", "VIOLATED"):
             assert not hasattr(module, name), (module.__name__, name)
-    stats = filestats.FileStats(length=64, ones=32, p_hat=0.5, info_iid=core.Information(1.0),
-                                info_rate_markov=0.8, markov_order=3,
-                                equilibrium=filestats.ORDERED, correlation_lag1=0.0)
+    stats = filescan.FileStats(length=64, ones=32, p_hat=0.5, info_iid=core.Information(1.0),
+                               info_rate_markov=0.8, markov_order=3,
+                               equilibrium=filescan.ORDERED, correlation_lag1=0.0)
     verdicts = [
         twolevel.transfer_balance(1000, 300, 100).verdict,
         ledger.clausius_check(5.0, 10.0).verdict,
@@ -79,7 +79,7 @@ def test_verdicts_live_in_core():
         ledger.combined_balance(1.0, 1.0, 0.693, 1.5).verdict,
         ledger.combined_balance(1.0, 1.0, 0.693, 2.0).verdict,
         ledger.broadcast_balance(stats, 1.0, 3).verdict,
-        ledger.broadcast_balance(stats._replace(equilibrium=filestats.RANDOM), 1.0, 3).verdict,
+        ledger.broadcast_balance(stats._replace(equilibrium=filescan.RANDOM), 1.0, 3).verdict,
         fiber.amplifier_entropy_balance(25.0, 1.0, 0.5, 22.5).verdict,
         fiber.amplifier_entropy_balance(25.0, 1.0, 0.5, 25.0).verdict,
     ]

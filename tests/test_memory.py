@@ -38,15 +38,19 @@ pytestmark = pytest.mark.skipif(not sys.platform.startswith("linux"),
 
 
 def max_rss_kib(args, cwd: Path) -> int:
-    """Peak resident set of ``python args`` in KiB; the run must succeed."""
+    """Peak resident set of ``python args`` in KiB; the run must succeed.
+    The child's stderr is read to its end before the child is reaped, so
+    it never blocks on a full pipe, and the reaped status is recorded on
+    the ``Popen``, which then knows the child is gone."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.Popen([sys.executable, *args], cwd=cwd, env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    with proc.stderr:
+        stderr = proc.stderr.read().decode()
     _, status, usage = os.wait4(proc.pid, 0)
-    stderr = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert os.waitstatus_to_exitcode(status) == 0, stderr
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, stderr
     return usage.ru_maxrss
 
 

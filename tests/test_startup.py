@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import infotherm
-from infotherm import bitstream, filescan, filestats
+from infotherm import bitstream, filescan
 from test_golden import CASES, GOLDEN
 
 SRC = Path(infotherm.__file__).resolve().parent.parent
@@ -36,9 +36,11 @@ CLOSED_FORM = ("gas_entropy", "gas_temperature", "gas_occupation", "gas_transfer
 RUN_CLI = ("import sys; from infotherm.cli import run; status = run(sys.argv[1:]); "
            "print('numpy' in sys.modules, file=sys.stderr); sys.exit(status)")
 
-#: The names ``bitstream`` kept after its numpy-free part moved to ``filestats``.
-MOVED = ("RANDOM", "ORDERED", "UNDECIDED", "GENERATOR_KINDS", "BIT_ORDERS", "FileStats",
-         "binary_entropy", "file_temperature", "average_nat_energy", "file_heat_and_entropy")
+#: The names ``bitstream`` re-exports from its numpy-free part, ``filescan``.
+REEXPORTED = ("RANDOM", "ORDERED", "UNDECIDED", "GENERATOR_KINDS", "BIT_ORDERS", "FileStats",
+              "binary_entropy", "file_temperature", "average_nat_energy", "file_heat_and_entropy",
+              "MIN_TEST_LENGTH", "MIN_SAMPLES_PER_CONTEXT", "MAX_MARKOV_ORDER", "MAX_INT_ORDER",
+              "analyze_file", "window_rate", "_verdict")
 
 
 def python(code: str, *argv: str, cwd: Path, input: bytes | None = None) -> subprocess.CompletedProcess:
@@ -197,11 +199,11 @@ def test_cli_export_csv_is_fibers():
 #: The infotherm modules each command loads past the package and the CLI.
 COMMAND_MODULES = {
     "gas_entropy": {"core", "twolevel"},
-    "ledger_check": {"core", "filestats", "ledger"},
+    "ledger_check": {"core", "filescan", "ledger"},
     "landauer_noise": {"core", "landauer"},
     "fiber_efficiency": {"core", "fiber"},
-    "file": {"core", "filestats", "filescan"},
-    "broadcast": {"core", "filestats", "filescan", "ledger"},
+    "file": {"core", "filescan"},
+    "broadcast": {"core", "filescan", "ledger"},
 }
 
 
@@ -243,14 +245,8 @@ def test_unknown_attribute_raises():
     assert not hasattr(infotherm, "Bitstream_")
 
 
-@pytest.mark.parametrize("name", MOVED)
-def test_bitstream_reexports_the_closed_forms(name):
-    assert getattr(bitstream, name) is getattr(filestats, name)
-
-
-@pytest.mark.parametrize("name", ["MIN_TEST_LENGTH", "MIN_SAMPLES_PER_CONTEXT", "MAX_MARKOV_ORDER",
-                                  "MAX_INT_ORDER", "analyze_file", "window_rate", "_verdict"])
-def test_bitstream_reexports_the_file_scan_rules(name):
+@pytest.mark.parametrize("name", REEXPORTED)
+def test_bitstream_reexports_the_numpy_free_names(name):
     assert getattr(bitstream, name) is getattr(filescan, name)
 
 
