@@ -20,13 +20,15 @@ are input errors. Output is deterministic: the same argv (seeds
 included) yields byte-identical text, JSON, and CSV.
 
 Exit codes: 0 success, 1 a thermodynamic verdict came back violated,
-2 usage or input error.
+2 usage or input error, or a report that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
+import os
 import sys
 
 SCHEMA_VERSION = 1
@@ -640,17 +642,35 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         report = _report(command, leaf, args)
         args.handler(args, report)
+        sys.stdout.write(report.to_json() if args.json else report.to_text())
+        sys.stdout.flush()
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"infotherm: error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(report.to_json() if args.json else report.to_text())
     return report.exit_status()
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The process entry: run the command in argv and exit with its status.
+
+    A report that stdout could not take (a full disk, a closed pipe) is
+    left in its buffer, and ``run`` has reported it; fd 1 then points at
+    the null device, so the flush at interpreter exit has nowhere to fail
+    again. Last, the heap is frozen: the interpreter's shutdown collections
+    skip frozen objects, and they would only sweep a heap the process is
+    about to drop. Every file a command writes is closed by then, so no
+    finalizer is left to run; atexit, the stream flush and module teardown
+    still do.
+    """
+    status = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -10,9 +10,18 @@ order 0 and at an order too high for the file to report the rate. The
 package resolves every public name on first use, so importing it or the
 CLI loads no other ``infotherm`` module, and a command loads only the
 modules it runs.
+
+The process path, ``python -m infotherm.cli`` through ``main()``, prints
+what ``run`` prints in process and exits with its status, then freezes
+the heap so that the shutdown collections have nothing to sweep. A report
+that stdout cannot take is an error, exit 2, not a verdict.
 """
 
+import contextlib
+import errno
+import gc
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -22,8 +31,8 @@ from pathlib import Path
 import pytest
 
 import infotherm
-from infotherm import bitstream, filescan
-from test_golden import CASES, GOLDEN
+from infotherm import bitstream, cli, filescan
+from test_golden import CASES, GOLDEN, USAGE_CASES, run_usage_case
 
 SRC = Path(infotherm.__file__).resolve().parent.parent
 
@@ -43,11 +52,28 @@ REEXPORTED = ("RANDOM", "ORDERED", "UNDECIDED", "GENERATOR_KINDS", "BIT_ORDERS",
               "analyze_file", "window_rate", "_verdict")
 
 
-def python(code: str, *argv: str, cwd: Path, input: bytes | None = None) -> subprocess.CompletedProcess:
+def _env(**overrides: str | None) -> dict[str, str]:
+    """This environment with the package on the path; a None override unsets."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env, input=input,
+    for key, value in overrides.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return env
+
+
+def python(code: str, *argv: str, cwd: Path, input: bytes | None = None) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=_env(), input=input,
                           capture_output=True, timeout=60)
+
+
+def python_m(*argv: str, cwd: Path, stdout=subprocess.PIPE,
+             **env: str | None) -> subprocess.CompletedProcess:
+    """``python -m infotherm.cli`` on argv: ``main()``, as the console script runs it."""
+    return subprocess.run([sys.executable, "-m", "infotherm.cli", *argv], cwd=cwd, env=_env(**env),
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=60)
 
 
 @pytest.mark.parametrize("name", CLOSED_FORM)
@@ -287,3 +313,118 @@ def test_array_command_loads_no_dataclasses(name, tmp_path):
     proc = python(RUN_EACH, json.dumps(ARRAY_COMMANDS[name]), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[0] == b"False"
+
+
+# --- the process path -----------------------------------------------------
+
+#: Golden cases run through ``main()``: the closed forms, among them
+#: ``ledger_check`` and ``fiber_amplifier`` (exit 1) and ``fiber_simulate``
+#: with its CSV, and two commands that load numpy.
+MAIN_CASES = CLOSED_FORM + ("gas_metropolis", "generate")
+
+
+@pytest.mark.parametrize("name", MAIN_CASES)
+def test_main_prints_the_golden(name, tmp_path):
+    argv, setup = CASES[name]
+    assert not setup
+    status = json.loads((GOLDEN / "status.json").read_text())
+    for suffix, extra in ((".txt", []), (".json", ["--json"])):
+        proc = python_m(*argv, *extra, cwd=tmp_path)
+        assert proc.returncode == status[name + suffix], proc.stderr
+        assert proc.stdout == (GOLDEN / (name + suffix)).read_bytes()
+        assert proc.stderr == b""
+    if "--csv" in argv:
+        csv = argv[argv.index("--csv") + 1]
+        assert (tmp_path / csv).read_bytes() == (GOLDEN / (name + ".csv")).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["help", "missing_flag", "unknown_command"])
+def test_main_stops_where_run_stops(name, tmp_path):
+    """Help (exit 0) and usage errors (exit 2) print what ``run`` prints."""
+    proc = python_m(*USAGE_CASES[name], cwd=tmp_path, COLUMNS="80")
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_usage_case(name, tmp_path)
+
+
+@pytest.mark.parametrize("bit_order", filescan.BIT_ORDERS)
+def test_main_generate_writes_what_write_generated_writes(bit_order, tmp_path):
+    proc = python_m("generate", "--kind", "markov", "--q", "0.1", "--length", "65536", "--seed", "7",
+                    "--bit-order", bit_order, "--out", "main.bin", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    spec = bitstream.GeneratorSpec(kind="markov", length=65536, seed=7, q=0.1)
+    bitstream.write_generated(spec, tmp_path / "run.bin", bit_order=bit_order)
+    assert (tmp_path / "main.bin").read_bytes() == (tmp_path / "run.bin").read_bytes()
+
+
+#: Prints the freeze count at interpreter exit, after ``main()`` on argv.
+MAIN_FREEZES = ("import atexit, gc, sys\n"
+                "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+                "sys.argv[0] = 'infotherm'\nfrom infotherm.cli import main\nmain()")
+
+
+@pytest.mark.parametrize("argv, status", [
+    (CASES["gas_entropy"][0], 0),
+    (CASES["ledger_check"][0], 1),
+    (["ledger", "check", "--entropy", "5"], 2),
+], ids=["report", "violated", "usage-error"])
+def test_main_ends_with_the_heap_frozen(argv, status, tmp_path):
+    proc = python(MAIN_FREEZES, *argv, cwd=tmp_path)
+    assert proc.returncode == status
+    assert proc.stderr.splitlines()[-1] == b"True"
+
+
+def test_import_freezes_nothing(tmp_path):
+    proc = python("import gc, sys, infotherm.cli; sys.exit(gc.get_freeze_count())", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    CASES["gas_entropy"][0],
+    ["ledger", "check", "--entropy", "5"],
+    ["gas", "temperature", "--length", "1000", "--excited", "100", "--epsilon", "1e-320"],
+], ids=["report", "usage-error", "input-error"])
+def test_run_leaves_the_collector_alone(argv):
+    before = gc.get_freeze_count(), gc.isenabled()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        cli.run(argv)
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+UNBUFFERED = pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+
+
+def _write_error(code: int) -> str:
+    """The one line on stderr for a report that stdout cannot take."""
+    return f"infotherm: error: {OSError(code, os.strerror(code))}\n"
+
+
+class _FullStream(io.StringIO):
+    def flush(self) -> None:
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_run_reports_a_report_it_cannot_write():
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_FullStream()), contextlib.redirect_stderr(err):
+        assert cli.run(CASES["gas_entropy"][0]) == 2
+    assert err.getvalue() == _write_error(errno.ENOSPC)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@UNBUFFERED
+def test_report_to_a_full_device_is_an_error(unbuffered, tmp_path):
+    with open("/dev/full", "wb") as full:
+        proc = python_m(*CASES["gas_entropy"][0], cwd=tmp_path, stdout=full,
+                        PYTHONUNBUFFERED=unbuffered)
+    assert (proc.returncode, proc.stderr) == (2, _write_error(errno.ENOSPC).encode())
+
+
+@UNBUFFERED
+def test_report_to_a_closed_pipe_is_an_error(unbuffered, tmp_path):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = python_m(*CASES["gas_entropy"][0], cwd=tmp_path, stdout=write,
+                        PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, _write_error(errno.EPIPE).encode())
