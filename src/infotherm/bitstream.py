@@ -10,7 +10,8 @@ difference.
 Two information estimates are reported side by side and neither is
 privileged: the iid plug-in L*H(n/L), and an order-k conditional
 block-entropy rate that sees bit-to-bit correlations the iid estimate
-cannot.
+cannot. Both, and the test, come from ``filescan``, which scans a stream's
+packed bytes and counts its windows here as it does for a file.
 """
 
 from __future__ import annotations
@@ -24,24 +25,17 @@ import numpy as np
 
 from . import filescan
 from .core import Validated
-from .filescan import (  # noqa: F401  (re-exported; these need no numpy)
-    _REVERSED as _REVERSED_BYTES, BIT_ORDERS, GENERATOR_KINDS, MAX_INT_ORDER, MAX_MARKOV_ORDER,
-    MIN_SAMPLES_PER_CONTEXT, MIN_TEST_LENGTH, ORDERED, RANDOM, UNDECIDED, FileStats,
-    _check_bit_order, _check_order, _verdict, analyze_file, average_nat_energy, binary_entropy,
-    file_heat_and_entropy, file_temperature, window_rate)
-from .rng import random_words, splitmix64
+from .filescan import (GENERATOR_KINDS, MIN_SAMPLES_PER_CONTEXT, MIN_TEST_LENGTH, _check_bit_order,
+                       _check_order, _Scanner, _verdict, binary_entropy)
+from .rng import random_words
 
 #: Words the generators draw at a time, a multiple of 8: the words and
 #: their compare flags stay in L2 cache, and ``write_generated`` writes
 #: each packed block as it is drawn.
 _BLOCK = 1 << 14
 
-#: Count-table bins the rate folds at a time, an even number: its
-#: temporaries, a few times this many float64s, stay below the scanner's.
-_FOLD = 1 << 12
-
 #: Each byte value with its bit order reversed.
-_REVERSED = np.frombuffer(_REVERSED_BYTES, dtype=np.uint8)
+_REVERSED = np.frombuffer(filescan._REVERSED, dtype=np.uint8)
 
 
 def _integers_upto(values: np.ndarray, top: int) -> bool:
@@ -122,96 +116,6 @@ def _moments(stream: Bitstream, windows=None) -> tuple[int, int, int, int, int]:
     return filescan._scan(_slices(stream.packed), windows, -stream.length % 8)
 
 
-class _Scanner:
-    """The cyclic (k+1)-bit window counts of a stream, at ``order`` k >= 1,
-    from its packed bytes fed in order in chunks of any size.
-
-    The window at bit 8j + s is bits s..s+k of the big-endian key of bytes
-    j, j+1 (and j+2 when k > 8): one shift and mask. Each chunk is counted
-    behind the key-length bytes held in ``tail``, at every byte whose key
-    it completes, and leaves its last key-length bytes there; their
-    windows, and the wrap to the first bytes kept in ``head``, are counted
-    by ``window_counts``. 16-bit keys go into a key histogram that is
-    summed down to each offset's windows at the end; 24-bit keys are cut
-    into each offset's windows and counted.
-    """
-
-    def __init__(self, order: int):
-        self.order = order
-        self.key_bytes = 2 if order <= 8 else 3
-        self.counts = np.zeros(1 << (16 if self.key_bytes == 2 else order + 1), dtype=np.int64)
-        self.head = self.tail = np.zeros(0, dtype=np.uint8)
-
-    def feed(self, chunk, y: int | None = None) -> None:
-        """Take the next bytes of the stream, non-empty, which the caller may
-        overwrite once this returns; ``y``, the same bytes as an int, is
-        for the int counter."""
-        src = np.concatenate([self.tail, np.frombuffer(chunk, dtype=np.uint8)])
-        if self.head.size < 2:
-            self.head = src[:2]
-        self.tail, starts = src[-self.key_bytes :], src.size - self.key_bytes
-        if starts <= 0:
-            return
-        keys = src[:starts].astype(np.int64)
-        for i in range(1, self.key_bytes):
-            keys <<= 8
-            keys |= src[i : i + starts]
-        if self.key_bytes == 2:
-            np.add.at(self.counts, keys, 1)
-            return
-        width = self.order + 1
-        windows = np.empty_like(keys)
-        for s in range(8):
-            np.right_shift(keys, 24 - width - s, out=windows)
-            windows &= (1 << width) - 1
-            np.add.at(self.counts, windows, 1)
-
-    def window_counts(self, length: int) -> np.ndarray:
-        """How often each cyclic window occurs in the ``length`` bits fed
-        (length >= order + 1), indexed by the window read MSB-first. The
-        windows that start in ``tail`` are read, one int each, off its
-        bits past the padding followed by the stream's first ``order``
-        bits. Call once: the table is completed in place."""
-        k, counts = self.order, self.counts
-        if self.key_bytes == 2:
-            counts = sum(counts.reshape(1 << s, 2 << k, -1).sum(axis=(0, 2)) for s in range(8))
-        pad, first = -length % 8, int.from_bytes(self.head, "big") >> (8 * self.head.size - k)
-        held = 8 * self.tail.size - pad
-        wrap = int.from_bytes(self.tail, "big") >> pad << k | first
-        for s in range(held):
-            counts[wrap >> (held - 1 - s) & ((2 << k) - 1)] += 1
-        return counts
-
-    def rate(self, length: int) -> float:
-        """The conditional rate, nats/bit, of the ``length`` bits fed. Up to
-        ``MAX_INT_ORDER`` it is ``window_rate`` of the counts, as the int
-        counter's is.
-
-        Above, the terms n(x) ln(n(context) / n(x)) of the windows x seen
-        are computed ``_FOLD`` bins at a time and written in order over the
-        count table itself, viewed as float64: a block's terms take no more
-        slots than its bins, so the writes never pass a bin still to be
-        read. The terms end up contiguous and in bin order, so their numpy
-        sum is the one an array of their own would give, bit for bit.
-        """
-        counts = self.window_counts(length)
-        if self.order <= MAX_INT_ORDER:
-            return window_rate(counts.tolist(), length)
-        terms = counts.view(np.float64)
-        done = 0
-        for i in range(0, counts.size, _FOLD):
-            block = counts[i : i + _FOLD]
-            seen = block > 0
-            context = block.reshape(-1, 2).sum(axis=1).repeat(2)[seen].astype(np.float64)
-            n = block[seen].astype(np.float64)
-            out = terms[done : done + n.size]
-            np.log(context, out=out)
-            out -= np.log(n)
-            out *= n
-            done += n.size
-        return float(terms[:done].sum() / length)
-
-
 class GeneratorSpec(Validated, namedtuple("GeneratorSpec", "kind length seed p q",
                                           defaults=(0, None, None))):
     """Recipe for a synthetic corpus.
@@ -274,7 +178,7 @@ def _blocks(spec: GeneratorSpec) -> Iterator[np.ndarray]:
         np.less(top, threshold, out=block)
         if markov:
             if start == 0:
-                block[0] = (splitmix64(spec.seed, 1) >> 11) < _threshold(0.5)
+                block[0] = top[0] < _threshold(0.5)
             np.logical_xor.accumulate(block, out=block)
             if carry:
                 np.logical_not(block, out=block)
@@ -394,7 +298,7 @@ def randomness_test(stream: Bitstream) -> str:
     return _verdict(L, moments[1], filescan._lag1(*moments))
 
 
-def analyze(stream: Bitstream, markov_order: int = 3) -> FileStats:
+def analyze(stream: Bitstream, markov_order: int = 3) -> filescan.FileStats:
     """Full per-stream statistics.
 
     The order-k conditional rate is only reported when the stream offers

@@ -20,7 +20,7 @@ are input errors. Output is deterministic: the same argv (seeds
 included) yields byte-identical text, JSON, and CSV.
 
 Exit codes: 0 success, 1 a thermodynamic verdict came back violated,
-2 usage or input error, or a report that cannot be written.
+2 usage or input error, or a report or help that cannot be written.
 """
 
 from __future__ import annotations
@@ -146,9 +146,9 @@ def _add_units(parser: argparse.ArgumentParser) -> None:
 # its report lists them, and a handler. ``run`` builds each report from
 # the parse: command words, unit mode and inputs. A handler only computes
 # and adds results and verdicts. Each imports the modules it uses when it
-# runs, so a command loads only its own: the bit statistics of ``file``,
-# ``broadcast`` and the ledgers come from the numpy-free ``filescan``, and
-# ``generate`` and the scans it hands on import ``bitstream`` and numpy.
+# runs, so a command loads only its own: the bit statistics of ``file``
+# and ``broadcast`` come from ``filescan``, which loads numpy only for its
+# array counter, and ``generate`` imports ``bitstream`` and numpy.
 
 def _gas_entropy_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--length", type=int, required=True)
@@ -493,6 +493,21 @@ _COMMANDS = {
 
 # --- parser ---------------------------------------------------------------
 
+def _write(text: str) -> None:
+    """Write a report or help to stdout and flush, raising what ``run`` reports."""
+    sys.stdout.write(text)
+    sys.stdout.flush()
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that writes help with ``_write``, where argparse drops a failed write."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        _write(message)
+
+
 #: The dest of the command word at each depth.
 _DESTS = ("command", "subcommand")
 
@@ -543,8 +558,7 @@ def _parsers(leaf: tuple[str, ...] | None) -> tuple[argparse.ArgumentParser,
                                                      argparse.ArgumentParser | None]:
     """The parser of the whole command tree, or, given the words of one
     command, of only the parsers on the path to it; and that command's."""
-    parser = argparse.ArgumentParser(prog="infotherm",
-                                     description="thermodynamics of two-level gases and binary files")
+    parser = _Parser(prog="infotherm", description="thermodynamics of two-level gases and binary files")
     return parser, _add_commands(parser, (), leaf)
 
 
@@ -642,8 +656,7 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         report = _report(command, leaf, args)
         args.handler(args, report)
-        sys.stdout.write(report.to_json() if args.json else report.to_text())
-        sys.stdout.flush()
+        _write(report.to_json() if args.json else report.to_text())
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, OverflowError, OSError) as exc:
@@ -655,12 +668,12 @@ def run(argv: list[str]) -> int:
 def main() -> None:
     """The process entry: run the command in argv and exit with its status.
 
-    A report that stdout could not take (a full disk, a closed pipe) is
-    left in its buffer, and ``run`` has reported it; fd 1 then points at
-    the null device, so the flush at interpreter exit has nowhere to fail
-    again. Last, the heap is frozen: the interpreter's shutdown collections
-    skip frozen objects, and they would only sweep a heap the process is
-    about to drop. Every file a command writes is closed by then, so no
+    A report or help that stdout could not take (a full disk, a closed
+    pipe) is left in its buffer, and ``run`` has reported it; fd 1 then
+    points at the null device, so the flush at interpreter exit has nowhere
+    to fail again. Last, the heap is frozen: the interpreter's shutdown
+    collections skip frozen objects, and they would only sweep a heap the
+    process is about to drop. Every file a command writes is closed by then, so no
     finalizer is left to run; atexit, the stream flush and module teardown
     still do.
     """

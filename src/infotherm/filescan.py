@@ -1,11 +1,11 @@
-"""The numpy-free bit layer: reading a stream, its statistics, and closed forms.
+"""The bit layer: reading a stream, its statistics, and closed forms.
 
 A random file of L bits at bit energy eps carries heat L eps / 2 and
 entropy k L ln 2, so its temperature is eps / (2 k ln 2). These closed
 forms, the verdict and option names, the ``FileStats`` summary that the
-ledgers read and the scan below need no arrays; this module imports no
-numpy, so the commands built on it start without it. ``bitstream`` holds
-the array code (generators, file I/O, estimators) and re-exports them.
+ledgers read, the scan and both window counters live here; only the array
+counter imports numpy, when it is built. ``bitstream`` holds the streams
+in memory (generators, file I/O, estimators) and scans them with these.
 
 ``_scan`` is the one pass over a stream, a file read ``_CHUNK`` bytes at a
 time into one buffer or a stream in memory. It takes each chunk as one
@@ -16,7 +16,7 @@ one. ``_Windows`` counts with ints, by a product tree: level j splits each
 window mask by bit j of the window, ANDing it with the stream shifted into
 line, and the popcounts of the 2^(k+1) leaves are the counts. Its cost
 grows with the file and doubles with each order, while the array counter's
-(``bitstream._Scanner``) is mostly the numpy import, so ``analyze_file``
+(``_Scanner``) is mostly the numpy import, so ``analyze_file``
 counts with ints only up to ``MAX_INT_ORDER`` and within ``_INT_BUDGET``.
 Either way the rate comes from ``window_rate`` up to that order and from
 the array fold above it, so the statistics equal ``analyze`` of the stream
@@ -62,6 +62,10 @@ _INT_BUDGET = 1 << 29
 
 #: Bytes read at a time, into one buffer.
 _CHUNK = 1 << 14
+
+#: Count-table bins the array rate folds at a time, an even number: its
+#: temporaries, a few times this many float64s, stay below the counter's.
+_FOLD = 1 << 12
 
 #: Each byte value with its bit order reversed.
 _REVERSED = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
@@ -198,6 +202,102 @@ class _Windows:
         return window_rate(self.window_counts(length), length)
 
 
+class _Scanner:
+    """The cyclic (k+1)-bit window counts of a stream, at ``order`` k >= 1,
+    from its packed bytes fed in order in chunks of any size, with numpy.
+
+    The window at bit 8j + s is bits s..s+k of the big-endian key of bytes
+    j, j+1 (and j+2 when k > 8): one shift and mask. Each chunk is counted
+    behind the key-length bytes held in ``tail``, at every byte whose key
+    it completes, and leaves its last key-length bytes there; their
+    windows, and the wrap to the first bytes kept in ``head``, are counted
+    by ``window_counts``. 16-bit keys go into a key histogram that is
+    summed down to each offset's windows at the end; 24-bit keys are cut
+    into each offset's windows and counted.
+    """
+
+    def __init__(self, order: int):
+        import numpy as np
+
+        self.order = order
+        self.key_bytes = 2 if order <= 8 else 3
+        self.counts = np.zeros(1 << (16 if self.key_bytes == 2 else order + 1), dtype=np.int64)
+        self.head = self.tail = np.zeros(0, dtype=np.uint8)
+
+    def feed(self, chunk, y: int | None = None) -> None:
+        """Take the next bytes of the stream, non-empty, which the caller may
+        overwrite once this returns; ``y``, the same bytes as an int, is
+        for the int counter."""
+        import numpy as np
+
+        src = np.concatenate([self.tail, np.frombuffer(chunk, dtype=np.uint8)])
+        if self.head.size < 2:
+            self.head = src[:2]
+        self.tail, starts = src[-self.key_bytes :], src.size - self.key_bytes
+        if starts <= 0:
+            return
+        keys = src[:starts].astype(np.int64)
+        for i in range(1, self.key_bytes):
+            keys <<= 8
+            keys |= src[i : i + starts]
+        if self.key_bytes == 2:
+            np.add.at(self.counts, keys, 1)
+            return
+        width = self.order + 1
+        windows = np.empty_like(keys)
+        for s in range(8):
+            np.right_shift(keys, 24 - width - s, out=windows)
+            windows &= (1 << width) - 1
+            np.add.at(self.counts, windows, 1)
+
+    def window_counts(self, length: int):
+        """How often each cyclic window occurs in the ``length`` bits fed
+        (length >= order + 1), an array indexed by the window read MSB-first.
+        The windows that start in ``tail`` are read, one int each, off its
+        bits past the padding followed by the stream's first ``order`` bits.
+        Call once: the table is completed in place."""
+        k, counts = self.order, self.counts
+        if self.key_bytes == 2:
+            counts = sum(counts.reshape(1 << s, 2 << k, -1).sum(axis=(0, 2)) for s in range(8))
+        pad, first = -length % 8, int.from_bytes(self.head, "big") >> (8 * self.head.size - k)
+        held = 8 * self.tail.size - pad
+        wrap = int.from_bytes(self.tail, "big") >> pad << k | first
+        for s in range(held):
+            counts[wrap >> (held - 1 - s) & ((2 << k) - 1)] += 1
+        return counts
+
+    def rate(self, length: int) -> float:
+        """The conditional rate, nats/bit, of the ``length`` bits fed. Up to
+        ``MAX_INT_ORDER`` it is ``window_rate`` of the counts, as the int
+        counter's is.
+
+        Above, the terms n(x) ln(n(context) / n(x)) of the windows x seen
+        are computed ``_FOLD`` bins at a time and written in order over the
+        count table itself, viewed as float64: a block's terms take no more
+        slots than its bins, so the writes never pass a bin still to be
+        read. The terms end up contiguous and in bin order, so their numpy
+        sum is the one an array of their own would give, bit for bit.
+        """
+        import numpy as np
+
+        counts = self.window_counts(length)
+        if self.order <= MAX_INT_ORDER:
+            return window_rate(counts.tolist(), length)
+        terms = counts.view(np.float64)
+        done = 0
+        for i in range(0, counts.size, _FOLD):
+            block = counts[i : i + _FOLD]
+            seen = block > 0
+            context = block.reshape(-1, 2).sum(axis=1).repeat(2)[seen].astype(np.float64)
+            n = block[seen].astype(np.float64)
+            out = terms[done : done + n.size]
+            np.log(context, out=out)
+            out -= np.log(n)
+            out *= n
+            done += n.size
+        return float(terms[:done].sum() / length)
+
+
 def _read(path: str | os.PathLike, bit_order: str) -> Iterator[bytearray]:
     """The bytes of a file, read ``_CHUNK`` at a time into one buffer and
     bit-reversed for ``lsb_first``."""
@@ -242,8 +342,6 @@ def analyze_file(path: str | os.PathLike, markov_order: int = 3,
     elif k <= MAX_INT_ORDER and bits is not None and bits << k <= _INT_BUDGET:
         windows = _Windows(k)
     else:
-        from .bitstream import _Scanner
-
         windows = _Scanner(k)
     length, *moments = _scan(_read(path, bit_order), windows)
     if not length:

@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 from .core import (LN2, REDUCED, Energy, Entropy, Information, PhysConstants, Temperature,
                    clausius_verdict, require_normal)
-from .filescan import RANDOM, FileStats, file_temperature
 
 
 class BroadcastResult(NamedTuple):
@@ -55,12 +54,13 @@ class CombinedLedger(NamedTuple):
 
 
 def broadcast_balance(
-    stats: FileStats,
+    stats,
     epsilon_hot: float,
     n_receivers: int,
     consts: PhysConstants = REDUCED,
 ) -> BroadcastResult:
-    """Audit broadcasting the analyzed file to ``n_receivers`` antennas.
+    """Audit broadcasting the analyzed file, ``stats`` a ``filescan.FileStats``,
+    to ``n_receivers`` antennas.
 
     A random (equilibrium) file carries the full dI = L ln 2; otherwise
     dI is the order-k conditional-rate estimate times L, which is what
@@ -71,6 +71,8 @@ def broadcast_balance(
     overflows, or a cold temperature T_hot/N outside float64's normal
     range, are input errors.
     """
+    from .filescan import RANDOM, file_temperature
+
     if n_receivers < 1:
         raise ValueError("receiver count must be at least 1")
     if not epsilon_hot > 0:

@@ -18,14 +18,12 @@ import pytest
 from infotherm.bitstream import (
     GeneratorSpec,
     analyze,
-    average_nat_energy,
-    file_heat_and_entropy,
-    file_temperature,
     generate,
     randomness_test,
     write_bitstream,
 )
 from infotherm.core import K_BOLTZMANN_SI
+from infotherm.filescan import average_nat_energy, file_heat_and_entropy, file_temperature
 from infotherm.fiber import (
     FiberChainConfig,
     amplifier_entropy_balance,

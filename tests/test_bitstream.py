@@ -13,18 +13,20 @@ from infotherm.bitstream import (
     Bitstream,
     GeneratorSpec,
     analyze,
-    analyze_file,
-    average_nat_energy,
-    binary_entropy,
     conditional_entropy_rate,
-    file_heat_and_entropy,
-    file_temperature,
     generate,
     lag1_autocorrelation,
     randomness_test,
     read_bitstream,
     write_bitstream,
     write_generated,
+)
+from infotherm.filescan import (
+    analyze_file,
+    average_nat_energy,
+    binary_entropy,
+    file_heat_and_entropy,
+    file_temperature,
 )
 from infotherm.rng import uniforms
 
@@ -356,7 +358,7 @@ def reference_window_counts(bits, order):
 
 def scanned_window_counts(stream, order):
     """The array counter's cyclic (order+1)-gram counts, fed ``_CHUNK`` bytes at a time."""
-    windows = bitstream._Scanner(order)
+    windows = filescan._Scanner(order)
     for chunk in bitstream._slices(stream.packed):
         windows.feed(chunk)
     return windows.window_counts(stream.length)
@@ -370,7 +372,7 @@ def reference_conditional_entropy_rate(bits, order):
     numpy's pairwise sum and ``fsum``.)"""
     if order == 0:
         return binary_entropy(float(bits.mean()))
-    if order <= bitstream.MAX_INT_ORDER:
+    if order <= filescan.MAX_INT_ORDER:
         counts = reference_window_counts(bits, order).tolist()
         terms = [n * (math.log(counts[x & ~1] + counts[x | 1]) - math.log(n))
                  for x, n in enumerate(counts) if n]
@@ -637,8 +639,8 @@ def test_ints_count_files_within_the_budget_at_the_int_orders(order, tmp_path, m
     path = tmp_path / "data.bin"
     path.write_bytes(bytes(range(256)))
     built = []
-    monkeypatch.setattr(bitstream._Scanner, "__init__",
-                        lambda self, k, init=bitstream._Scanner.__init__: built.append(k) or init(self, k))
+    monkeypatch.setattr(filescan._Scanner, "__init__",
+                        lambda self, k, init=filescan._Scanner.__init__: built.append(k) or init(self, k))
     work = 8 * 256 << order
     for budget in (work, work - 1, 0):
         monkeypatch.setattr(filescan, "_INT_BUDGET", budget)
@@ -687,7 +689,7 @@ def test_int_scanner_counts_what_the_array_scanner_counts(seam_file, size, order
     seam_file.write_bytes((packed if bit_order == "msb_first" else bitstream._REVERSED[packed]).tobytes())
     expected = (bits.size, int(bits.sum()), int((bits[:-1] & bits[1:]).sum()), int(bits[0]),
                 int(bits[-1]))
-    for counter in (filescan._Windows, bitstream._Scanner):
+    for counter in (filescan._Windows, filescan._Scanner):
         windows = counter(order) if order else None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(filescan, "_CHUNK", chunk)

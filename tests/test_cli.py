@@ -89,7 +89,7 @@ def test_broadcast_verdict_is_the_records(random_file, monkeypatch, capsys, infl
     def analyze_file(path, markov_order=3, bit_order="msb_first"):
         stats = real_analyze(path, markov_order, bit_order)
         if inflated:
-            stats = stats._replace(equilibrium=bitstream.ORDERED, info_rate_markov=0.8)
+            stats = stats._replace(equilibrium=filescan.ORDERED, info_rate_markov=0.8)
         return stats
 
     monkeypatch.setattr(filescan, "analyze_file", analyze_file)
@@ -133,7 +133,7 @@ def test_broadcast_clausius_verdict_can_fail(random_file, monkeypatch, capsys):
 
     def inflated(path, markov_order=3, bit_order="msb_first"):
         stats = real_analyze(path, markov_order, bit_order)
-        return stats._replace(equilibrium=bitstream.ORDERED, info_rate_markov=0.8)
+        return stats._replace(equilibrium=filescan.ORDERED, info_rate_markov=0.8)
 
     monkeypatch.setattr(filescan, "analyze_file", inflated)
     status, out = run_capture(["broadcast", "--file", str(random_file), "--receivers", "3"], capsys)
@@ -624,6 +624,22 @@ def test_config_file_supplies_flags(tmp_path, capsys):
     assert doc["results"]["f_max"]["value"] == landauer.max_bit_rate(1e-9, 300.0, 10.0)
 
 
+def test_config_skips_comments_and_blank_lines(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("# the device\n\n  power = 1e-9\n   \n# noise-temp=1\nnoise-temp=300\n")
+    status, out = run_capture(["landauer", "--config", str(config), "--json"], capsys)
+    assert status == 0
+    assert json.loads(out)["inputs"] == {"power": 1e-9, "noise_temp": 300.0, "margin": 10.0,
+                                         "bit_rate": None}
+
+
+def test_config_line_without_equals_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("power=1e-9\nnoise-temp 300\n")
+    assert cli.run(["landauer", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"infotherm: error: {config}:2: expected key=value\n"
+
+
 def test_config_flags_win(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("noise-temp=77\n")
@@ -674,6 +690,17 @@ def test_config_token_as_option_value_is_not_the_flag(tmp_path, capsys):
                     "--out", "--config", str(missing)]) == 2
     err = capsys.readouterr().err
     assert "--out: expected one argument" in err
+    assert "No such file" not in err
+
+
+def test_config_after_double_dash_is_not_the_flag(tmp_path, capsys):
+    """Every token after ``--`` is positional, so a ``--config`` there is
+    not read: argparse reports it as an unrecognized argument."""
+    missing = tmp_path / "missing.cfg"
+    assert cli.run(["ledger", "check", "--entropy", "5", "--info", "1", "--",
+                    "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: -- --config" in err
     assert "No such file" not in err
 
 

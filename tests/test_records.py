@@ -5,7 +5,8 @@ Result records are ``typing.NamedTuple`` classes; ``PhysConstants``,
 are named tuples that check their fields when built; ``Bitstream`` is a
 slotted class around its packed bytes. Each is immutable. The named tuples
 compare by value, as the tuples they are, in a pinned field order; a
-``Bitstream`` is equal only to itself.
+``Bitstream`` is equal only to itself. The functions that take plain
+numbers check them as the types check their fields, with pinned messages.
 """
 
 import math
@@ -13,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from infotherm import bitstream, core, fiber, ledger, twolevel
+from infotherm import bitstream, core, fiber, filescan, landauer, ledger, rng, twolevel
 
 
 def _stats():
@@ -71,6 +72,8 @@ def test_fields_cannot_be_set(name):
         setattr(value, fields[0], getattr(value, fields[0]))
     with pytest.raises(AttributeError):
         value.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(value, fields[0])
 
 
 @pytest.mark.parametrize("name", NAMED_TUPLES)
@@ -136,10 +139,37 @@ CHAIN = fiber.FiberChainConfig(1.0, 0.1, 1.0, 1, 1)
     (lambda: bitstream.Bitstream(np.array([256]), 8), "packed bytes must be integers in [0, 255]"),
     (lambda: bitstream.Bitstream(np.array([1], np.uint8), 7),
      "the padding bits of the last byte must be 0"),
+    (lambda: bitstream.Bitstream(np.array(["a"]), 8), "packed bytes must be integers in [0, 255]"),
 ])
 def test_validated_types_reject_bad_fields(build, message):
     """Building a value, or replacing its fields, checks them; each message
     is pinned."""
     with pytest.raises(ValueError) as info:
         build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fiber.amplifier_work(0.0, 2.0, 1.0), "heat read must be positive"),
+    (lambda: fiber.amplifier_entropy_balance(1.0, 0.0, 1.0, 0.0), "temperatures must be positive"),
+    (lambda: fiber.amplifier_entropy_balance(-1.0, 2.0, 1.0, 0.0),
+     "heat and work must be non-negative"),
+    (lambda: filescan.binary_entropy(1.5), "probability must lie in [0, 1]"),
+    (lambda: filescan.average_nat_energy(0.0), "bit energy must be positive"),
+    (lambda: filescan.file_heat_and_entropy(8, 0.0), "bit energy must be positive"),
+    (lambda: filescan.analyze_file("data.bin", 3, "middle_first"),
+     "bit_order must be one of ('msb_first', 'lsb_first')"),
+    (lambda: landauer.max_bit_rate(0.0, 300.0), "power must be positive"),
+    (lambda: landauer.energy_per_bit(0.0, 1.0), "power must be positive"),
+    (lambda: landauer.energy_per_bit(1.0, 0.0), "bit rate must be positive"),
+    (lambda: ledger.combined_balance(-1.0, 1.0, 0.0, 0.0), "heat must be non-negative"),
+    (lambda: rng.random_words(0, -1), "count must be non-negative"),
+    (lambda: twolevel.occupation_from_temperature(0, 1.0, 1.0), "state count must be at least 1"),
+    (lambda: twolevel.occupation_from_temperature(10, 0.0, 1.0), "level energy must be positive"),
+    (lambda: twolevel.transfer_balance(0, 1, 1), "state count must be at least 1"),
+    (lambda: twolevel.transfer_balance(10, 3, 1, 0.0), "level energy must be positive"),
+])
+def test_functions_reject_bad_inputs(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
     assert str(info.value) == message

@@ -1,20 +1,21 @@
 """What importing the package and starting a command load.
 
-Only the array code imports numpy: ``bitstream``, behind ``generate`` and
-behind ``file`` and ``broadcast`` when they count windows above
-``filescan.MAX_INT_ORDER``, past its int budget or from a pipe, and the
-Metropolis chain behind ``gas metropolis``. Every closed-form command runs
-in a fresh interpreter without it, with the same stdout and exit status as
-its golden, and so do ``file`` and ``broadcast`` at the default order, at
-order 0 and at an order too high for the file to report the rate. The
-package resolves every public name on first use, so importing it or the
-CLI loads no other ``infotherm`` module, and a command loads only the
-modules it runs.
+Only the array code imports numpy: ``bitstream``, behind ``generate``;
+``filescan``'s array counter, behind ``file`` and ``broadcast`` when they
+count windows above ``filescan.MAX_INT_ORDER``, past its int budget or
+from a pipe; and the Metropolis chain behind ``gas metropolis``. Every
+closed-form command runs in a fresh interpreter without it, with the same
+stdout and exit status as its golden, and so do ``file`` and ``broadcast``
+at the default order, at order 0 and at an order too high for the file to
+report the rate. The package resolves every public name on first use, so
+importing it or the CLI loads no other ``infotherm`` module, and a command
+loads only the modules it runs: the ledgers load no ``filescan``, and
+``file`` at any order loads neither ``bitstream`` nor ``rng``.
 
 The process path, ``python -m infotherm.cli`` through ``main()``, prints
 what ``run`` prints in process and exits with its status, then freezes
 the heap so that the shutdown collections have nothing to sweep. A report
-that stdout cannot take is an error, exit 2, not a verdict.
+or help that stdout cannot take is an error, exit 2, not a verdict.
 """
 
 import contextlib
@@ -44,12 +45,6 @@ CLOSED_FORM = ("gas_entropy", "gas_temperature", "gas_occupation", "gas_transfer
 #: Runs ``cli.run`` on argv, then reports on stderr whether numpy was imported.
 RUN_CLI = ("import sys; from infotherm.cli import run; status = run(sys.argv[1:]); "
            "print('numpy' in sys.modules, file=sys.stderr); sys.exit(status)")
-
-#: The names ``bitstream`` re-exports from its numpy-free part, ``filescan``.
-REEXPORTED = ("RANDOM", "ORDERED", "UNDECIDED", "GENERATOR_KINDS", "BIT_ORDERS", "FileStats",
-              "binary_entropy", "file_temperature", "average_nat_energy", "file_heat_and_entropy",
-              "MIN_TEST_LENGTH", "MIN_SAMPLES_PER_CONTEXT", "MAX_MARKOV_ORDER", "MAX_INT_ORDER",
-              "analyze_file", "window_rate", "_verdict")
 
 
 def _env(**overrides: str | None) -> dict[str, str]:
@@ -225,18 +220,25 @@ def test_cli_export_csv_is_fibers():
 #: The infotherm modules each command loads past the package and the CLI.
 COMMAND_MODULES = {
     "gas_entropy": {"core", "twolevel"},
-    "ledger_check": {"core", "filescan", "ledger"},
+    "ledger_check": {"core", "ledger"},
+    "ledger_combined": {"core", "ledger"},
     "landauer_noise": {"core", "landauer"},
     "fiber_efficiency": {"core", "fiber"},
     "file": {"core", "filescan"},
+    "file_o16": {"core", "filescan"},
     "broadcast": {"core", "filescan", "ledger"},
 }
+
+#: Commands of ``COMMAND_MODULES`` that no golden case runs.
+COMMAND_ARGV = {"file_o16": ["file", "wide.bin", "--markov-order", "16"]}
 
 
 @pytest.mark.parametrize("name", sorted(COMMAND_MODULES))
 def test_command_loads_only_its_modules(name, tmp_path):
     (tmp_path / "corpus.bin").write_bytes(DATA)
-    proc = python(LOADED, RUN_QUIET, *CASES[name][0], cwd=tmp_path)
+    (tmp_path / "wide.bin").write_bytes(WIDE)
+    argv = COMMAND_ARGV.get(name) or CASES[name][0]
+    proc = python(LOADED, RUN_QUIET, *argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.decode().split()[:-2])
     assert loaded == {"infotherm", "infotherm.cli"} | {
@@ -269,11 +271,6 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         infotherm.no_such_name
     assert not hasattr(infotherm, "Bitstream_")
-
-
-@pytest.mark.parametrize("name", REEXPORTED)
-def test_bitstream_reexports_the_numpy_free_names(name):
-    assert getattr(bitstream, name) is getattr(filescan, name)
 
 
 #: Runs ``cli.run`` on each JSON-encoded argv in sys.argv[1:], stdout
@@ -402,6 +399,25 @@ class _FullStream(io.StringIO):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
+def _to_full_device(argv: list[str], unbuffered: str | None, workdir: Path) -> tuple[int, bytes]:
+    """Status and stderr of ``main()`` on argv with stdout on /dev/full."""
+    with open("/dev/full", "wb") as full:
+        proc = python_m(*argv, cwd=workdir, stdout=full, PYTHONUNBUFFERED=unbuffered)
+    return proc.returncode, proc.stderr
+
+
+def _to_closed_pipe(argv: list[str], unbuffered: str | None, workdir: Path) -> tuple[int, bytes]:
+    """Status and stderr of ``main()`` on argv with stdout on a pipe whose
+    read end is closed."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = python_m(*argv, cwd=workdir, stdout=write, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write)
+    return proc.returncode, proc.stderr
+
+
 def test_run_reports_a_report_it_cannot_write():
     err = io.StringIO()
     with contextlib.redirect_stdout(_FullStream()), contextlib.redirect_stderr(err):
@@ -412,19 +428,36 @@ def test_run_reports_a_report_it_cannot_write():
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @UNBUFFERED
 def test_report_to_a_full_device_is_an_error(unbuffered, tmp_path):
-    with open("/dev/full", "wb") as full:
-        proc = python_m(*CASES["gas_entropy"][0], cwd=tmp_path, stdout=full,
-                        PYTHONUNBUFFERED=unbuffered)
-    assert (proc.returncode, proc.stderr) == (2, _write_error(errno.ENOSPC).encode())
+    status = _to_full_device(CASES["gas_entropy"][0], unbuffered, tmp_path)
+    assert status == (2, _write_error(errno.ENOSPC).encode())
 
 
 @UNBUFFERED
 def test_report_to_a_closed_pipe_is_an_error(unbuffered, tmp_path):
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        proc = python_m(*CASES["gas_entropy"][0], cwd=tmp_path, stdout=write,
-                        PYTHONUNBUFFERED=unbuffered)
-    finally:
-        os.close(write)
-    assert (proc.returncode, proc.stderr) == (2, _write_error(errno.EPIPE).encode())
+    status = _to_closed_pipe(CASES["gas_entropy"][0], unbuffered, tmp_path)
+    assert status == (2, _write_error(errno.EPIPE).encode())
+
+
+#: Help from the top parser and from a group's, which argparse writes itself.
+HELP = pytest.mark.parametrize("argv", [["--help"], ["gas", "--help"]], ids=["help", "gas-help"])
+
+
+@HELP
+def test_run_reports_help_it_cannot_write(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_FullStream()), contextlib.redirect_stderr(err):
+        assert cli.run(argv) == 2
+    assert err.getvalue() == _write_error(errno.ENOSPC)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@HELP
+@UNBUFFERED
+def test_help_to_a_full_device_is_an_error(argv, unbuffered, tmp_path):
+    assert _to_full_device(argv, unbuffered, tmp_path) == (2, _write_error(errno.ENOSPC).encode())
+
+
+@HELP
+@UNBUFFERED
+def test_help_to_a_closed_pipe_is_an_error(argv, unbuffered, tmp_path):
+    assert _to_closed_pipe(argv, unbuffered, tmp_path) == (2, _write_error(errno.EPIPE).encode())

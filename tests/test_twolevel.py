@@ -213,6 +213,14 @@ def test_temperature_numeric_rejects_symmetric_point():
         temperature_numeric(TwoLevelGas(20, 10))
 
 
+def test_temperature_numeric_diverges_where_the_entropy_difference_rounds_to_zero():
+    """In a gas of 10^17 states, ln W(n+1) and ln W(n-1) round to the same
+    float at n = L/2 - 1, though 2n != L: the temperature diverges there
+    instead of dividing by zero."""
+    with pytest.raises(InfiniteTemperatureError, match="entropy difference vanished"):
+        temperature_numeric(TwoLevelGas(10**17, 10**17 // 2 - 1))
+
+
 def test_temperature_numeric_rejects_boundary():
     with pytest.raises(ValueError, match="boundary"):
         temperature_numeric(TwoLevelGas(100, 0))
@@ -252,6 +260,7 @@ def test_occupation_from_temperature_value():
 def test_occupation_limits():
     assert occupation_from_temperature(1000, 1.0, 1e12) == pytest.approx(500.0, rel=1e-9)
     assert occupation_from_temperature(1000, 1.0, 1e-12) == 0.0
+    assert occupation_from_temperature(1000, 1.0, -1e-12) == 1000.0
 
 
 def test_occupation_rejects_zero_temperature():
