@@ -493,19 +493,15 @@ _COMMANDS = {
 
 # --- parser ---------------------------------------------------------------
 
-def _write(text: str) -> None:
-    """Write a report or help to stdout and flush, raising what ``run`` reports."""
-    sys.stdout.write(text)
-    sys.stdout.flush()
-
-
 class _Parser(argparse.ArgumentParser):
-    """A parser that writes help with ``_write``, where argparse drops a failed write."""
+    """A parser that writes and flushes help as ``run`` does a report, so a
+    failed write raises where argparse would drop it."""
 
     def _print_message(self, message: str, file=None) -> None:
         if file is not sys.stdout:
             return super()._print_message(message, file)
-        _write(message)
+        file.write(message)
+        file.flush()
 
 
 #: The dest of the command word at each depth.
@@ -558,7 +554,8 @@ def _parsers(leaf: tuple[str, ...] | None) -> tuple[argparse.ArgumentParser,
                                                      argparse.ArgumentParser | None]:
     """The parser of the whole command tree, or, given the words of one
     command, of only the parsers on the path to it; and that command's."""
-    parser = _Parser(prog="infotherm", description="thermodynamics of two-level gases and binary files")
+    parser = _Parser(prog="infotherm",
+                     description="thermodynamics of two-level gases and binary files")
     return parser, _add_commands(parser, (), leaf)
 
 
@@ -656,7 +653,8 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         report = _report(command, leaf, args)
         args.handler(args, report)
-        _write(report.to_json() if args.json else report.to_text())
+        sys.stdout.write(report.to_json() if args.json else report.to_text())
+        sys.stdout.flush()
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, OverflowError, OSError) as exc:
@@ -673,9 +671,9 @@ def main() -> None:
     points at the null device, so the flush at interpreter exit has nowhere
     to fail again. Last, the heap is frozen: the interpreter's shutdown
     collections skip frozen objects, and they would only sweep a heap the
-    process is about to drop. Every file a command writes is closed by then, so no
-    finalizer is left to run; atexit, the stream flush and module teardown
-    still do.
+    process is about to drop. Every file a command writes is closed by
+    then, so no finalizer is left to run; atexit, the stream flush and
+    module teardown still do.
     """
     status = run(sys.argv[1:])
     try:

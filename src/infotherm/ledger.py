@@ -15,10 +15,13 @@ dS >= k*dI in ledger form.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (LN2, REDUCED, Energy, Entropy, Information, PhysConstants, Temperature,
                    clausius_verdict, require_normal)
+
+if TYPE_CHECKING:
+    from .filescan import FileStats
 
 
 class BroadcastResult(NamedTuple):
@@ -54,13 +57,12 @@ class CombinedLedger(NamedTuple):
 
 
 def broadcast_balance(
-    stats,
+    stats: FileStats,
     epsilon_hot: float,
     n_receivers: int,
     consts: PhysConstants = REDUCED,
 ) -> BroadcastResult:
-    """Audit broadcasting the analyzed file, ``stats`` a ``filescan.FileStats``,
-    to ``n_receivers`` antennas.
+    """Audit broadcasting the analyzed file to ``n_receivers`` antennas.
 
     A random (equilibrium) file carries the full dI = L ln 2; otherwise
     dI is the order-k conditional-rate estimate times L, which is what
