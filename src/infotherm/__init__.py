@@ -7,7 +7,8 @@ computing power.
 
 Importing the package loads none of its modules. Each public name is
 looked up in the module that defines it when it is read, so a command
-loads only what it runs, and only the ``bitstream`` names import numpy.
+loads only what it runs, and only the ``bitstream`` names and
+``metropolis_sample`` import numpy.
 """
 
 import importlib

@@ -144,11 +144,13 @@ def _add_units(parser: argparse.ArgumentParser) -> None:
 #
 # Each command is a function that declares its own options, in the order
 # its report lists them, and a handler. ``run`` builds each report from
-# the parse: command words, unit mode and inputs. A handler only computes
-# and adds results and verdicts. Each imports the modules it uses when it
-# runs, so a command loads only its own: the bit statistics of ``file``
-# and ``broadcast`` come from ``filescan``, which loads numpy only for its
-# array counter, and ``generate`` imports ``bitstream`` and numpy.
+# the parse: command words, unit mode and inputs. A handler computes and
+# adds results and verdicts, and edits no input but two: ``broadcast``
+# drops ``bit_order`` and ``fiber amplifier`` sets ``work``. Each imports
+# the modules it uses when it runs, so a command loads only its own: the
+# bit statistics of ``file`` and ``broadcast`` come from ``filescan``,
+# which loads numpy only for its array counter, and ``generate`` imports
+# ``bitstream`` and numpy.
 
 def _gas_entropy_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--length", type=int, required=True)
@@ -439,15 +441,14 @@ def _landauer_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noise-temp", type=_finite, default=None, help="kelvin")
     p.add_argument("--margin", type=_finite, default=DEFAULT_MARGIN)
     p.add_argument("--bit-rate", type=_finite, default=None, help="1/s")
+    p.set_defaults(units="si")
 
 
 def _cmd_landauer(args, report: Report) -> None:
     if args.noise_temp is None and args.bit_rate is None:
         raise ValueError("landauer needs --noise-temp and/or --bit-rate")
     from . import landauer
-    from .core import SI
 
-    report.consts = SI
     if args.bit_rate is not None:
         report.add("device_temperature", landauer.device_temperature(args.power, args.bit_rate))
         report.add("energy_per_bit", landauer.energy_per_bit(args.power, args.bit_rate))

@@ -50,10 +50,7 @@ def log_multiplicity(length: int, excited: int) -> float:
     with brute-force subset counts for every L <= 20 (see tests). For
     64 min(n, L-n) < L the difference would cancel; Stirling's series does not.
     """
-    if length < 1:
-        raise ValueError("state count must be at least 1")
-    if not 0 <= excited <= length:
-        raise ValueError("excited count must lie in [0, L]")
+    TwoLevelGas(length, excited)  # checks L and n
     # evaluate at min(n, L-n) so the n <-> L-n symmetry is bit-exact
     m = min(excited, length - excited)
     if 64 * m < length:
@@ -106,7 +103,7 @@ def temperature_closed(gas: TwoLevelGas, consts: PhysConstants = REDUCED) -> Tem
     if log_ratio == 0.0:
         raise InfiniteTemperatureError("ln((L-n)/n) rounds to 0: temperature diverges")
     t = gas.epsilon / (consts.k_boltzmann * log_ratio)
-    require_normal(_inputs(gas), f"the closed-form temperature ({consts.mode} units)", t)
+    require_normal(gas._asdict(), f"the closed-form temperature ({consts.mode} units)", t)
     return Temperature(t)
 
 
@@ -129,26 +126,20 @@ def temperature_numeric(gas: TwoLevelGas, consts: PhysConstants = REDUCED) -> Te
     if ds == 0.0:
         raise InfiniteTemperatureError("entropy difference vanished; temperature diverges")
     t = 2.0 * gas.epsilon / (consts.k_boltzmann * ds)
-    require_normal(_inputs(gas), f"the finite-difference temperature ({consts.mode} units)", t)
+    require_normal(gas._asdict(), f"the finite-difference temperature ({consts.mode} units)", t)
     return Temperature(t)
-
-
-def _inputs(gas: TwoLevelGas) -> dict:
-    """The gas's fields by name, as an error message names them."""
-    return {"length": gas.length, "excited": gas.excited, "epsilon": gas.epsilon}
 
 
 def occupation_from_temperature(length: int, epsilon: float, temperature: float,
                                 consts: PhysConstants = REDUCED) -> float:
-    """Invert the occupation law: expected n = L / (1 + exp(eps/kT))."""
-    if length < 1:
-        raise ValueError("state count must be at least 1")
-    if not epsilon > 0:
-        raise ValueError("level energy must be positive")
+    """Invert the occupation law: expected n = L / (1 + exp(eps/kT)), or its
+    limit where kT rounds to 0: n = 0 for T > 0 and n = L for T < 0."""
+    TwoLevelGas(length, 0, epsilon)  # checks L and epsilon
     t = float(temperature)
     if t == 0:
         raise ValueError("zero temperature rejected")
-    x = epsilon / (consts.k_boltzmann * t)
+    kt = consts.k_boltzmann * t
+    x = epsilon / kt if kt else math.copysign(math.inf, t)
     if x > 700.0:
         return 0.0
     if x < -700.0:
@@ -195,10 +186,7 @@ def transfer_balance(
     roundings of each term, and the slack scales with the terms. A heat
     outside float64's normal range is an input error.
     """
-    if length < 1:
-        raise ValueError("state count must be at least 1")
-    if not epsilon > 0:
-        raise ValueError("level energy must be positive")
+    TwoLevelGas(length, 0, epsilon)  # checks L and epsilon
     for name, n in (("n_hot", n_hot), ("n_cold", n_cold)):
         if not 0 < n < length:
             raise ValueError(f"{name} must lie strictly between 0 and L")
@@ -387,8 +375,7 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
         raise ValueError("state count must be at least 10 for a meaningful chain")
     if length > _MAX_LENGTH:
         raise ValueError("state count must be at most 2**53 for an exact chain")
-    if not epsilon > 0:
-        raise ValueError("level energy must be positive")
+    TwoLevelGas(length, 0, epsilon)  # checks epsilon
     if not math.isfinite(epsilon):
         raise ValueError("level energy must be finite")
     x = epsilon / cfg.kT

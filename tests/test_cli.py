@@ -229,6 +229,21 @@ def test_si_mode_requires_joules_flag(argv, flag, random_file, capsys):
     assert f"--units si requires {flag}" in captured.err
 
 
+@pytest.mark.parametrize("temperature, expected", [
+    ("1e-320", 0.0), ("5e-324", 0.0), ("-1e-320", 1000.0), ("-5e-324", 1000.0)])
+def test_gas_occupation_where_kt_rounds_to_zero(temperature, expected, capsys):
+    """k_B T underflows to 0 in SI units: the report gives the law's limit,
+    as text and as JSON, and exits 0."""
+    argv = ["gas", "occupation", "--length", "1000", f"--temperature={temperature}",
+            "--units", "si", "--epsilon-joules", "2.87e-21"]
+    status, out = run_capture(argv, capsys)
+    assert status == 0
+    assert f"result  expected_n = {expected!r} 1\n" in out
+    status, out = run_capture(argv + ["--json"], capsys)
+    assert status == 0
+    assert json.loads(out)["results"]["expected_n"] == {"value": expected, "unit": "1"}
+
+
 def test_gas_metropolis_runs(capsys):
     status, out = run_capture(
         ["gas", "metropolis", "--length", "100", "--kt", "1.0", "--steps", "20000",

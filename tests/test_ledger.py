@@ -95,6 +95,17 @@ def test_broadcast_rejects_bad_inputs():
         broadcast_balance(stats, 0.0, 2)
 
 
+@pytest.mark.parametrize("epsilon, receivers, message", [
+    (0.0, 3, "bit energy must be positive"),
+    (0.0, 0, "receiver count must be at least 1"),
+])
+def test_broadcast_rejection_messages(epsilon, receivers, message):
+    """Each message is pinned, and the receiver count is checked first."""
+    with pytest.raises(ValueError) as info:
+        broadcast_balance(random_stats(), epsilon, receivers)
+    assert str(info.value) == message
+
+
 def test_broadcast_requires_estimate_for_nonrandom():
     """Ordered stream too short for the order-k rate: explicit failure."""
     stats = analyze(generate(GeneratorSpec(kind="alternating", length=256)), markov_order=3)

@@ -164,6 +164,10 @@ def test_validated_types_reject_bad_fields(build, message):
     (lambda: landauer.energy_per_bit(1.0, 0.0), "bit rate must be positive"),
     (lambda: ledger.combined_balance(-1.0, 1.0, 0.0, 0.0), "heat must be non-negative"),
     (lambda: rng.random_words(0, -1), "count must be non-negative"),
+    (lambda: twolevel.log_multiplicity(0, 0), "state count must be at least 1"),
+    (lambda: twolevel.log_multiplicity(5, 6), "excited count must lie in [0, L]"),
+    (lambda: twolevel.metropolis_sample(10, 0.0, twolevel.McConfig(100, 10, 1, 1.0)),
+     "level energy must be positive"),
     (lambda: twolevel.occupation_from_temperature(0, 1.0, 1.0), "state count must be at least 1"),
     (lambda: twolevel.occupation_from_temperature(10, 0.0, 1.0), "level energy must be positive"),
     (lambda: twolevel.transfer_balance(0, 1, 1), "state count must be at least 1"),

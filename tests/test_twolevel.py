@@ -261,6 +261,10 @@ def test_occupation_limits():
     assert occupation_from_temperature(1000, 1.0, 1e12) == pytest.approx(500.0, rel=1e-9)
     assert occupation_from_temperature(1000, 1.0, 1e-12) == 0.0
     assert occupation_from_temperature(1000, 1.0, -1e-12) == 1000.0
+    for t in (1e-320, 5e-324):  # k_B T rounds to 0 in SI units: the same limits
+        assert core.K_BOLTZMANN_SI * t == 0.0
+        assert occupation_from_temperature(1000, 2.87e-21, t, core.SI) == 0.0
+        assert occupation_from_temperature(1000, 2.87e-21, -t, core.SI) == 1000.0
 
 
 def test_occupation_rejects_zero_temperature():
