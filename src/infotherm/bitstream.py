@@ -16,7 +16,6 @@ packed bytes and counts its windows here as it does for a file.
 
 from __future__ import annotations
 
-import math
 import os
 from collections import namedtuple
 from collections.abc import Iterator
@@ -27,7 +26,7 @@ from . import filescan
 from .core import Validated
 from .filescan import (GENERATOR_KINDS, MIN_SAMPLES_PER_CONTEXT, MIN_TEST_LENGTH, _check_bit_order,
                        _check_order, _Scanner, _verdict, binary_entropy)
-from .rng import random_words
+from .rng import _threshold, _validate_seed, random_words
 
 #: Words the generators draw at a time, a multiple of 8: the words and
 #: their compare flags stay in L2 cache, and ``write_generated`` writes
@@ -136,21 +135,13 @@ class GeneratorSpec(Validated, namedtuple("GeneratorSpec", "kind length seed p q
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.length < 1:
             raise ValueError("length must be positive")
-        if not 0 <= self.seed <= 0xFFFFFFFFFFFFFFFF:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        _validate_seed(self.seed)
         if self.kind == "bernoulli":
             if self.p is None or not 0 <= self.p <= 1:
                 raise ValueError("bernoulli requires p in [0, 1]")
         if self.kind == "markov":
             if self.q is None or not 0 <= self.q <= 1:
                 raise ValueError("markov requires flip probability q in [0, 1]")
-
-
-def _threshold(p: float) -> int:
-    """The integer t with u < p exactly when (w >> 11) < t, for a stream
-    word w and its uniform u: u is the 53-bit integer w >> 11 times 2^-53,
-    and p * 2^53 is exact, so t = ceil(p * 2^53)."""
-    return math.ceil(p * 2.0**53)
 
 
 def _blocks(spec: GeneratorSpec) -> Iterator[np.ndarray]:

@@ -78,14 +78,14 @@ def broadcast_balance(
     if n_receivers < 1:
         raise ValueError("receiver count must be at least 1")
     t_hot = file_temperature(epsilon_hot, consts)
+    heat_entropy = stats.length * LN2
     if stats.equilibrium == RANDOM:
-        info = stats.length * LN2
+        info = heat_entropy
     else:
         if stats.info_rate_markov is None:
             raise ValueError(f"stream too short for the order-{stats.markov_order} information "
                              "estimate; re-analyze with a smaller markov order")
         info = stats.length * stats.info_rate_markov
-    heat_entropy = stats.length * LN2
     t_cold = t_hot / n_receivers
     require_normal({"epsilon": epsilon_hot, "receivers": n_receivers},
                    f"the cold temperature ({consts.mode} units) or the entropy the receivers "

@@ -19,6 +19,8 @@ corpus-generation and CLI determinism contracts require.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -73,3 +75,10 @@ def uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
     words = random_words(seed, count, offset)
     words >>= np.uint64(11)
     return words * _U53_INV
+
+
+def _threshold(p: float) -> int:
+    """The integer t with u < p exactly when (w >> 11) < t, for a stream
+    word w and its uniform u: u is the 53-bit integer w >> 11 times 2^-53,
+    and p * 2^53 is exact, so t = ceil(p * 2^53)."""
+    return math.ceil(p * 2.0**53)

@@ -369,7 +369,7 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
     """
     import numpy as np
 
-    from .rng import random_words
+    from .rng import _threshold, random_words
 
     if length < 10:
         raise ValueError("state count must be at least 10 for a meaningful chain")
@@ -380,7 +380,7 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
         raise ValueError("level energy must be finite")
     x = epsilon / cfg.kT
     accept_excite = math.exp(-x) if x < 700.0 else 0.0
-    threshold = np.uint64(math.ceil(accept_excite * 2.0**53))
+    threshold = np.uint64(_threshold(accept_excite))
     scale = length * 2.0**-53
 
     n = length // 2

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from infotherm import bitstream, core, filescan
+from infotherm import bitstream, core, filescan, rng
 from infotherm.bitstream import (
     Bitstream,
     GeneratorSpec,
@@ -406,11 +406,11 @@ def test_generate_matches_float_reference(kind, length, seed, p):
 @example(p=5e-324, m=1)
 @example(p=1 - 2.0**-53, m=2**53 - 2)
 @example(p=1 - 2.0**-53, m=2**53 - 1)
-@example(p=0.1, m=bitstream._threshold(0.1) - 1)
-@example(p=0.1, m=bitstream._threshold(0.1))
+@example(p=0.1, m=rng._threshold(0.1) - 1)
+@example(p=0.1, m=rng._threshold(0.1))
 def test_integer_threshold_is_float_compare(p, m):
     """(w >> 11) < ceil(p 2^53) is exactly u < p for u = (w >> 11) 2^-53."""
-    assert (m < bitstream._threshold(p)) == (m * 2.0**-53 < p)
+    assert (m < rng._threshold(p)) == (m * 2.0**-53 < p)
 
 
 @given(length=st.integers(min_value=1, max_value=70_000), order=st.integers(min_value=0, max_value=16),

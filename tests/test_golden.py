@@ -15,7 +15,8 @@ exit status of ``--help`` and of the usage errors, captured from the parser
 that built the whole command tree on every run. Help text depends on
 argparse's wording, which differs between Python versions, so the byte
 compare runs on the version they were captured with; on every version the
-CLI's help and errors must equal those of ``build_parser()``, the whole tree.
+CLI's help and errors must equal those of ``_parsers(None)[0]``, the whole
+tree.
 """
 
 import contextlib
@@ -188,7 +189,7 @@ def test_usage_matches_the_whole_tree(name, monkeypatch):
     case is left out: ``run``, not the parser, reads the file."""
     monkeypatch.setenv("COLUMNS", "80")
     argv = USAGE_CASES[name]
-    whole = _capture(lambda: cli.build_parser().parse_args(argv))
+    whole = _capture(lambda: cli._parsers(None)[0].parse_args(argv))
     if isinstance(whole[0], int):
         assert _capture(lambda: cli.run(list(argv))) == whole
 
