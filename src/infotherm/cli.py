@@ -29,6 +29,7 @@ import argparse
 import gc
 import math
 import os
+import re
 import sys
 
 SCHEMA_VERSION = 1
@@ -495,7 +496,11 @@ _COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     """A parser that writes and flushes help as ``run`` does a report, so a
-    failed write raises where argparse would drop it."""
+    failed write raises where argparse would drop it, and reads ``-1e308`` as a value."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def _print_message(self, message: str, file=None) -> None:
         if file is not sys.stdout:

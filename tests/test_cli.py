@@ -141,6 +141,23 @@ def test_broadcast_clausius_verdict_can_fail(random_file, monkeypatch, capsys):
     assert "verdict clausius = violated" in out
 
 
+def test_broadcast_reports_its_bit_order(tmp_path, capsys):
+    """The information a broadcast audits depends on the order its bits
+    are read in, so the text and JSON reports both list that order."""
+    path = tmp_path / "markov.bin"
+    write_bitstream(generate(GeneratorSpec(kind="markov", length=65536, seed=7, q=0.1)), path)
+    info = {}
+    for order in ("msb_first", "lsb_first"):
+        argv = ["broadcast", "--file", str(path), "--receivers", "3", "--bit-order", order]
+        status, text = run_capture(argv, capsys)
+        assert status == 0
+        assert f"\ninput   bit_order = {order}\n" in text
+        status, out = run_capture(argv + ["--json"], capsys)
+        doc = json.loads(out)
+        assert doc["inputs"]["bit_order"] == order
+        info[order] = doc["results"]["info_sent"]["value"]
+    assert info["msb_first"] != info["lsb_first"]
+
 def test_generate_then_analyze_round_trip(tmp_path, capsys):
     out_path = tmp_path / "gen.bin"
     status, _ = run_capture(
@@ -200,6 +217,26 @@ def test_gas_entropy_and_temperature(capsys):
     assert status == 0
     assert json.loads(out)["results"]["temperature_closed"]["value"] == pytest.approx(0.45512, abs=1e-5)
 
+
+@pytest.mark.parametrize("excited", [0, 1, 9, 10])
+def test_gas_entropy_at_the_domain_edges(excited, capsys):
+    """Stirling's form is listed only inside 0 < n < L, and the
+    multiplicity's log is the exact entropy, to the last bit."""
+    argv = ["gas", "entropy", "--length", "10", "--excited", str(excited), "--json"]
+    status, out = run_capture(argv, capsys)
+    assert status == 0
+    results = json.loads(out)["results"]
+    assert ("entropy_stirling" in results) == (0 < excited < 10)
+    exact, log_multiplicity = (results[key]["value"] for key in ("entropy_exact", "log_multiplicity"))
+    assert float.hex(log_multiplicity) == float.hex(exact)
+
+
+@pytest.mark.parametrize("length, listed", [(3, False), (4, True)])
+def test_gas_temperature_lists_the_finite_difference_from_four_states(length, listed, capsys):
+    argv = ["gas", "temperature", "--length", str(length), "--excited", "1", "--json"]
+    status, out = run_capture(argv, capsys)
+    assert status == 0
+    assert ("temperature_numeric" in json.loads(out)["results"]) == listed
 
 def test_gas_temperature_si_units(capsys):
     status, out = run_capture(
@@ -686,9 +723,24 @@ def test_config_flag_abbreviated(flag, tmp_path, capsys):
     assert json.loads(out)["results"]["f_max"]["value"] == landauer.max_bit_rate(1e-9, 300.0, 10.0)
 
 
+@pytest.mark.parametrize("value", ["-1e308", "-1E-3", "-.5e1"])
+def test_negative_float_with_an_exponent_is_a_value(value, capsys):
+    """A negative float in scientific notation, given as its own token, is
+    the flag's value, as it is when joined to the flag by ``=``."""
+    argv = ["gas", "occupation", "--length", "1000"]
+    joined = run_capture(argv + [f"--temperature={value}"], capsys)
+    assert joined[0] == 0
+    assert run_capture(argv + ["--temperature", value], capsys) == joined
+
+
+def test_negative_infinity_as_its_own_token_is_a_usage_error(capsys):
+    assert cli.run(["gas", "occupation", "--length", "1000", "--temperature", "-inf"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_config_value_may_start_with_a_dash(tmp_path, capsys):
-    """argparse reads ``-1e-3`` after a flag as an option, not a value; a
-    config value is passed joined to its flag, so it arrives intact."""
+    """A config value is passed joined to its flag, so a value that
+    starts with a dash arrives intact."""
     config = tmp_path / "run.cfg"
     config.write_text("entropy=-1e-3\n")
     status, out = run_capture(["ledger", "check", "--info", "0", "--config", str(config), "--json"],
