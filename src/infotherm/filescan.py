@@ -379,15 +379,16 @@ def _stats(L: int, n: int, pairs: int, first: int, last: int, order: int, window
     and, at order >= 1, the window counter it fed, which is asked for the
     rate only when the stream offers enough samples per context."""
     p_hat = n / L
+    h = binary_entropy(p_hat)
     lag1 = _lag1(L, n, pairs, first, last)
     rate = None
     if L >= MIN_SAMPLES_PER_CONTEXT << order:
-        rate = windows.rate(L) if order else binary_entropy(p_hat)
+        rate = windows.rate(L) if order else h
     return FileStats(
         length=L,
         ones=n,
         p_hat=p_hat,
-        info_iid=Information(L * binary_entropy(p_hat)),
+        info_iid=Information(L * h),
         info_rate_markov=rate,
         markov_order=order,
         equilibrium=_verdict(L, n, lag1) if L >= MIN_TEST_LENGTH else UNDECIDED,
