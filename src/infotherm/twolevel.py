@@ -253,81 +253,43 @@ class McResult(NamedTuple):
 
 
 _BATCHES = 20
-_CHUNK = 1 << 14
+_CHUNK = 1 << 13
 #: Largest L for which every occupation is exact in float64.
 _MAX_LENGTH = 1 << 53
-#: A first wrong guess closer than this many steps marks the window as
-#: dense: guesses go stale faster than numpy calls pay for themselves.
-_DENSE = 64
-#: Steps run as a plain loop after a dense speculation; doubles while the
-#: window stays dense.
-_LOOP = 256
 
 
-def _window_occupations(x: np.ndarray, up: np.ndarray, n: int) -> np.ndarray:
-    """Exact occupation after each step of one window, starting from ``n``.
+def _window_occupations(x: np.ndarray, up: np.ndarray, n: int, reach: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Exact path of one window from state ``n``: the occupation after each
+    step, each step's change and the path's largest distance from ``n``.
 
-    Step t de-excites if ``x[t] < n`` and otherwise excites if ``up[t]``.
-    See ``metropolis_sample`` for why speculation reproduces that rule.
+    Step t de-excites if ``x[t] < n`` and otherwise excites if ``up[t]``;
+    ``metropolis_sample`` says why the band ``n -/+ reach`` reproduces that.
     """
     import numpy as np
 
-    size = x.size
-    occ = np.empty(size, dtype=np.int64)
-    rise = up.astype(np.int64)
-    guess = np.empty(size, dtype=np.int64)  # guessed state before each step
-    flipped = np.empty(size, dtype=bool)
-    known = 0  # guess[:known] holds a guess
-    p = 0
-    horizon = 1024  # steps speculated at once: doubles after a clean pass
-    loop = _LOOP
-    while p < size:
-        e = min(size, p + horizon)
-        guess[p] = n
-        known = max(known, p + 1)
-        if e > known:
-            guess[known:e] = guess[known - 1]
-            known = e
-        xs = x[p:e]
-        down = xs < guess[p:e]
-        path = np.where(down, -1, rise[p:e])
-        path[0] += n
-        np.cumsum(path, out=path)  # state after each step if every guess held
-        bad = flipped[p:e]
-        bad[0] = False  # guess[p] is the exact state
-        np.less(xs[1:], path[:-1], out=bad[1:])
-        bad[1:] ^= down[1:]
-        k = int(bad.argmax())
-        if k == 0:
-            occ[p:e] = path
-            n = int(path[-1])
-            p = e
-            horizon *= 2
-            loop = _LOOP
-            continue
-        # steps before k are exact; step k took the other branch
-        occ[p:p + k] = path[:k]
-        prev = int(path[k - 1])
-        n = prev + int(rise[p + k]) if down[k] else prev - 1
-        occ[p + k] = n
-        guess[p + k + 1:e] = path[k:-1]
-        guess[p + k + 1:e] += n - int(path[k])
-        p += k + 1
-        horizon = max(2 * k, _DENSE)
-        if k < _DENSE and p < size:
-            end = min(size, p + loop)
-            run = []
-            for xi, ui in zip(x[p:end].tolist(), up[p:end].tolist()):
-                if xi < n:
-                    n -= 1
-                elif ui:
-                    n += 1
-                run.append(n)
-            occ[p:end] = run
-            known = end  # the guess past the loop is stale
-            p = end
-            loop *= 2
-    return occ
+    while True:
+        below = x < n - reach
+        within = x < n + reach
+        # -1 below the band, the excitation above it, 0 in it for now
+        change = np.subtract(up > within, below, dtype=np.int8)
+        band = np.flatnonzero(within ^ below)
+        placed = np.cumsum(change, dtype=np.int64)
+        # before a band step the chain is at state + placed, state being n
+        # plus the band's changes so far; x < s exactly when floor(x) < s
+        cut = np.floor(x[band]).astype(np.int64) - placed[band]
+        state = n
+        resolved = []
+        for ci, ui in zip(cut.tolist(), up[band].tolist()):
+            d = -1 if ci < state else ui
+            state += d
+            resolved.append(d)
+        change[band] = resolved
+        occ = np.cumsum(change, dtype=np.int64)
+        occ += n
+        excursion = max(int(occ.max()) - n, n - int(occ.min()))
+        if excursion <= reach:
+            return occ, change, excursion
+        reach *= 2
 
 
 def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
@@ -349,23 +311,21 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
     standard error is estimated by batch means over 20 equal batches of
     the retained samples.
 
-    The chain runs in windows of up to ``_CHUNK`` steps, each resolved in
-    numpy by speculating and fixing. From a guess of n before each step,
-    every step's branch is decided at once and a cumulative sum gives the
-    path those branches imply. Up to the first step whose branch, decided
-    from the implied state instead of the guess, differs, the implied path
-    is the chain itself, since every earlier branch was decided from the
-    right state. That step is redone with the other branch; the implied
-    path after it, shifted by the correction, is the next guess. Each
-    compare is ``float(u1*L) < n`` with an integer n <= L <= 2^53, the
-    same exact compare in numpy as in Python, so the chain, and every
-    statistic taken from its per-step occupations, is bit-identical to a
-    per-step loop and does not depend on the window size (2^14 steps keep
-    a window within L2). Where wrong guesses come within ``_DENSE`` steps
-    (small L, burn-in), the next steps run as a plain loop. Each batch sum
-    is a float64 running sum in step order, ``np.add.accumulate`` seeded
-    with the sum so far, so it rounds exactly as a per-step ``+=`` does
-    once it passes 2^53.
+    The chain runs in windows of up to ``_CHUNK`` steps (2^13 keep a
+    window within L2 and its band narrow). A window from state n takes the
+    band [n - r, n + r]. From any state in it, a step with u1*L < n - r
+    de-excites and a step with u1*L >= n + r does not, so one cumulative
+    sum places both kinds; only the steps with u1*L in the band run the
+    rule one at a time. A path that leaves the band reruns the window with
+    2r, which ends, since S steps move at most S from n. Each compare is
+    ``float(u1*L) < n`` with an integer n <= L <= 2^53, the same exact
+    compare in numpy as in Python (n + r may round past 2^53, but then
+    every u1*L < L is below it); in the band it is floor(u1*L) < n, the
+    same compare on integers. So the chain, and every statistic taken
+    from its per-step occupations, is bit-identical to a per-step loop and
+    does not depend on the window size. Each batch sum is a float64
+    running sum in step order, ``np.add.accumulate`` seeded with the sum
+    so far, so it rounds exactly as a per-step ``+=`` does past 2^53.
     """
     import numpy as np
 
@@ -391,6 +351,7 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
 
     batch_sums = [0.0] * batches
     accepted = 0
+    reach = 8
 
     buf = np.empty(min(_CHUNK, cfg.steps))  # site compares, then batch sums
     step = 0
@@ -399,8 +360,10 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
         w = random_words(cfg.seed, 2 * span, offset=2 * step)
         w >>= np.uint64(11)
         up = w[1::2] < threshold
-        occ = _window_occupations(np.multiply(w[0::2], scale, out=buf[:span]), up, n)
-        accepted += int(np.count_nonzero(occ[1:] != occ[:-1])) + (int(occ[0]) != n)
+        occ, change, excursion = _window_occupations(
+            np.multiply(w[0::2], scale, out=buf[:span]), up, n, reach)
+        accepted += int(np.count_nonzero(change))
+        reach = excursion + 8  # the next band: this path's reach and a margin
         # occ[i] is retained sample i - first, for 0 <= i - first < kept_used
         first = cfg.burn_in - step
         lo, hi = max(0, first), min(span, first + kept_used)

@@ -534,11 +534,42 @@ def assert_identical(result, expected):
 # batch sums past 2^53 (rounding) and past 2^63 (int64 would wrap)
 @example(length=10**15, kt=1.0, steps=10**6, seed=3, burn_frac=0.0)
 @example(length=2**53, kt=2.0, steps=3 * twolevel._CHUNK, seed=4, burn_frac=0.0)
+# the burn-in from L//2 widens the first window's band several times
+@example(length=10**5, kt=0.05, steps=2 * twolevel._CHUNK + 3, seed=5, burn_frac=0.0)
+# most steps fall in the band
+@example(length=100, kt=0.5, steps=3 * twolevel._CHUNK, seed=6, burn_frac=0.2)
 @settings(max_examples=6, deadline=None)
 def test_metropolis_matches_per_step_loop(length, kt, steps, seed, burn_frac):
     burn_in = min(steps - 1, int(burn_frac * steps))
     cfg = McConfig(steps=steps, burn_in=burn_in, seed=seed, kT=kt)
     assert_identical(metropolis_sample(length, 1.0, cfg), reference_metropolis_sample(length, 1.0, cfg))
+
+
+@given(
+    n=st.integers(min_value=8, max_value=10**6),
+    reach=st.integers(min_value=1, max_value=4),
+    steps=st.lists(st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=-8, max_value=8),
+                             st.booleans()), min_size=32, max_size=300),
+)
+@settings(max_examples=200, deadline=None)
+def test_window_band_edges_match_per_step_loop(n, reach, steps):
+    """Site compares at and next to the band's edges n -/+ reach, n and
+    the state before the step, from a band narrow enough that most windows
+    rerun with a wider one."""
+    state, x, up, expected = n, [], [], []
+    for anchor, half, rise in steps:
+        xi = (n - reach, n, n + reach, state)[anchor] + half / 2
+        if xi < state:
+            state -= 1
+        elif rise:
+            state += 1
+        x.append(xi)
+        up.append(rise)
+        expected.append(state)
+    occ, change, excursion = twolevel._window_occupations(np.array(x), np.array(up), n, reach)
+    assert occ.tolist() == expected
+    assert change.tolist() == np.diff(expected, prepend=n).tolist()
+    assert excursion == max(abs(s - n) for s in expected)
 
 
 @pytest.mark.parametrize("length, kt", [(10, 1.0), (10**4, 0.25)])
