@@ -289,7 +289,7 @@ def _window_occupations(x: np.ndarray, up: np.ndarray, n: int, reach: int) -> tu
         excursion = max(int(occ.max()) - n, n - int(occ.min()))
         if excursion <= reach:
             return occ, change, excursion
-        reach *= 2
+        reach = max(2 * reach, excursion)  # at least double: this ends
 
 
 def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
@@ -311,21 +311,21 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
     standard error is estimated by batch means over 20 equal batches of
     the retained samples.
 
-    The chain runs in windows of up to ``_CHUNK`` steps (2^13 keep a
-    window within L2 and its band narrow). A window from state n takes the
-    band [n - r, n + r]. From any state in it, a step with u1*L < n - r
-    de-excites and a step with u1*L >= n + r does not, so one cumulative
-    sum places both kinds; only the steps with u1*L in the band run the
-    rule one at a time. A path that leaves the band reruns the window with
-    2r, which ends, since S steps move at most S from n. Each compare is
-    ``float(u1*L) < n`` with an integer n <= L <= 2^53, the same exact
-    compare in numpy as in Python (n + r may round past 2^53, but then
-    every u1*L < L is below it); in the band it is floor(u1*L) < n, the
-    same compare on integers. So the chain, and every statistic taken
-    from its per-step occupations, is bit-identical to a per-step loop and
-    does not depend on the window size. Each batch sum is a float64
-    running sum in step order, ``np.add.accumulate`` seeded with the sum
-    so far, so it rounds exactly as a per-step ``+=`` does past 2^53.
+    The chain runs in windows of up to ``_CHUNK`` steps (2^13 keep a window
+    within L2 and its band narrow). A window from state n takes the band
+    [n - r, n + r]. From any state in it, a step with u1*L < n - r de-excites
+    and a step with u1*L >= n + r does not, so one cumulative sum places both
+    kinds; only the steps with u1*L in the band run the rule one at a time. A
+    path that leaves the band reruns the window with at least 2r, and at least
+    as far as that path went, which ends, since S steps move at most S from n.
+    Each compare is ``float(u1*L) < n`` with an integer n <= L <= 2^53, the
+    same exact compare in numpy as in Python (n + r may round past 2^53, but
+    then every u1*L < L is below it); in the band it is floor(u1*L) < n, the
+    same compare on integers. So the chain, and every statistic taken from its
+    per-step occupations, is bit-identical to a per-step loop and does not
+    depend on the window size. Each batch sum is a float64 running sum in step
+    order, ``np.add.accumulate`` seeded with the sum so far, so it rounds
+    exactly as a per-step ``+=`` does past 2^53.
     """
     import numpy as np
 
