@@ -150,47 +150,35 @@ def _blocks(spec: GeneratorSpec) -> Iterator[np.ndarray]:
     The bernoulli bits are u_(t+1) < p, and the markov bits the first bit
     u_1 < 1/2 xor the flips u_2..u_(t+1) < q, comparing the stream's words
     with the integer threshold; the markov xor prefix carries from block
-    to block. The deterministic kinds are filled byte by byte.
+    to block. Every block starts at an even bit, so the alternating bits
+    are the same in each.
     """
-    L = spec.length
-    markov = spec.kind == "markov"
-    if spec.kind in ("bernoulli", "markov"):
-        threshold = np.uint64(_threshold(spec.q if markov else spec.p))
-        flags = np.empty(min(_BLOCK, L), dtype=np.bool_)
+    L, kind = spec.length, spec.kind
+    flags = np.zeros(min(_BLOCK, L), dtype=np.bool_)
+    if kind == "alternating":
+        flags[1::2] = True
+    if kind in ("bernoulli", "markov"):
+        threshold = np.uint64(_threshold(spec.q if kind == "markov" else spec.p))
     carry = False
     for start in range(0, L, _BLOCK):
         size = min(_BLOCK, L - start)
-        if spec.kind in ("ordered_block", "alternating"):
-            yield _pattern_bytes(spec.kind, L, start // 8, (size + 7) // 8)
-            continue
         block = flags[:size]
-        top = random_words(spec.seed, size, start)
-        top >>= np.uint64(11)
-        np.less(top, threshold, out=block)
-        if markov:
-            if start == 0:
-                block[0] = top[0] < _threshold(0.5)
-            np.logical_xor.accumulate(block, out=block)
-            if carry:
-                np.logical_not(block, out=block)
-            carry = bool(block[-1])
+        if kind == "ordered_block":
+            cut = max(L // 2 - start, 0)
+            block[:cut] = True
+            block[cut:] = False
+        elif kind != "alternating":
+            top = random_words(spec.seed, size, start)
+            top >>= np.uint64(11)
+            np.less(top, threshold, out=block)
+            if kind == "markov":
+                if start == 0:
+                    block[0] = top[0] < _threshold(0.5)
+                np.logical_xor.accumulate(block, out=block)
+                if carry:
+                    np.logical_not(block, out=block)
+                carry = bool(block[-1])
         yield np.packbits(block)
-
-
-def _pattern_bytes(kind: str, length: int, first: int, size: int) -> np.ndarray:
-    """Packed bytes ``first`` .. ``first + size`` of the ``length``-bit
-    ordered_block (L/2 ones then zeros) or alternating (0101...) stream."""
-    if kind == "alternating":
-        out = np.full(size, 0x55, dtype=np.uint8)
-    else:
-        half = length // 2
-        out = np.zeros(size, dtype=np.uint8)
-        out[: max(half // 8 - first, 0)] = 0xFF
-        if half % 8 and 0 <= half // 8 - first < size:
-            out[half // 8 - first] = 0xFF << (8 - half % 8) & 0xFF
-    if first + size == (length + 7) // 8:
-        out[-1] &= 0xFF << (-length % 8) & 0xFF
-    return out
 
 
 def generate(spec: GeneratorSpec) -> Bitstream:
