@@ -674,7 +674,13 @@ def main() -> None:
     process is about to drop. Every file a command writes is closed by
     then, so no finalizer is left to run; atexit, the stream flush and
     module teardown still do.
+
+    OpenBLAS runs single-threaded unless the environment says otherwise:
+    no command calls BLAS, and the worker thread that importing numpy
+    would start spins on the CPUs the command runs on. Other BLAS builds
+    ignore the variable, and ``run`` leaves the environment alone.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     status = run(sys.argv[1:])
     try:
         sys.stdout.flush()

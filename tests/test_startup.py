@@ -16,6 +16,8 @@ The process path, ``python -m infotherm.cli`` through ``main()``, prints
 what ``run`` prints in process and exits with its status, then freezes
 the heap so that the shutdown collections have nothing to sweep. A report
 or help that stdout cannot take is an error, exit 2, not a verdict.
+``main()`` runs OpenBLAS on one thread unless the environment names a
+count; ``run`` leaves the environment alone.
 """
 
 import contextlib
@@ -59,8 +61,9 @@ def _env(**overrides: str | None) -> dict[str, str]:
     return env
 
 
-def python(code: str, *argv: str, cwd: Path, input: bytes | None = None) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=_env(), input=input,
+def python(code: str, *argv: str, cwd: Path, input: bytes | None = None,
+           **env: str | None) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=_env(**env), input=input,
                           capture_output=True, timeout=60)
 
 
@@ -367,6 +370,42 @@ def test_main_ends_with_the_heap_frozen(argv, status, tmp_path):
     proc = python(MAIN_FREEZES, *argv, cwd=tmp_path)
     assert proc.returncode == status
     assert proc.stderr.splitlines()[-1] == b"True"
+
+
+#: Prints OpenBLAS's thread setting at interpreter exit, and on Linux the
+#: threads left, after ``main()`` on argv.
+MAIN_THREADS = ("import atexit, os, sys\n"
+                "atexit.register(lambda: print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+                "len(os.listdir('/proc/self/task')) if sys.platform.startswith('linux') else None, "
+                "file=sys.stderr))\n"
+                "sys.argv[0] = 'infotherm'\nfrom infotherm.cli import main\nmain()")
+
+#: On one CPU OpenBLAS starts no worker, so a thread count there shows nothing.
+MULTI_CPU = pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                               reason="needs Linux and two CPUs")
+
+
+@MULTI_CPU
+@pytest.mark.parametrize("name", ["gas_metropolis", "generate"])
+def test_main_starts_no_blas_worker(name, tmp_path):
+    """Importing numpy starts an OpenBLAS worker on a host with two CPUs
+    or more; no command calls BLAS, so ``main()`` runs it single-threaded."""
+    proc = python(MAIN_THREADS, *CASES[name][0], cwd=tmp_path, OPENBLAS_NUM_THREADS=None)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == b"1 1"
+
+
+def test_main_keeps_the_users_blas_threads(tmp_path):
+    proc = python(MAIN_THREADS, *CASES["gas_metropolis"][0], cwd=tmp_path, OPENBLAS_NUM_THREADS="2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1].split()[0] == b"2"
+
+
+def test_run_leaves_the_environment_alone():
+    before = dict(os.environ)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(ARRAY_COMMANDS["gas_metropolis"]) == 0
+    assert dict(os.environ) == before
 
 
 def test_import_freezes_nothing(tmp_path):
