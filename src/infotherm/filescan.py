@@ -55,9 +55,12 @@ MAX_INT_ORDER = 4
 
 #: The most file bits times 2^k whose windows are counted with ints at
 #: order k >= 1: 32, 16, 8 and 4 MiB at orders 1 to 4 (order 0 counts no
-#: windows). On a 2-core Xeon the int counter costs ~8, 10, 19 and 35 ms/MiB
-#: at orders 1 to 4, the array counter ~8 plus the ~130 ms numpy import, and
-#: ``file`` at this budget still runs faster with ints.
+#: windows). On a 2-core Xeon the int counter costs ~7, 11, 19 and 32 ms/MiB
+#: at orders 1 to 4, the array counter ~8 plus the ~90 ms numpy import. At
+#: this budget ``file`` runs faster with ints at orders 1 and 2, as fast at
+#: order 3 and a few percent slower at order 4. A budget low enough for
+#: order 4 would send 7-8 MiB files at the default order to numpy, no
+#: faster and ~13 MiB larger.
 _INT_BUDGET = 1 << 29
 
 #: Bytes read at a time, into one buffer.
