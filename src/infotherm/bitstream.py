@@ -25,7 +25,7 @@ import numpy as np
 from . import filescan
 from .core import Validated
 from .filescan import (GENERATOR_KINDS, MIN_SAMPLES_PER_CONTEXT, MIN_TEST_LENGTH, _check_bit_order,
-                       _check_order, _Scanner, _verdict, binary_entropy)
+                       _check_order, _check_whole_bytes, _Scanner, _verdict, binary_entropy)
 from .rng import _threshold, _validate_seed, random_words
 
 #: Words the generators draw at a time, a multiple of 8: the words and
@@ -125,7 +125,7 @@ class GeneratorSpec(Validated, namedtuple("GeneratorSpec", "kind length seed p q
     ordered_block (L/2 ones then zeros), alternating (0101...).
 
     Fields: ``kind`` (str), ``length`` (int), ``seed`` (int, default 0),
-    ``p`` and ``q`` (float or None, default None).
+    ``p`` and ``q`` (float; None, the default, where the kind takes none).
     """
 
     __slots__ = ()
@@ -139,9 +139,13 @@ class GeneratorSpec(Validated, namedtuple("GeneratorSpec", "kind length seed p q
         if self.kind == "bernoulli":
             if self.p is None or not 0 <= self.p <= 1:
                 raise ValueError("bernoulli requires p in [0, 1]")
+        elif self.p is not None:
+            raise ValueError(f"{self.kind} takes no p")
         if self.kind == "markov":
             if self.q is None or not 0 <= self.q <= 1:
                 raise ValueError("markov requires flip probability q in [0, 1]")
+        elif self.q is not None:
+            raise ValueError(f"{self.kind} takes no q")
 
 
 def _blocks(spec: GeneratorSpec) -> Iterator[np.ndarray]:
@@ -200,8 +204,7 @@ def write_generated(spec: GeneratorSpec, path: str | os.PathLike, bit_order: str
     bit_order)``, each block as it is drawn, and return the stream's ones.
     The length must be a multiple of 8."""
     _check_bit_order(bit_order)
-    if spec.length % 8 != 0:
-        raise ValueError("stream length must be a multiple of 8 to write raw bytes")
+    _check_whole_bytes(spec.length)
     ones = 0
     with open(path, "wb") as out:
         for block in _blocks(spec):
@@ -225,8 +228,7 @@ def read_bitstream(path: str | os.PathLike, bit_order: str = "msb_first") -> Bit
 def write_bitstream(stream: Bitstream, path: str | os.PathLike, bit_order: str = "msb_first") -> None:
     """Write a stream as raw bytes. Length must be a multiple of 8."""
     _check_bit_order(bit_order)
-    if stream.length % 8 != 0:
-        raise ValueError("stream length must be a multiple of 8 to write raw bytes")
+    _check_whole_bytes(stream.length)
     packed = stream.packed if bit_order == "msb_first" else _REVERSED[stream.packed]
     packed.tofile(path)
 

@@ -131,10 +131,11 @@ _SWITCHES = ("json",)
 
 
 def _add_energy(parser: argparse.ArgumentParser, name: str = "epsilon") -> None:
-    parser.add_argument(f"--{name}", type=_finite, default=1.0,
-                        help=f"{name} in reduced units (default 1.0)")
-    parser.add_argument(f"--{name}-joules", type=_finite, default=None,
-                        help=f"{name} in joules, required with --units si")
+    """The command's energy flag, in the unit mode's unit; ``args.energy``
+    names it, and ``_report`` gives its default or requires it."""
+    parser.add_argument(f"--{name}", type=_finite, default=None,
+                        help=f"{name}: 1.0 by default in reduced units; joules, required, with --units si")
+    parser.set_defaults(energy=name)
 
 
 def _add_units(parser: argparse.ArgumentParser) -> None:
@@ -287,8 +288,9 @@ def _generate_options(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_generate(args, report: Report) -> None:
-    if args.length % 8:
-        raise ValueError("stream length must be a multiple of 8 to write raw bytes")
+    from . import filescan
+
+    filescan._check_whole_bytes(args.length)
     from . import bitstream
 
     spec = bitstream.GeneratorSpec(kind=args.kind, length=args.length, seed=args.seed,
@@ -449,6 +451,7 @@ def _cmd_landauer(args, report: Report) -> None:
         raise ValueError("landauer needs --noise-temp and/or --bit-rate")
     from . import landauer
 
+    landauer._check_margin(args.margin)
     if args.bit_rate is not None:
         report.add("device_temperature", landauer.device_temperature(args.power, args.bit_rate))
         report.add("energy_per_bit", landauer.energy_per_bit(args.power, args.bit_rate))
@@ -618,28 +621,25 @@ def _inject_config(parser: argparse.ArgumentParser, argv: list[str], start: int)
 
 #: Options every command takes; no report lists them.
 _COMMON = ("json", "config")
-_JOULES = "_joules"
 
 
 def _report(parser: argparse.ArgumentParser, command: tuple[str, ...], args) -> Report:
     """The report of the parsed command ``parser``, named by its command
-    words. Under ``--units si`` each ``--<energy>-joules`` value replaces
-    ``--<energy>``. The inputs are the command's own options in declared
-    order, the joules flags left out, and an option whose default is
-    suppressed only when it was given."""
+    words. An energy not given is 1.0 in reduced units and an input error
+    under ``--units si``. The inputs are the command's own options in
+    declared order, and an option whose default is suppressed only when
+    it was given."""
     from .core import REDUCED, SI
 
     consts = SI if getattr(args, "units", None) == "si" else REDUCED
+    energy = getattr(args, "energy", None)
+    if energy is not None and getattr(args, energy) is None:
+        if consts is SI:
+            raise ValueError(f"--units si requires --{energy}")
+        setattr(args, energy, 1.0)
     actions = [action for action in parser._actions if action.dest in args]
-    if consts is SI:
-        for action in actions:
-            if action.dest.endswith(_JOULES):
-                value = getattr(args, action.dest)
-                if value is None:
-                    raise ValueError(f"--units si requires {action.option_strings[0]}")
-                setattr(args, action.dest[:-len(_JOULES)], value)
     inputs = {action.dest: getattr(args, action.dest) for action in actions
-              if action.dest not in _COMMON and not action.dest.endswith(_JOULES)}
+              if action.dest not in _COMMON}
     return Report(" ".join(command), consts, inputs)
 
 

@@ -72,6 +72,14 @@ def require_normal(inputs: dict, what: str, *values: float) -> None:
                              "or overflow")
 
 
+def _require_positive(**inputs: float) -> None:
+    """Raise ValueError unless every input is positive; the error names
+    the first that is not, its underscores read as spaces."""
+    for name, value in inputs.items():
+        if not value > 0:
+            raise ValueError(f"{name.replace('_', ' ')} must be positive")
+
+
 class Validated:
     """Base of the named tuples that check their fields when built.
 

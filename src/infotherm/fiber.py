@@ -24,7 +24,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .core import (LN2, NORMAL_MIN, REDUCED, Energy, Entropy, Information, PhysConstants,
-                   Temperature, Validated, clausius_verdict, require_normal)
+                   Temperature, Validated, _require_positive, clausius_verdict, require_normal)
 
 ISOTHERMAL_WRITE = "isothermal_write"
 ADIABATIC_ATTENUATION = "adiabatic_attenuation"
@@ -55,8 +55,7 @@ def amplifier_work(q_cold: float, t_hot: float, t_cold: float) -> tuple[Energy, 
     qc, th, tc = float(q_cold), float(t_hot), float(t_cold)
     if not 0 < tc < th:
         raise ValueError("require 0 < T_cold < T_hot")
-    if not qc > 0:
-        raise ValueError("heat read must be positive")
+    _require_positive(heat_read=qc)
     product = qc * th
     if NORMAL_MIN <= product < math.inf:
         qh = product / tc
@@ -134,12 +133,8 @@ class FiberChainConfig(Validated, namedtuple("FiberChainConfig",
     __slots__ = ()
 
     def _check(self):
-        if not self.epsilon0 > 0:
-            raise ValueError("launch bit energy must be positive")
-        if not self.alpha_per_km > 0:
-            raise ValueError("attenuation coefficient must be positive")
-        if not self.span_km > 0:
-            raise ValueError("span length must be positive")
+        _require_positive(launch_bit_energy=self.epsilon0,
+                          attenuation_coefficient=self.alpha_per_km, span_length=self.span_km)
         if self.n_spans < 0:
             raise ValueError("span count must be non-negative")
         if self.file_length < 1:

@@ -32,7 +32,7 @@ from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from .core import (LN2, REDUCED, Energy, Entropy, Information, PhysConstants, Temperature,
-                   require_normal)
+                   _require_positive, require_normal)
 
 RANDOM = "random"
 ORDERED = "ordered"
@@ -111,8 +111,7 @@ def file_temperature(epsilon: float, consts: PhysConstants = REDUCED) -> Tempera
     that. The average nat energy eps/(2 ln 2) then equals kT identically.
     A temperature outside float64's normal range is an input error.
     """
-    if not epsilon > 0:
-        raise ValueError("bit energy must be positive")
+    _require_positive(bit_energy=epsilon)
     t = epsilon / (2.0 * consts.k_boltzmann * LN2)
     require_normal({"epsilon": epsilon}, f"the file temperature ({consts.mode} units)", t)
     return Temperature(t)
@@ -121,8 +120,7 @@ def file_temperature(epsilon: float, consts: PhysConstants = REDUCED) -> Tempera
 def average_nat_energy(epsilon: float) -> Energy:
     """Energy per nat of a random file: eps / (2 ln 2). An energy outside
     float64's normal range is an input error."""
-    if not epsilon > 0:
-        raise ValueError("bit energy must be positive")
+    _require_positive(bit_energy=epsilon)
     energy = epsilon / (2.0 * LN2)
     require_normal({"epsilon": epsilon}, "the average nat energy", energy)
     return Energy(energy)
@@ -136,8 +134,7 @@ def file_heat_and_entropy(length: int, epsilon: float) -> tuple[Energy, Entropy]
     """
     if length < 1:
         raise ValueError("length must be positive")
-    if not epsilon > 0:
-        raise ValueError("bit energy must be positive")
+    _require_positive(bit_energy=epsilon)
     heat = length * epsilon / 2.0
     require_normal({"length": length, "epsilon": epsilon}, "the file's heat", heat)
     return Energy(heat), Entropy(length * LN2)
@@ -151,6 +148,11 @@ def _check_order(order: int) -> None:
 def _check_bit_order(bit_order: str) -> None:
     if bit_order not in BIT_ORDERS:
         raise ValueError(f"bit_order must be one of {BIT_ORDERS}")
+
+
+def _check_whole_bytes(length: int) -> None:
+    if length % 8:
+        raise ValueError("stream length must be a multiple of 8 to write raw bytes")
 
 
 def window_rate(counts: list[int], length: int) -> float:

@@ -17,7 +17,7 @@ rounds to 0, is subnormal or overflows) are input errors.
 
 from __future__ import annotations
 
-from .core import K_BOLTZMANN_SI, LN2, Energy, Temperature, require_normal
+from .core import K_BOLTZMANN_SI, LN2, Energy, Temperature, _require_positive, require_normal
 
 DEFAULT_MARGIN = 10.0
 
@@ -33,12 +33,14 @@ def _ratio(numerator: float, denominator: float, inputs: dict) -> float:
     return quotient
 
 
+def _check_margin(margin: float) -> None:
+    if not margin >= 1:
+        raise ValueError("margin must be at least 1")
+
+
 def device_temperature(power_w: float, bit_rate_hz: float) -> Temperature:
     """Temperature of an emitter/receiver: T = P / (k f ln 2), kelvin."""
-    if not power_w > 0:
-        raise ValueError("power must be positive")
-    if not bit_rate_hz > 0:
-        raise ValueError("bit rate must be positive")
+    _require_positive(power=power_w, bit_rate=bit_rate_hz)
     return Temperature(_ratio(power_w, K_BOLTZMANN_SI * bit_rate_hz * LN2,
                               {"power": power_w, "bit_rate": bit_rate_hz}))
 
@@ -50,12 +52,8 @@ def max_bit_rate(power_w: float, noise_temperature_k: float, margin: float = DEF
     for which that temperature or energy_per_bit(P, f_max) leaves float64's
     normal range are input errors here, named as the caller gave them.
     """
-    if not power_w > 0:
-        raise ValueError("power must be positive")
-    if not noise_temperature_k > 0:
-        raise ValueError("noise temperature must be positive")
-    if not margin >= 1:
-        raise ValueError("margin must be at least 1")
+    _require_positive(power=power_w, noise_temperature=noise_temperature_k)
+    _check_margin(margin)
     inputs = {"power": power_w, "noise_temp": noise_temperature_k, "margin": margin}
     f_max = _ratio(power_w, margin * K_BOLTZMANN_SI * noise_temperature_k * LN2, inputs)
     for denominator in (K_BOLTZMANN_SI * f_max * LN2, f_max):
@@ -65,8 +63,5 @@ def max_bit_rate(power_w: float, noise_temperature_k: float, margin: float = DEF
 
 def energy_per_bit(power_w: float, bit_rate_hz: float) -> Energy:
     """Energy spent per bit, P/f, in joules."""
-    if not power_w > 0:
-        raise ValueError("power must be positive")
-    if not bit_rate_hz > 0:
-        raise ValueError("bit rate must be positive")
+    _require_positive(power=power_w, bit_rate=bit_rate_hz)
     return Energy(_ratio(power_w, bit_rate_hz, {"power": power_w, "bit_rate": bit_rate_hz}))

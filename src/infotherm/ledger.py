@@ -18,7 +18,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import (LN2, REDUCED, Energy, Entropy, Information, PhysConstants, Temperature,
-                   clausius_verdict, require_normal)
+                   _require_positive, clausius_verdict, require_normal)
 
 if TYPE_CHECKING:
     from .filescan import FileStats
@@ -128,8 +128,7 @@ def combined_balance(heat: float, temperature: float, info_delta: float, entropy
     range and a negative dI.
     """
     t = float(temperature)
-    if not t > 0:
-        raise ValueError("bath temperature must be positive")
+    _require_positive(bath_temperature=t)
     q = float(heat)
     if q < 0:
         raise ValueError("heat must be non-negative")

@@ -20,7 +20,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .core import (REDUCED, Energy, Entropy, PhysConstants, Temperature, Validated,
-                   clausius_verdict, require_normal)
+                   _require_positive, clausius_verdict, require_normal)
 
 
 class InfiniteTemperatureError(ValueError):
@@ -39,8 +39,7 @@ class TwoLevelGas(Validated, namedtuple("TwoLevelGas", "length excited epsilon",
             raise ValueError("state count must be at least 1")
         if not 0 <= self.excited <= self.length:
             raise ValueError("excited count must lie in [0, L]")
-        if not self.epsilon > 0:
-            raise ValueError("level energy must be positive")
+        _require_positive(level_energy=self.epsilon)
 
 
 def log_multiplicity(length: int, excited: int) -> float:
@@ -234,8 +233,7 @@ class McConfig(Validated, namedtuple("McConfig", "steps burn_in seed kT")):
             raise ValueError("burn_in must be non-negative and smaller than steps")
         if not 0 <= self.seed <= 0xFFFFFFFFFFFFFFFF:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if not self.kT > 0:
-            raise ValueError("kT must be positive")
+        _require_positive(kT=self.kT)
         if not math.isfinite(self.kT):
             raise ValueError("kT must be finite")
 

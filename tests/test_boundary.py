@@ -45,6 +45,14 @@ def _is_number(token: str) -> bool:
     return True
 
 
+def _label(argv: list[str], i: int) -> str:
+    """The name of the token ``argv[i]`` in a variant's id: the flag it
+    follows, and for the energy right after ``--units si``, the unit
+    joules it is read in."""
+    flag = argv[i - 1][2:]
+    return flag + "-joules" if argv[i - 3:i - 1] == ["--units", "si"] else flag
+
+
 def _variants():
     for name, (argv, _) in sorted(CASES.items()):
         if name == "gas_metropolis":
@@ -56,7 +64,7 @@ def _variants():
                 variant = argv[:i] + [edge] + argv[i + 1:]
                 if "--csv" in variant and float(variant[variant.index("--spans") + 1]) > 1e6:
                     continue
-                yield pytest.param(variant, id=f"{name}-{argv[i - 1][2:]}={edge}")
+                yield pytest.param(variant, id=f"{name}-{_label(argv, i)}={edge}")
 
 
 VARIANTS = list(_variants())

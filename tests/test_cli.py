@@ -50,6 +50,15 @@ def test_landauer_requires_a_question(capsys):
     assert cli.run(["landauer", "--power", "1e-9"]) == 2
 
 
+@pytest.mark.parametrize("question", [["--bit-rate", "1e9"], ["--noise-temp", "300"],
+                                      ["--bit-rate", "1e9", "--noise-temp", "300"]])
+def test_landauer_checks_the_margin_whatever_it_asks(question, capsys):
+    assert cli.run(["landauer", "--power", "1e-12", *question, "--margin", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "infotherm: error: margin must be at least 1\n"
+
+
 def test_ledger_check_violated_exits_1(capsys):
     status, out = run_capture(["ledger", "check", "--entropy", "5", "--info", "10"], capsys)
     assert status == 1
@@ -186,6 +195,23 @@ def test_generate_rejects_unaligned_length_before_drawing(tmp_path, monkeypatch,
     assert captured.err == "infotherm: error: stream length must be a multiple of 8 to write raw bytes\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "markov", "--q", "0.1", "--p", "7"], "markov takes no p"),
+    (["--kind", "bernoulli", "--p", "0.5", "--q", "0.1"], "bernoulli takes no q"),
+    (["--kind", "alternating", "--p", "0.5"], "alternating takes no p"),
+    (["--kind", "ordered_block", "--q", "0.5"], "ordered_block takes no q"),
+])
+def test_generate_rejects_a_parameter_its_kind_does_not_use(argv, message, tmp_path, capsys):
+    """A ``--p`` or ``--q`` the stream would not use is an input error, not
+    an input the report lists."""
+    out_path = tmp_path / "gen.bin"
+    assert cli.run(["generate", *argv, "--length", "64", "--out", str(out_path)]) == 2
+    assert not out_path.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"infotherm: error: {message}\n"
+
+
 def test_file_reports_temperature_when_random(random_file, capsys):
     status, out = run_capture(["file", str(random_file), "--json"], capsys)
     assert status == 0
@@ -241,29 +267,50 @@ def test_gas_temperature_lists_the_finite_difference_from_four_states(length, li
 def test_gas_temperature_si_units(capsys):
     status, out = run_capture(
         ["gas", "temperature", "--length", "1000", "--excited", "100",
-         "--units", "si", "--epsilon-joules", "2.5e-21", "--json"], capsys)
+         "--units", "si", "--epsilon", "2.5e-21", "--json"], capsys)
     assert status == 0
     doc = json.loads(out)
     assert doc["results"]["temperature_closed"]["unit"] == "K"
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["gas", "temperature", "--length", "1000", "--excited", "100"], "--epsilon-joules"),
-    (["gas", "occupation", "--length", "1000", "--temperature", "300"], "--epsilon-joules"),
+#: The commands that take an energy, and its flag.
+ENERGY_COMMANDS = pytest.mark.parametrize("argv, flag", [
+    (["gas", "temperature", "--length", "1000", "--excited", "100"], "--epsilon"),
+    (["gas", "occupation", "--length", "1000", "--temperature", "300"], "--epsilon"),
     (["gas", "transfer", "--length", "1000", "--n-hot", "300", "--n-cold", "100"],
-     "--epsilon-joules"),
-    (["file", "{file}"], "--epsilon-joules"),
-    (["broadcast", "--file", "{file}", "--receivers", "3"], "--epsilon-joules"),
+     "--epsilon"),
+    (["file", "{file}"], "--epsilon"),
+    (["broadcast", "--file", "{file}", "--receivers", "3"], "--epsilon"),
     (["fiber", "simulate", "--alpha", "0.1", "--span-km", "1", "--spans", "1",
-      "--file-length", "10"], "--epsilon0-joules"),
+      "--file-length", "10"], "--epsilon0"),
 ], ids=["gas-temperature", "gas-occupation", "gas-transfer", "file", "broadcast",
         "fiber-simulate"])
+
+
+@ENERGY_COMMANDS
 def test_si_mode_requires_joules_flag(argv, flag, random_file, capsys):
+    """Under ``--units si`` the energy, read in joules, has no default."""
     argv = [token.format(file=random_file) for token in argv]
     assert cli.run(argv + ["--units", "si"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"--units si requires {flag}" in captured.err
+
+
+@ENERGY_COMMANDS
+def test_joules_spelling_is_a_usage_error(argv, flag, random_file, tmp_path, capsys):
+    """One flag per energy: ``--<energy>-joules`` is an unknown option in
+    reduced units, beside the energy flag under ``--units si``, and as a
+    config key, where it once silently replaced or was dropped."""
+    argv = [token.format(file=random_file) for token in argv]
+    config = tmp_path / "si.cfg"
+    config.write_text(f"{flag[2:]}-joules = 2.87e-21\n")
+    for extra in ([f"{flag}-joules", "5"], ["--units", "si", flag, "5", f"{flag}-joules", "1e-21"],
+                  ["--units", "si", "--config", str(config)]):
+        assert cli.run(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag}-joules" in captured.err
 
 
 @pytest.mark.parametrize("temperature, expected", [
@@ -272,7 +319,7 @@ def test_gas_occupation_where_kt_rounds_to_zero(temperature, expected, capsys):
     """k_B T underflows to 0 in SI units: the report gives the law's limit,
     as text and as JSON, and exits 0."""
     argv = ["gas", "occupation", "--length", "1000", f"--temperature={temperature}",
-            "--units", "si", "--epsilon-joules", "2.87e-21"]
+            "--units", "si", "--epsilon", "2.87e-21"]
     status, out = run_capture(argv, capsys)
     assert status == 0
     assert f"result  expected_n = {expected!r} 1\n" in out
@@ -403,7 +450,7 @@ def test_fiber_simulate_rejects_attenuation_rounding_to_0_or_1(alpha, spans, cap
     ["--epsilon0", "1e-300", "--alpha", "700", "--spans", "1", "--file-length", "10"],
     ["--epsilon0", "1e-300", "--alpha", "700", "--spans", "0", "--file-length", "10"],
     ["--epsilon0", "1e-310", "--alpha", "0.1", "--spans", "1", "--file-length", "1"],
-    ["--units", "si", "--epsilon0-joules", "1e300", "--alpha", "0.1", "--spans", "1",
+    ["--units", "si", "--epsilon0", "1e300", "--alpha", "0.1", "--spans", "1",
      "--file-length", "1"],
     ["--epsilon0", "1e300", "--alpha", "0.1", "--spans", "1", "--file-length", "1000000000"],
 ], ids=["temperature-underflow", "temperature-underflow-zero-spans", "subnormal-epsilon0",
@@ -419,7 +466,7 @@ def test_fiber_simulate_rejects_cycle_outside_float_range(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--units", "si", "--epsilon0-joules", "1e-300", "--alpha", "1", "--spans", "3",
+    ["--units", "si", "--epsilon0", "1e-300", "--alpha", "1", "--spans", "3",
      "--file-length", "1"],
     ["--epsilon0", "1e300", "--alpha", "0.1", "--spans", "1", "--file-length", "1000000"],
 ], ids=["product-underflow", "product-overflow"])
@@ -545,7 +592,7 @@ def test_combined_negative_info_cannot_cancel_the_heat(argv, capsys):
      ("length = 1000", "excited = 900", "epsilon = 1e-320")),
     (["file", "{random}", "--epsilon", "1e-320"], ("epsilon = 1e-320",)),
     (["file", "{random}", "--epsilon", "1e308"], ("length = 4096", "epsilon = 1e+308")),
-    (["file", "{random}", "--units", "si", "--epsilon-joules", "1e-320"], ("epsilon = 1e-320",)),
+    (["file", "{random}", "--units", "si", "--epsilon", "1e-320"], ("epsilon = 1e-320",)),
     (["broadcast", "--file", "{random}", "--receivers", "3", "--epsilon", "1e-320"],
      ("epsilon = 1e-320",)),
     (["broadcast", "--file", "{random}", "--receivers", "1000", "--epsilon", "1e-306"],
@@ -578,7 +625,7 @@ def test_reported_quantity_outside_the_normal_range_exits_2(argv, names, random_
      ("t_hot = 1e-320", "t_cold = 1e-321")),
     (["fiber", "efficiency", "--t-hot", "1", "--t-cold", "1e-310"], ("t_hot = 1.0", "t_cold = 1e-310")),
     (["gas", "transfer", "--length", "1000", "--n-hot", "300", "--n-cold", "100", "--units", "si",
-      "--epsilon-joules", "1e-320"], ("n_hot = 300", "epsilon = 1e-320")),
+      "--epsilon", "1e-320"], ("n_hot = 300", "epsilon = 1e-320")),
     (["gas", "transfer", "--length", "1000", "--n-hot", "300", "--n-cold", "100",
       "--epsilon", "1e308"], ("n_hot = 300", "epsilon = 1e+308")),
 ], ids=["efficiency-subnormal", "efficiency-cold-subnormal", "transfer-heat-subnormal",

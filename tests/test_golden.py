@@ -36,7 +36,7 @@ MARKOV = ["generate", "--kind", "markov", "--q", "0.1", "--length", "1048576", "
           "--out", "corpus.bin"]
 BERNOULLI = ["generate", "--kind", "bernoulli", "--p", "0.5", "--length", "65536", "--seed", "11",
              "--out", "random.bin"]
-SI_BIT = ["--units", "si", "--epsilon-joules", "2.87e-21"]
+SI_BIT = ["--units", "si", "--epsilon", "2.87e-21"]
 FIBER = ["fiber", "simulate", "--epsilon0", "1", "--alpha", "0.0086643", "--span-km", "80",
          "--file-length", "100"]
 
@@ -62,7 +62,7 @@ CASES = {
     "broadcast_random_si": (["broadcast", "--file", "random.bin", "--receivers", "3", *SI_BIT],
                             [BERNOULLI]),
     "fiber_simulate": ([*FIBER, "--spans", "10", "--csv", "chain.csv"], []),
-    "fiber_simulate_si": ([*FIBER, "--spans", "10", "--units", "si", "--epsilon0-joules", "1e-19",
+    "fiber_simulate_si": ([*FIBER, "--spans", "10", "--units", "si", "--epsilon0", "1e-19",
                            "--csv", "chain.csv"], []),
     "fiber_simulate_zero_spans": ([*FIBER, "--spans", "0"], []),
     "fiber_efficiency": (["fiber", "efficiency", "--t-hot", "2", "--t-cold", "1"], []),

@@ -1,6 +1,13 @@
 """Peak resident memory of the bit commands and the Metropolis chain,
 measured in a child process.
 
+Each command, and each import floor, is spawned by a bare launcher
+process, as ``perfbench/spawner.py`` spawns the benchmark's commands. On
+Linux a child's ``ru_maxrss`` includes the high-water mark of the address
+space that spawned it; spawned from pytest, every command lighter than
+pytest would read pytest's size. The launcher imports nothing large, so
+each peak is the command's own, above a floor of about a bare interpreter.
+
 The bit commands stream: ``generate`` writes each packed block as it is
 drawn, and ``file`` and ``broadcast`` read the file 16 KiB at a time into
 one buffer. So on a 2^23-bit corpus ``generate`` and ``file
@@ -37,21 +44,28 @@ pytestmark = pytest.mark.skipif(not sys.platform.startswith("linux"),
                                 reason="ru_maxrss is in KiB and per child only on Linux")
 
 
+#: Run by ``python -S -c``: spawn ``argv[1:]``, print its peak resident
+#: set in KiB and exit with its status. The reaped status is recorded on the
+#: ``Popen``, which then knows the child is gone.
+LAUNCHER = """\
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(usage.ru_maxrss)
+sys.exit(proc.returncode)
+"""
+
+
 def max_rss_kib(args, cwd: Path) -> int:
-    """Peak resident set of ``python args`` in KiB; the run must succeed.
-    The child's stderr is read to its end before the child is reaped, so
-    it never blocks on a full pipe, and the reaped status is recorded on
-    the ``Popen``, which then knows the child is gone."""
+    """Peak resident set of ``python args`` in KiB, spawned by the
+    launcher; the run must succeed. The command's stderr is the launcher's."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.Popen([sys.executable, *args], cwd=cwd, env=env,
-                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    with proc.stderr:
-        stderr = proc.stderr.read().decode()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0, stderr
-    return usage.ru_maxrss
+    proc = subprocess.run([sys.executable, "-S", "-c", LAUNCHER, sys.executable, *args], cwd=cwd,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
 
 
 @pytest.fixture(scope="module")

@@ -134,6 +134,10 @@ CHAIN = fiber.FiberChainConfig(1.0, 0.1, 1.0, 1, 1)
      "markov requires flip probability q in [0, 1]"),
     (lambda: bitstream.GeneratorSpec("bernoulli", 8, p=0.5)._replace(p=2.0),
      "bernoulli requires p in [0, 1]"),
+    (lambda: bitstream.GeneratorSpec("markov", 8, p=7.0, q=0.1), "markov takes no p"),
+    (lambda: bitstream.GeneratorSpec("bernoulli", 8, p=0.5, q=0.1), "bernoulli takes no q"),
+    (lambda: bitstream.GeneratorSpec("alternating", 8, p=0.5), "alternating takes no p"),
+    (lambda: bitstream.GeneratorSpec("ordered_block", 8, q=0.5), "ordered_block takes no q"),
     (lambda: bitstream.Bitstream(np.zeros(2, np.uint8), 17),
      "a bitstream of L >= 1 bits packs into a 1-d array of ceil(L/8) bytes"),
     (lambda: bitstream.Bitstream(np.array([256]), 8), "packed bytes must be integers in [0, 255]"),
