@@ -23,10 +23,10 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import filescan
-from .core import Validated
+from .core import Validated, _validate_seed
 from .filescan import (GENERATOR_KINDS, MIN_SAMPLES_PER_CONTEXT, MIN_TEST_LENGTH, _check_bit_order,
                        _check_order, _check_whole_bytes, _Scanner, _verdict, binary_entropy)
-from .rng import _threshold, _validate_seed, random_words
+from .rng import _threshold, random_words
 
 #: Words the generators draw at a time, a multiple of 8: the words and
 #: their compare flags stay in L2 cache, and ``write_generated`` writes

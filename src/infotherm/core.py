@@ -26,6 +26,7 @@ it is, and has ``_asdict()`` and ``_replace()``.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections import namedtuple
 
@@ -78,6 +79,18 @@ def _require_positive(**inputs: float) -> None:
     for name, value in inputs.items():
         if not value > 0:
             raise ValueError(f"{name.replace('_', ' ')} must be positive")
+
+
+def _validate_seed(seed: int) -> int:
+    """The seed as an int; ValueError unless it is an integer (anything with
+    ``__index__``, such as a numpy integer) in [0, 2^64)."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError("seed must be an integer") from None
+    if not 0 <= seed <= 0xFFFFFFFFFFFFFFFF:
+        raise ValueError("seed must fit in 64 unsigned bits")
+    return seed
 
 
 class Validated:

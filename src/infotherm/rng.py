@@ -23,20 +23,14 @@ import math
 
 import numpy as np
 
+from .core import _validate_seed
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 _U53_INV = 2.0 ** -53
-
-
-def _validate_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)):
-        raise ValueError("seed must be an integer")
-    if not 0 <= int(seed) <= _MASK64:
-        raise ValueError("seed must fit in 64 unsigned bits")
-    return int(seed)
 
 
 def splitmix64(seed: int, index: int) -> int:

@@ -20,7 +20,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .core import (REDUCED, Energy, Entropy, PhysConstants, Temperature, Validated,
-                   _require_positive, clausius_verdict, require_normal)
+                   _require_positive, _validate_seed, clausius_verdict, require_normal)
 
 
 class InfiniteTemperatureError(ValueError):
@@ -231,8 +231,7 @@ class McConfig(Validated, namedtuple("McConfig", "steps burn_in seed kT")):
             raise ValueError("steps must be positive")
         if not 0 <= self.burn_in < self.steps:
             raise ValueError("burn_in must be non-negative and smaller than steps")
-        if not 0 <= self.seed <= 0xFFFFFFFFFFFFFFFF:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        _validate_seed(self.seed)
         _require_positive(kT=self.kT)
         if not math.isfinite(self.kT):
             raise ValueError("kT must be finite")

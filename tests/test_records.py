@@ -114,6 +114,8 @@ CHAIN = fiber.FiberChainConfig(1.0, 0.1, 1.0, 1, 1)
     (lambda: twolevel.McConfig(0, 0, 0, 1.0), "steps must be positive"),
     (lambda: twolevel.McConfig(10, 10, 0, 1.0), "burn_in must be non-negative and smaller than steps"),
     (lambda: twolevel.McConfig(10, 1, 2**64, 1.0), "seed must fit in 64 unsigned bits"),
+    (lambda: twolevel.McConfig(10, 1, 1.5, 1.0), "seed must be an integer"),
+    (lambda: twolevel.McConfig(10, 1, "7", 1.0), "seed must be an integer"),
     (lambda: twolevel.McConfig(10, 1, 0, 0.0), "kT must be positive"),
     (lambda: twolevel.McConfig(10, 1, 0, math.inf), "kT must be finite"),
     (lambda: MC._replace(burn_in=-1), "burn_in must be non-negative and smaller than steps"),
