@@ -309,20 +309,21 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
     the retained samples.
 
     The chain runs in windows of up to ``_CHUNK`` steps (2^13 keep a window
-    within L2 and its band narrow). A window from state n takes the band
-    [n - r, n + r]. From any state in it, a step with u1*L < n - r de-excites
-    and a step with u1*L >= n + r does not, so one cumulative sum places both
-    kinds; only the steps with u1*L in the band run the rule one at a time. A
-    path that leaves the band reruns the window with at least 2r, and at least
-    as far as that path went, which ends, since S steps move at most S from n.
-    Each compare is ``float(u1*L) < n`` with an integer n <= L <= 2^53, the
-    same exact compare in numpy as in Python (n + r may round past 2^53, but
-    then every u1*L < L is below it); in the band it is floor(u1*L) < n, the
-    same compare on integers. So the chain, and every statistic taken from its
-    per-step occupations, is bit-identical to a per-step loop and does not
-    depend on the window size. Each batch sum is a float64 running sum in step
-    order, ``np.add.accumulate`` seeded with the sum so far, so it rounds
-    exactly as a per-step ``+=`` does past 2^53.
+    within L2 and its band narrow) that end at the burn-in and at each batch
+    edge, so a window adds to one batch sum at most. A window from state n
+    takes the band [n - r, n + r]. From any state in it, a step with
+    u1*L < n - r de-excites and a step with u1*L >= n + r does not, so one
+    cumulative sum places both kinds; only the steps with u1*L in the band run
+    the rule one at a time. A path that leaves the band reruns the window with
+    at least 2r, and at least as far as that path went, which ends, since S
+    steps move at most S from n. Each compare is ``float(u1*L) < n`` with an
+    integer n <= L <= 2^53, the same exact compare in numpy as in Python (n + r
+    may round past 2^53, but then every u1*L < L is below it); in the band it
+    is floor(u1*L) < n, the same compare on integers. So the chain, and every
+    statistic taken from its per-step occupations, is bit-identical to a
+    per-step loop and does not depend on the window size. Each batch sum is a
+    float64 running sum in step order, ``np.add.accumulate`` seeded with the
+    sum so far, so it rounds exactly as a per-step ``+=`` does past 2^53.
     """
     import numpy as np
 
@@ -344,34 +345,25 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
     kept = cfg.steps - cfg.burn_in
     batches = min(_BATCHES, kept)
     batch_len = kept // batches
-    kept_used = batches * batch_len
 
     batch_sums = [0.0] * batches
     accepted = 0
     reach = 8
 
-    buf = np.empty(min(_CHUNK, cfg.steps))  # site compares, then batch sums
     step = 0
     while step < cfg.steps:
-        span = min(_CHUNK, cfg.steps - step)
+        b = (step - cfg.burn_in) // batch_len
+        edge = cfg.burn_in + max(b + 1, 0) * batch_len if b < batches else cfg.steps
+        span = min(_CHUNK, edge - step)
         w = random_words(cfg.seed, 2 * span, offset=2 * step)
         w >>= np.uint64(11)
-        up = w[1::2] < threshold
-        occ, change, excursion = _window_occupations(
-            np.multiply(w[0::2], scale, out=buf[:span]), up, n, reach)
+        occ, change, excursion = _window_occupations(w[0::2] * scale, w[1::2] < threshold, n, reach)
         accepted += int(np.count_nonzero(change))
         reach = excursion + 8  # the next band: this path's reach and a margin
-        # occ[i] is retained sample i - first, for 0 <= i - first < kept_used
-        first = cfg.burn_in - step
-        lo, hi = max(0, first), min(span, first + kept_used)
-        while lo < hi:
-            b = (lo - first) // batch_len
-            end = min(hi, first + (b + 1) * batch_len)
-            piece = buf[:end - lo]
-            piece[:] = occ[lo:end]
-            piece[0] += batch_sums[b]
-            batch_sums[b] = float(np.add.accumulate(piece, out=piece)[-1])
-            lo = end
+        if 0 <= b < batches:
+            run = occ.astype(np.float64)
+            run[0] += batch_sums[b]
+            batch_sums[b] = float(np.add.accumulate(run, out=run)[-1])
         n = int(occ[-1])
         step += span
 
@@ -385,5 +377,5 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
         mean_n=mean_n,
         std_error=std_error,
         acceptance_rate=accepted / cfg.steps,
-        samples=kept_used,
+        samples=batches * batch_len,
     )

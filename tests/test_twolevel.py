@@ -538,6 +538,14 @@ def assert_identical(result, expected):
 @example(length=10**5, kt=0.05, steps=2 * twolevel._CHUNK + 3, seed=5, burn_frac=0.0)
 # most steps fall in the band
 @example(length=100, kt=0.5, steps=3 * twolevel._CHUNK, seed=6, burn_frac=0.2)
+# the window edges: 8 retained steps, so batches of one step
+@example(length=50, kt=1.0, steps=15, seed=10, burn_frac=0.5)
+# 4,116 retained steps in batches of 205: a 16-step tail after the last edge
+@example(length=10**4, kt=0.25, steps=twolevel._CHUNK + 39, seed=11, burn_frac=0.5)
+# no burn-in and fewer steps than a window; batches of 51 and a 17-step tail
+@example(length=1000, kt=1.0, steps=1037, seed=12, burn_frac=0.0)
+# one retained sample: the standard error is NaN
+@example(length=1000, kt=1.0, steps=100, seed=13, burn_frac=1.0)
 @settings(max_examples=6, deadline=None)
 def test_metropolis_matches_per_step_loop(length, kt, steps, seed, burn_frac):
     burn_in = min(steps - 1, int(burn_frac * steps))
