@@ -255,9 +255,9 @@ _CHUNK = 1 << 13
 _MAX_LENGTH = 1 << 53
 
 
-def _window_occupations(x: np.ndarray, up: np.ndarray, n: int, reach: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _window_occupations(x: np.ndarray, up: np.ndarray, n: int, reach: int) -> tuple[np.ndarray, int, int]:
     """Exact path of one window from state ``n``: the occupation after each
-    step, each step's change and the path's largest distance from ``n``.
+    step, how many steps moved and the band for the next window.
 
     Step t de-excites if ``x[t] < n`` and otherwise excites if ``up[t]``;
     ``metropolis_sample`` says why the band ``n -/+ reach`` reproduces that.
@@ -284,9 +284,10 @@ def _window_occupations(x: np.ndarray, up: np.ndarray, n: int, reach: int) -> tu
         occ = np.cumsum(change, dtype=np.int64)
         occ += n
         excursion = max(int(occ.max()) - n, n - int(occ.min()))
-        if excursion <= reach:
-            return occ, change, excursion
-        reach = max(2 * reach, excursion)  # at least double: this ends
+        held = excursion <= reach
+        reach = excursion + 8  # for a rerun or the next window: this path's reach and a margin
+        if held:
+            return occ, int(np.count_nonzero(change)), reach
 
 
 def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
@@ -314,8 +315,8 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
     takes the band [n - r, n + r]. From any state in it, a step with
     u1*L < n - r de-excites and a step with u1*L >= n + r does not, so one
     cumulative sum places both kinds; only the steps with u1*L in the band run
-    the rule one at a time. A path that leaves the band reruns the window with
-    at least 2r, and at least as far as that path went, which ends, since S
+    the rule one at a time. The next band, for a rerun or the next window, is
+    as far as this path went plus 8. Reruns widen the band and end, since S
     steps move at most S from n. Each compare is ``float(u1*L) < n`` with an
     integer n <= L <= 2^53, the same exact compare in numpy as in Python (n + r
     may round past 2^53, but then every u1*L < L is below it); in the band it
@@ -357,9 +358,8 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
         span = min(_CHUNK, edge - step)
         w = random_words(cfg.seed, 2 * span, offset=2 * step)
         w >>= np.uint64(11)
-        occ, change, excursion = _window_occupations(w[0::2] * scale, w[1::2] < threshold, n, reach)
-        accepted += int(np.count_nonzero(change))
-        reach = excursion + 8  # the next band: this path's reach and a margin
+        occ, moved, reach = _window_occupations(w[0::2] * scale, w[1::2] < threshold, n, reach)
+        accepted += moved
         if 0 <= b < batches:
             run = occ.astype(np.float64)
             run[0] += batch_sums[b]

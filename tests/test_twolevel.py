@@ -559,11 +559,15 @@ def test_metropolis_matches_per_step_loop(length, kt, steps, seed, burn_frac):
     steps=st.lists(st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=-8, max_value=8),
                              st.booleans()), min_size=32, max_size=300),
 )
+# two excitations go one state past the band n -/+ 1, two de-excitations
+# come back: the rerun's band is the path's reach plus the margin
+@example(n=100, reach=1, steps=[(3, 0, True)] * 2 + [(3, -1, False)] * 2 + [(3, 0, False)] * 28)
 @settings(max_examples=200, deadline=None)
 def test_window_band_edges_match_per_step_loop(n, reach, steps):
     """Site compares at and next to the band's edges n -/+ reach, n and
     the state before the step, from a band narrow enough that most windows
-    rerun with a wider one."""
+    rerun with a wider one. The solver also returns how many steps moved
+    and the next band, the path's largest distance from n plus 8."""
     state, x, up, expected = n, [], [], []
     for anchor, half, rise in steps:
         xi = (n - reach, n, n + reach, state)[anchor] + half / 2
@@ -574,10 +578,10 @@ def test_window_band_edges_match_per_step_loop(n, reach, steps):
         x.append(xi)
         up.append(rise)
         expected.append(state)
-    occ, change, excursion = twolevel._window_occupations(np.array(x), np.array(up), n, reach)
+    occ, moved, next_reach = twolevel._window_occupations(np.array(x), np.array(up), n, reach)
     assert occ.tolist() == expected
-    assert change.tolist() == np.diff(expected, prepend=n).tolist()
-    assert excursion == max(abs(s - n) for s in expected)
+    assert moved == np.count_nonzero(np.diff(expected, prepend=n))
+    assert next_reach == max(abs(s - n) for s in expected) + 8
 
 
 @pytest.mark.parametrize("length, kt", [(10, 1.0), (10**4, 0.25)])
