@@ -66,9 +66,9 @@ class Report:
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
         for key, value in self.inputs.items():
-            lines.append(f"input   {key} = {_fmt(value)}")
+            lines.append(f"input   {key} = {value}")
         for key, entry in self.results.items():
-            lines.append(f"result  {key} = {_fmt(entry['value'])} {entry['unit']}")
+            lines.append(f"result  {key} = {entry['value']} {entry['unit']}")
         for key, value in self.verdicts.items():
             lines.append(f"verdict {key} = {value}")
         return "\n".join(lines) + "\n"
@@ -86,12 +86,6 @@ def _json_safe(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _unit(value, consts) -> str:
