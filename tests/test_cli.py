@@ -770,6 +770,15 @@ def test_config_flag_abbreviated(flag, tmp_path, capsys):
     assert json.loads(out)["results"]["f_max"]["value"] == landauer.max_bit_rate(1e-9, 300.0, 10.0)
 
 
+def test_fiber_simulate_reads_epsilon_as_epsilon0(capsys):
+    """argparse takes ``--epsilon`` as the unique prefix of ``--epsilon0``;
+    a later flag sharing that prefix would make it ambiguous."""
+    argv = ["fiber", "simulate", "--alpha", "0.1", "--span-km", "1", "--spans", "1", "--file-length", "10"]
+    full = run_capture(argv + ["--epsilon0", "5"], capsys)
+    assert full[0] == 0
+    assert run_capture(argv + ["--epsilon", "5"], capsys) == full
+
+
 @pytest.mark.parametrize("value", ["-1e308", "-1E-3", "-.5e1"])
 def test_negative_float_with_an_exponent_is_a_value(value, capsys):
     """A negative float in scientific notation, given as its own token, is
