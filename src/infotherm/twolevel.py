@@ -322,9 +322,8 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
     may round past 2^53, but then every u1*L < L is below it); in the band it
     is floor(u1*L) < n, the same compare on integers. So the chain, and every
     statistic taken from its per-step occupations, is bit-identical to a
-    per-step loop and does not depend on the window size. Each batch sum is a
-    float64 running sum in step order, ``np.add.accumulate`` seeded with the
-    sum so far, so it rounds exactly as a per-step ``+=`` does past 2^53.
+    per-step loop and does not depend on the window size. Each batch sum is an
+    exact integer, and each batch mean is rounded once, an int/int division.
     """
     import numpy as np
 
@@ -347,7 +346,7 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
     batches = min(_BATCHES, kept)
     batch_len = kept // batches
 
-    batch_sums = [0.0] * batches
+    batch_sums = [0] * batches
     accepted = 0
     reach = 8
 
@@ -361,13 +360,12 @@ def metropolis_sample(length: int, epsilon: float, cfg: McConfig) -> McResult:
         occ, moved, reach = _window_occupations(w[0::2] * scale, w[1::2] < threshold, n, reach)
         accepted += moved
         if 0 <= b < batches:
-            run = occ.astype(np.float64)
-            run[0] += batch_sums[b]
-            batch_sums[b] = float(np.add.accumulate(run, out=run)[-1])
+            # offsets from n lie within +/-span, so their int64 sum cannot wrap
+            batch_sums[b] += span * n + int((occ - n).sum())
         n = int(occ[-1])
         step += span
 
-    batch_means = np.asarray(batch_sums) / batch_len
+    batch_means = np.array([s / batch_len for s in batch_sums])
     mean_n = float(batch_means.mean())
     if batches > 1:
         std_error = float(batch_means.std(ddof=1) / math.sqrt(batches))

@@ -478,7 +478,7 @@ def reference_metropolis_sample(length, epsilon, cfg):
     batch_len = kept // batches
     kept_used = batches * batch_len
 
-    batch_sums = [0.0] * batches
+    batch_sums = [0] * batches
     accepted = 0
 
     step = 0
@@ -499,7 +499,7 @@ def reference_metropolis_sample(length, epsilon, cfg):
                     batch_sums[j // batch_len] += n
         step += span
 
-    batch_means = np.asarray(batch_sums) / batch_len
+    batch_means = np.array([s / batch_len for s in batch_sums])
     mean_n = float(batch_means.mean())
     if batches > 1:
         std_error = float(batch_means.std(ddof=1) / math.sqrt(batches))
@@ -531,9 +531,11 @@ def assert_identical(result, expected):
 )
 @example(length=10, kt=1.0, steps=3 * twolevel._CHUNK, seed=7, burn_frac=0.1)
 @example(length=10**4, kt=0.25, steps=2 * twolevel._CHUNK + 5, seed=8, burn_frac=0.6)
-# batch sums past 2^53 (rounding) and past 2^63 (int64 would wrap)
+# batch sums past 2^53, where a float64 running sum would round, and past
+# 2^63, where an int64 one would wrap: each batch sum must stay exact
 @example(length=10**15, kt=1.0, steps=10**6, seed=3, burn_frac=0.0)
 @example(length=2**53, kt=2.0, steps=3 * twolevel._CHUNK, seed=4, burn_frac=0.0)
+@example(length=10**15, kt=100.0, steps=3 * twolevel._CHUNK, seed=1, burn_frac=0.1)
 # the burn-in from L//2 widens the first window's band several times
 @example(length=10**5, kt=0.05, steps=2 * twolevel._CHUNK + 3, seed=5, burn_frac=0.0)
 # most steps fall in the band
