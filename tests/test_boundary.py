@@ -3,7 +3,8 @@
 Each golden argv (except ``gas metropolis``, whose chain would run for
 minutes at the larger edge values) is run with each of its numeric tokens
 replaced, one at a time, by each of the edge values below; the stream
-length of ``generate`` keeps its value. Each variant runs in process, as
+length of ``generate`` keeps its value, and so does a token that a later
+occurrence of the same flag overrides, since the parse discards it. Each variant runs in process, as
 text and as ``--json``, in a directory that holds the two golden corpora.
 For every variant:
 
@@ -59,6 +60,8 @@ def _variants():
             continue
         for i, token in enumerate(argv):
             if not _is_number(token) or (argv[0] == "generate" and argv[i - 1] == "--length"):
+                continue
+            if argv[i - 1] in argv[i + 1:]:  # a later occurrence of the flag overrides it
                 continue
             for edge in EDGES:
                 variant = argv[:i] + [edge] + argv[i + 1:]
