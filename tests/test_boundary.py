@@ -4,8 +4,9 @@ Each golden argv (except ``gas metropolis``, whose chain would run for
 minutes at the larger edge values) is run with each of its numeric tokens
 replaced, one at a time, by each of the edge values below; the stream
 length of ``generate`` keeps its value, and so does a token that a later
-occurrence of the same flag overrides, since the parse discards it. Each variant runs in process, as
-text and as ``--json``, in a directory that holds the two golden corpora.
+occurrence of the same flag overrides, since the parse discards it. Each
+variant runs in process, as text and as ``--json``, in a directory that
+holds the two golden corpora.
 For every variant:
 
 * no exception escapes ``cli.run``;
