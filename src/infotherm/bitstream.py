@@ -262,7 +262,7 @@ def conditional_entropy_rate(stream: Bitstream, order: int) -> float:
     windows = _Scanner(order)
     for chunk in _slices(stream.packed):
         windows.feed(chunk)
-    return windows.rate(stream.length)
+    return filescan.window_rate(windows.window_counts(stream.length), stream.length)
 
 
 def randomness_test(stream: Bitstream) -> str:

@@ -365,7 +365,7 @@ def _fiber_simulate_options(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_fiber_simulate(args, report: Report) -> None:
-    if args.spans > sys.maxsize:
+    if "csv" in args and args.spans > sys.maxsize:
         raise ValueError(f"--spans {args.spans} is beyond the index range (at most {sys.maxsize})")
     from . import fiber
 

@@ -8,9 +8,9 @@ counter imports numpy, when it is built. ``bitstream`` holds the streams
 in memory (generators, file I/O, estimators) and scans them with these.
 
 ``_scan`` is the one pass over a stream, a file read ``_CHUNK`` bytes at a
-time into one buffer or a stream in memory. It takes each chunk as one
-Python int, MSB first: the ones are its ``bit_count()``, the pairs of
-adjacent ones those of ``y & (y >> 1)`` plus the pair across each seam.
+time or a stream in memory. It takes each chunk as one Python int, MSB
+first: the ones are its ``bit_count()``, the pairs of adjacent ones those
+of ``y & (y >> 1)`` plus the pair across each seam.
 It feeds each chunk to a window counter when the order and length call for
 one. ``_Windows`` counts with ints, by a product tree: level j splits each
 window mask by bit j of the window, ANDing it with the stream shifted into
@@ -18,9 +18,9 @@ line, and the popcounts of the 2^(k+1) leaves are the counts. Its cost
 grows with the file and doubles with each order, while the array counter's
 (``_Scanner``) is mostly the numpy import, so ``analyze_file``
 counts with ints only up to ``MAX_INT_ORDER`` and within ``_INT_BUDGET``.
-Either way the rate comes from ``window_rate`` up to that order and from
-the array fold above it, so the statistics equal ``analyze`` of the stream
-in memory.
+The counters only count: ``window_rate`` is the one place where a count
+table, from either counter, becomes a rate, so the statistics equal
+``analyze`` of the stream in memory.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ MIN_SAMPLES_PER_CONTEXT = 64
 
 MAX_MARKOV_ORDER = 16
 
-#: The highest order counted with ints, and rated by ``window_rate``.
+#: The highest order counted with ints; ``window_rate`` rates the count
+#: tables up to this order with ``math`` and larger ones with numpy.
 MAX_INT_ORDER = 4
 
 #: The most file bits times 2^k whose windows are counted with ints at
@@ -63,10 +64,10 @@ MAX_INT_ORDER = 4
 #: faster and ~13 MiB larger.
 _INT_BUDGET = 1 << 29
 
-#: Bytes read at a time, into one buffer.
+#: Bytes read at a time.
 _CHUNK = 1 << 14
 
-#: Count-table bins the array rate folds at a time, an even number: its
+#: Count-table bins ``window_rate`` folds at a time, an even number: its
 #: temporaries, a few times this many float64s, stay below the counter's.
 _FOLD = 1 << 12
 
@@ -155,13 +156,41 @@ def _check_whole_bytes(length: int) -> None:
         raise ValueError("stream length must be a multiple of 8 to write raw bytes")
 
 
-def window_rate(counts: list[int], length: int) -> float:
+def window_rate(counts, length: int) -> float:
     """The conditional rate, nats/bit, of a stream of ``length`` bits from
-    its window counts, indexed MSB first: the terms n (ln n(context) - ln n)
-    of the windows seen, ``math.log`` each, summed by ``math.fsum``."""
-    log = math.log
-    terms = [n * (log(counts[i] + counts[i ^ 1]) - log(n)) for i, n in enumerate(counts) if n]
-    return math.fsum(terms) / length
+    its window counts, a list or an int64 array indexed MSB first: the sum
+    of the terms n (ln n(context) - ln n) of the windows seen, over length.
+    This is the one place where window counts become a rate.
+
+    Up to ``2 << MAX_INT_ORDER`` bins each log is ``math.log`` and the
+    terms are summed by ``math.fsum``, so the rate does not depend on which
+    counter counted. A larger table, only ever the array counter's, is
+    consumed: its terms are computed ``_FOLD`` bins at a time with numpy
+    and written in order over the table itself, viewed as float64. A
+    block's terms take no more slots than its bins, so the writes never
+    pass a bin still to be read. The terms end up contiguous and in bin
+    order, so their numpy sum is the one an array of their own would give,
+    bit for bit.
+    """
+    if len(counts) <= 2 << MAX_INT_ORDER:
+        counts, log = list(map(int, counts)), math.log
+        terms = [n * (log(counts[i] + counts[i ^ 1]) - log(n)) for i, n in enumerate(counts) if n]
+        return math.fsum(terms) / length
+    import numpy as np
+
+    terms = counts.view(np.float64)
+    done = 0
+    for i in range(0, counts.size, _FOLD):
+        block = counts[i : i + _FOLD]
+        seen = block > 0
+        context = block.reshape(-1, 2).sum(axis=1).repeat(2)[seen].astype(np.float64)
+        n = block[seen].astype(np.float64)
+        out = terms[done : done + n.size]
+        np.log(context, out=out)
+        out -= np.log(n)
+        out *= n
+        done += n.size
+    return float(terms[:done].sum() / length)
 
 
 def _count(counts: list[int], z: int, bits: int, k: int) -> None:
@@ -202,9 +231,6 @@ class _Windows:
         k = self.order
         _count(self.counts, self.tail << k | self.head, 2 * k, k)
         return self.counts
-
-    def rate(self, length: int) -> float:
-        return window_rate(self.window_counts(length), length)
 
 
 class _Scanner:
@@ -271,45 +297,13 @@ class _Scanner:
             counts[wrap >> (held - 1 - s) & ((2 << k) - 1)] += 1
         return counts
 
-    def rate(self, length: int) -> float:
-        """The conditional rate, nats/bit, of the ``length`` bits fed. Up to
-        ``MAX_INT_ORDER`` it is ``window_rate`` of the counts, as the int
-        counter's is.
 
-        Above, the terms n(x) ln(n(context) / n(x)) of the windows x seen
-        are computed ``_FOLD`` bins at a time and written in order over the
-        count table itself, viewed as float64: a block's terms take no more
-        slots than its bins, so the writes never pass a bin still to be
-        read. The terms end up contiguous and in bin order, so their numpy
-        sum is the one an array of their own would give, bit for bit.
-        """
-        import numpy as np
-
-        counts = self.window_counts(length)
-        if self.order <= MAX_INT_ORDER:
-            return window_rate(counts.tolist(), length)
-        terms = counts.view(np.float64)
-        done = 0
-        for i in range(0, counts.size, _FOLD):
-            block = counts[i : i + _FOLD]
-            seen = block > 0
-            context = block.reshape(-1, 2).sum(axis=1).repeat(2)[seen].astype(np.float64)
-            n = block[seen].astype(np.float64)
-            out = terms[done : done + n.size]
-            np.log(context, out=out)
-            out -= np.log(n)
-            out *= n
-            done += n.size
-        return float(terms[:done].sum() / length)
-
-
-def _read(path: str | os.PathLike, bit_order: str) -> Iterator[bytearray]:
-    """The bytes of a file, read ``_CHUNK`` at a time into one buffer and
-    bit-reversed for ``lsb_first``."""
-    buf = bytearray(_CHUNK)
+def _read(path: str | os.PathLike, bit_order: str) -> Iterator[bytes]:
+    """The bytes of a file, read ``_CHUNK`` at a time and bit-reversed for
+    ``lsb_first``."""
     with open(path, "rb", buffering=0) as f:
-        while size := f.readinto(buf):
-            yield buf[:size] if bit_order == "msb_first" else buf[:size].translate(_REVERSED)
+        while chunk := f.read(_CHUNK):
+            yield chunk if bit_order == "msb_first" else chunk.translate(_REVERSED)
 
 
 def _scan(chunks: Iterable, windows=None, pad: int = 0) -> tuple[int, int, int, int, int]:
@@ -381,14 +375,14 @@ def _verdict(L: int, ones: int, lag1: float) -> str:
 
 def _stats(L: int, n: int, pairs: int, first: int, last: int, order: int, windows) -> FileStats:
     """The statistics of a stream of L bits from its moments (see ``_scan``)
-    and, at order >= 1, the window counter it fed, which is asked for the
-    rate only when the stream offers enough samples per context."""
+    and, at order >= 1, the window counter it fed, whose counts are rated
+    only when the stream offers enough samples per context."""
     p_hat = n / L
     h = binary_entropy(p_hat)
     lag1 = _lag1(L, n, pairs, first, last)
     rate = None
     if L >= MIN_SAMPLES_PER_CONTEXT << order:
-        rate = windows.rate(L) if order else h
+        rate = window_rate(windows.window_counts(L), L) if order else h
     return FileStats(
         length=L,
         ones=n,

@@ -618,7 +618,7 @@ def seam_file(tmp_path_factory):
 @example(data=bytes(range(256)) * 16 + b"\x5a\xa5\x0f", order=5, bit_order="lsb_first")
 @settings(max_examples=40, deadline=None)
 def test_streamed_file_stats_equal_in_memory_analyze(seam_file, data, order, bit_order):
-    """``analyze_file`` reads the file through one reused buffer; whatever
+    """``analyze_file`` reads the file ``_CHUNK`` bytes at a time; whatever
     the chunk size and whichever scanner counts, its statistics are those
     of the whole stream in memory."""
     seam_file.write_bytes(data)
@@ -697,6 +697,29 @@ def test_int_scanner_counts_what_the_array_scanner_counts(seam_file, size, order
         if order:
             np.testing.assert_array_equal(windows.window_counts(bits.size),
                                           reference_window_counts(bits, order))
+
+
+@pytest.mark.parametrize("counts", [[1, 1, 1, 1], np.ones(4, dtype=np.int64)],
+                         ids=["list", "array"])
+def test_window_rate_of_the_cyclic_stream_0011_is_ln2(counts):
+    """The cyclic stream 0011 holds each 2-bit window once, so each 1-bit
+    context is followed by 0 and by 1 alike: exactly ln 2 nats a bit."""
+    assert filescan.window_rate(counts, 4) == math.log(2)
+
+
+@pytest.mark.parametrize("order", range(1, filescan.MAX_INT_ORDER + 1))
+def test_window_rate_does_not_depend_on_the_counter(order):
+    """Up to ``MAX_INT_ORDER`` the int counter's list and the array
+    counter's int64 array of one stream are rated alike, bit for bit."""
+    stream = generate(GeneratorSpec(kind="markov", length=2**16 + 8, seed=order, q=0.1))
+    tables = []
+    for counter in (filescan._Windows, filescan._Scanner):
+        windows = counter(order)
+        filescan._scan(bitstream._slices(stream.packed), windows)
+        tables.append(windows.window_counts(stream.length))
+    assert [type(table) for table in tables] == [list, np.ndarray]
+    rates = {filescan.window_rate(table, stream.length).hex() for table in tables}
+    assert len(rates) == 1
 
 
 @pytest.mark.parametrize("order", [9, 16])

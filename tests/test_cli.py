@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 
@@ -489,7 +490,7 @@ HUGE = "1" + "0" * 400
     ["fiber", "simulate", "--alpha", "0.1", "--span-km", "1", "--spans", "1",
      "--file-length", HUGE],
     ["fiber", "simulate", "--alpha", "0.1", "--span-km", "1", "--spans", str(10**20),
-     "--file-length", "1"],
+     "--file-length", "1", "--csv", os.devnull],
 ], ids=["gas-entropy-length", "gas-occupation-length", "fiber-file-length", "fiber-spans"])
 def test_integer_too_large_is_an_input_error(argv, capsys):
     """An integer flag beyond float64 or index range exits 2 with one
@@ -499,6 +500,17 @@ def test_integer_too_large_is_an_input_error(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("infotherm: error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_fiber_simulate_spans_beyond_index_range_without_csv(capsys):
+    """Only the per-span CSV indexes the spans; without ``--csv`` a span
+    count past ``sys.maxsize`` runs, and its totals are float64 products."""
+    spans = 10**20
+    status, out = run_capture(["fiber", "simulate", "--alpha", "0.1", "--span-km", "1",
+                               "--spans", str(spans), "--file-length", "1", "--json"], capsys)
+    assert status == 0
+    results = {key: entry["value"] for key, entry in json.loads(out)["results"].items()}
+    assert results["total_work"] == spans * results["work_per_span"]
 
 
 def test_fiber_amplifier_audit(capsys):

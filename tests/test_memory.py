@@ -9,11 +9,11 @@ pytest would read pytest's size. The launcher imports nothing large, so
 each peak is the command's own, above a floor of about a bare interpreter.
 
 The bit commands stream: ``generate`` writes each packed block as it is
-drawn, and ``file`` and ``broadcast`` read the file 16 KiB at a time into
-one buffer. So on a 2^23-bit corpus ``generate`` and ``file
---markov-order 16``, on a corpus where all 2^17 windows occur included,
-peak (``wait4``'s ``ru_maxrss``) within 4 MiB of an interpreter that has
-only imported numpy and ``infotherm.bitstream``. At the default order
+drawn, and ``file`` and ``broadcast`` read the file 16 KiB at a time. So
+on a 2^23-bit corpus ``generate`` and ``file --markov-order 16``, on a
+corpus where all 2^17 windows occur included, peak (``wait4``'s
+``ru_maxrss``) within 4 MiB of an interpreter that has only imported
+numpy and ``infotherm.bitstream``. At the default order
 ``file`` and ``broadcast`` import no numpy, and peak within 2 MiB of an
 interpreter that has imported the modules they run; numpy alone would add
 ~13 MiB. ``file`` on a file eight times larger peaks within 0.5 MiB of
