@@ -17,6 +17,7 @@ packed bytes and counts its windows here as it does for a file.
 from __future__ import annotations
 
 import os
+import stat
 from collections import namedtuple
 from collections.abc import Iterator
 
@@ -35,6 +36,10 @@ _BLOCK = 1 << 14
 
 #: Each byte value with its bit order reversed.
 _REVERSED = np.frombuffer(filescan._REVERSED, dtype=np.uint8)
+
+#: Each byte value's xor prefix, MSB first: bit 7 - i is the xor of its
+#: bits 7 down to 7 - i, so bit 0 is the byte's parity.
+_PREFIX = np.bitwise_xor.reduce([np.arange(256, dtype=np.uint8) >> s for s in range(8)])
 
 
 def _integers_upto(values: np.ndarray, top: int) -> bool:
@@ -148,14 +153,20 @@ class GeneratorSpec(Validated, namedtuple("GeneratorSpec", "kind length seed p q
             raise ValueError(f"{self.kind} takes no q")
 
 
-def _blocks(spec: GeneratorSpec) -> Iterator[np.ndarray]:
-    """The stream described by ``spec``, packed ``_BLOCK`` bits at a time.
+def _blocks(spec: GeneratorSpec, start: int = 0, stop: int | None = None) -> Iterator[np.ndarray]:
+    """Blocks ``start`` up to ``stop`` (default: the last) of the stream
+    described by ``spec``, packed ``_BLOCK`` bits at a time.
 
     The bernoulli bits are u_(t+1) < p, and the markov bits the first bit
     u_1 < 1/2 xor the flips u_2..u_(t+1) < q, comparing the stream's words
-    with the integer threshold; the markov xor prefix carries from block
-    to block. Every block starts at an even bit, so the alternating bits
-    are the same in each.
+    with the integer threshold. A markov block is the xor prefix of its
+    flips, the first xored with the carry, the last bit of the block
+    before: each packed byte's own prefix from ``_PREFIX``, inverted when
+    the bytes before it hold an odd number of ones. The carry is 0 for the
+    first block drawn, so blocks drawn from ``start > 0`` are those of the
+    whole stream when its block ``start - 1`` ends on 0, and their
+    inverses when it ends on 1. Every block starts at an even bit, so the
+    alternating bits are the same in each.
     """
     L, kind = spec.length, spec.kind
     flags = np.zeros(min(_BLOCK, L), dtype=np.bool_)
@@ -164,25 +175,28 @@ def _blocks(spec: GeneratorSpec) -> Iterator[np.ndarray]:
     if kind in ("bernoulli", "markov"):
         threshold = np.uint64(_threshold(spec.q if kind == "markov" else spec.p))
     carry = False
-    for start in range(0, L, _BLOCK):
-        size = min(_BLOCK, L - start)
+    stop = L if stop is None else min(stop * _BLOCK, L)
+    for first in range(start * _BLOCK, stop, _BLOCK):
+        size = min(_BLOCK, L - first)
         block = flags[:size]
         if kind == "ordered_block":
-            cut = max(L // 2 - start, 0)
+            cut = max(L // 2 - first, 0)
             block[:cut] = True
             block[cut:] = False
         elif kind != "alternating":
-            top = random_words(spec.seed, size, start)
+            top = random_words(spec.seed, size, first)
             top >>= np.uint64(11)
             np.less(top, threshold, out=block)
             if kind == "markov":
-                if start == 0:
-                    block[0] = top[0] < _threshold(0.5)
-                np.logical_xor.accumulate(block, out=block)
-                if carry:
-                    np.logical_not(block, out=block)
-                carry = bool(block[-1])
-        yield np.packbits(block)
+                block[0] = top[0] < _threshold(0.5) if first == 0 else block[0] != carry
+        packed = np.packbits(block)
+        if kind == "markov":
+            packed = _PREFIX[packed]
+            odd = np.bitwise_xor.accumulate(packed & 1)
+            packed[1:] ^= odd[:-1] * np.uint8(255)
+            carry = bool(packed[-1] & 1)
+            packed[-1] &= 255 << (-size % 8) & 255
+        yield packed
 
 
 def generate(spec: GeneratorSpec) -> Bitstream:
@@ -202,15 +216,72 @@ def generate(spec: GeneratorSpec) -> Bitstream:
 def write_generated(spec: GeneratorSpec, path: str | os.PathLike, bit_order: str = "msb_first") -> int:
     """Write the bytes of ``write_bitstream(generate(spec), path,
     bit_order)``, each block as it is drawn, and return the stream's ones.
-    The length must be a multiple of 8."""
+    The length must be a multiple of 8.
+
+    A bernoulli or markov stream of two blocks or more, written to a
+    regular file, is drawn in two halves by ``_write_halves``, the second in
+    a forked child; any other stream or file, such as a pipe, is written in
+    order here.
+    """
     _check_bit_order(bit_order)
     _check_whole_bytes(spec.length)
-    ones = 0
     with open(path, "wb") as out:
-        for block in _blocks(spec):
-            ones += int.from_bytes(block, "big").bit_count()
-            out.write(block if bit_order == "msb_first" else _REVERSED[block])
+        ones = _write_halves(spec, out.fileno(), bit_order)
+        if ones is None:
+            ones = 0
+            for block in _blocks(spec):
+                ones += int.from_bytes(block, "big").bit_count()
+                out.write(block if bit_order == "msb_first" else _REVERSED[block])
     return ones
+
+
+def _write_halves(spec: GeneratorSpec, fd: int, bit_order: str) -> int | None:
+    """The ones of the stream, written to the regular file ``fd`` in two
+    halves split at a block boundary, the second drawn by
+    ``filescan._Half``; None, with nothing written, when the stream or the
+    file is not one to split, or the halves cannot run apart.
+
+    Each half writes its blocks at their offsets. Draw j is a pure function
+    of (seed, j), so the halves are those of the whole stream but for the
+    markov carry: the child draws its half after a 0 (see ``_blocks``).
+    When the first half ends on a 1, the child's half is inverted in place,
+    block by block, read back through a second descriptor of the file, and
+    its ones become its bits minus its ones.
+    """
+    blocks = -(-spec.length // _BLOCK)
+    mid = blocks // 2
+    if spec.kind not in ("bernoulli", "markov") or not mid or not stat.S_ISREG(os.fstat(fd).st_mode):
+        return None
+    try:
+        back = open(f"/proc/self/fd/{fd}", "rb", buffering=0)
+    except OSError:
+        return None
+    with back:
+        half = filescan._Half.fork(lambda: [_put(spec, fd, bit_order, mid, blocks)[0].to_bytes(8, "little")])
+        if half is None:
+            return None
+        with half:
+            ones, last = _put(spec, fd, bit_order, 0, mid)
+            theirs = int.from_bytes(half.read(8), "little")
+        if spec.kind == "markov" and last:
+            start, size = mid * _BLOCK // 8, _BLOCK // 8
+            for offset in range(start, spec.length // 8, size):
+                block = np.frombuffer(os.pread(back.fileno(), size, offset), dtype=np.uint8)
+                filescan._write(fd, np.invert(block), offset)
+            theirs = spec.length - 8 * start - theirs
+    return ones + theirs
+
+
+def _put(spec: GeneratorSpec, fd: int, bit_order: str, start: int, stop: int) -> tuple[int, int]:
+    """Draw blocks ``start`` up to ``stop`` of the stream (see ``_blocks``)
+    and write each at its offset in the file ``fd``; their ones and the
+    last bit drawn."""
+    ones, offset = 0, start * _BLOCK // 8
+    for block in _blocks(spec, start, stop):
+        ones += int.from_bytes(block, "big").bit_count()
+        filescan._write(fd, block if bit_order == "msb_first" else _REVERSED[block], offset)
+        offset += block.size
+    return ones, int(block[-1]) & 1
 
 
 def read_bitstream(path: str | os.PathLike, bit_order: str = "msb_first") -> Bitstream:

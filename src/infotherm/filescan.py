@@ -7,7 +7,7 @@ ledgers read, the scan and both window counters live here; only the array
 counter imports numpy, when it is built. ``bitstream`` holds the streams
 in memory (generators, file I/O, estimators) and scans them with these.
 
-``_scan`` is the one pass over a stream, a file read ``_CHUNK`` bytes at a
+``_scan`` is the pass over a stream, a file read ``_CHUNK`` bytes at a
 time or a stream in memory. It takes each chunk as one Python int, MSB
 first: the ones are its ``bit_count()``, the pairs of adjacent ones those
 of ``y & (y >> 1)`` plus the pair across each seam.
@@ -21,6 +21,14 @@ counts with ints only up to ``MAX_INT_ORDER`` and within ``_INT_BUDGET``.
 The counters only count: ``window_rate`` is the one place where a count
 table, from either counter, becomes a rate, so the statistics equal
 ``analyze`` of the stream in memory.
+
+``_scan`` is not always the only pass over a file: when the array counter
+counts a regular file of two chunks or more, ``analyze_file`` splits it at
+a chunk boundary, scans the second part in a forked child (``_Half``)
+while it scans the first, and adds the child's moments and count table to
+its own. Feeding the first part's counter the first key bytes of the
+second counts the windows across the seam; window counts add up, so the
+statistics are those of one pass.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from __future__ import annotations
 import math
 import os
 import stat
+import sys
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
@@ -57,7 +66,7 @@ MAX_INT_ORDER = 4
 #: The most file bits times 2^k whose windows are counted with ints at
 #: order k >= 1: 32, 16, 8 and 4 MiB at orders 1 to 4 (order 0 counts no
 #: windows). On a 2-core Xeon the int counter costs ~7, 11, 19 and 32 ms/MiB
-#: at orders 1 to 4, the array counter ~8 plus the ~90 ms numpy import. At
+#: at orders 1 to 4, the array counter ~8 plus the ~55 ms numpy import. At
 #: this budget ``file`` runs faster with ints at orders 1 and 2, as fast at
 #: order 3 and a few percent slower at order 4. A budget low enough for
 #: order 4 would send 7-8 MiB files at the default order to numpy, no
@@ -298,11 +307,15 @@ class _Scanner:
         return counts
 
 
-def _read(path: str | os.PathLike, bit_order: str) -> Iterator[bytes]:
-    """The bytes of a file, read ``_CHUNK`` at a time and bit-reversed for
-    ``lsb_first``."""
+def _read(path: str | os.PathLike, bit_order: str, start: int = 0,
+          stop: float = math.inf) -> Iterator[bytes]:
+    """The bytes of a file from offset ``start`` up to ``stop`` or its end,
+    read ``_CHUNK`` at a time and bit-reversed for ``lsb_first``."""
     with open(path, "rb", buffering=0) as f:
-        while chunk := f.read(_CHUNK):
+        if start:
+            f.seek(start)
+        while start < stop and (chunk := f.read(min(_CHUNK, stop - start))):
+            start += len(chunk)
             yield chunk if bit_order == "msb_first" else chunk.translate(_REVERSED)
 
 
@@ -330,7 +343,9 @@ def analyze_file(path: str | os.PathLike, markov_order: int = 3,
     that does not grow with the file. Windows are counted only when the
     file's size lets it report the rate. A pipe has no size, so its windows
     go to the array counter; a regular file of size 0 may still hold data
-    (procfs), so only a positive size rules the rate out."""
+    (procfs), so only a positive size rules the rate out. A regular file
+    that the array counter counts may be scanned in two parts (see the
+    module docstring)."""
     _check_order(markov_order)
     _check_bit_order(bit_order)
     k = markov_order
@@ -342,10 +357,142 @@ def analyze_file(path: str | os.PathLike, markov_order: int = 3,
         windows = _Windows(k)
     else:
         windows = _Scanner(k)
-    length, *moments = _scan(_read(path, bit_order), windows)
+    mid = _CHUNK * (bits // 8 // _CHUNK // 2) if isinstance(windows, _Scanner) and bits else 0
+    half = mid and _Half.fork(lambda: _scanned(path, bit_order, mid, k))
+    if not half:
+        length, *moments = _scan(_read(path, bit_order), windows)
+    else:
+        with half:
+            first = _scan(_read(path, bit_order, 0, mid), windows)
+            for chunk in _read(path, bit_order, mid, mid + windows.key_bytes):
+                windows.feed(chunk)
+            length, *moments = _joined(first, half, windows)
     if not length:
         raise ValueError(f"file {path!s} is empty")
     return _stats(length, *moments, k, windows)
+
+
+def _scanned(path: str | os.PathLike, bit_order: str, start: int, order: int) -> Iterator:
+    """The scan of a file from byte ``start`` on, as ``_joined`` reads it:
+    its five moments, 8 bytes each, its counter's last key bytes and its
+    count table."""
+    windows = _Scanner(order)
+    yield b"".join(v.to_bytes(8, "little") for v in _scan(_read(path, bit_order, start), windows))
+    yield windows.tail
+    yield windows.counts
+
+
+def _joined(first: tuple, half: _Half, windows: _Scanner) -> tuple[int, int, int, int, int]:
+    """The moments of a stream from those of its first part, whose windows
+    up to the seam ``windows`` has counted, and the ``_scanned`` rest read
+    from ``half``. The rest's table is added ``_FOLD`` bins at a time, so
+    no second table is held, and its last key bytes replace ``windows``'."""
+    import numpy as np
+
+    length, ones, pairs, head, last = first
+    rest = [int.from_bytes(half.read(8), "little") for _ in range(5)]
+    windows.tail = np.frombuffer(half.read(windows.key_bytes), dtype=np.uint8)
+    for i in range(0, windows.counts.size, _FOLD):
+        part = windows.counts[i : i + _FOLD]
+        part += np.frombuffer(half.read(8 * part.size), dtype=np.int64)
+    return (length + rest[0], ones + rest[1], pairs + rest[2] + (last & rest[3]), head, rest[4])
+
+
+def _forks() -> bool:
+    """Whether a job may run half its work in a forked child: on Linux,
+    from a process of one thread (a fork copies only the calling thread, so
+    a lock that another thread holds stays held in the child), which may
+    run on more than one CPU."""
+    if sys.platform != "linux" or not hasattr(os, "fork"):
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1 and len(os.sched_getaffinity(0)) > 1
+    except OSError:
+        return False
+
+
+def _write(fd: int, buf, offset: int | None = None) -> None:
+    """Write all of ``buf`` to ``fd``, at ``offset`` when one is given."""
+    view = memoryview(buf).cast("B")
+    while view:
+        done = os.write(fd, view) if offset is None else os.pwrite(fd, view, offset)
+        view = view[done:]
+        if offset is not None:
+            offset += done
+
+
+class _Half:
+    """The second half of a job, run by ``job()`` in a forked child while
+    the caller runs the first half. ``fork`` starts one; it returns None
+    when ``_forks()`` says no or the fork fails, and the caller then runs
+    both halves in order itself.
+
+    The child writes the buffers that ``job()`` yields to a pipe and always
+    ends with ``os._exit``: 0 once all are written, 1 if anything raised.
+    The caller reads them back with ``read`` and reaps the child when its
+    ``with`` block ends. A pipe that ends early means the child failed:
+    ``read`` then runs ``job()`` here and goes on past the bytes already
+    read, so a failed child costs time but changes no output, and an error
+    that it met is raised here as the serial path raises it.
+    """
+
+    def __init__(self, job, pid: int, fd: int):
+        self.job, self.pid, self.fd = job, pid, fd
+        self.done, self.here, self.left = 0, None, memoryview(b"")
+
+    @classmethod
+    def fork(cls, job) -> _Half | None:
+        if not _forks():
+            return None
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            return None
+        if not pid:
+            status = 1
+            try:
+                os.close(r)
+                for buf in job():
+                    _write(w, buf)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(w)
+        return cls(job, pid, r)
+
+    def read(self, n: int) -> bytearray:
+        """The next ``n`` bytes of the job's result."""
+        out = bytearray()
+        while len(out) < n:
+            if self.here is None:
+                part = os.read(self.fd, n - len(out))
+                if not part:
+                    self.here = iter(self.job())
+                    skip = self.done
+                    while skip:
+                        skip -= len(self._local(skip))
+                self.done += len(part)
+            else:
+                part = self._local(n - len(out))
+            out += part
+        return out
+
+    def _local(self, n: int) -> memoryview:
+        """Up to ``n`` bytes of ``job()`` run here."""
+        while not self.left:
+            self.left = memoryview(next(self.here)).cast("B")
+        part, self.left = self.left[:n], self.left[n:]
+        return part
+
+    def __enter__(self) -> _Half:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        os.close(self.fd)
+        os.waitpid(self.pid, 0)
 
 
 def _lag1(L: int, n: int, pairs: int, first: int, last: int) -> float:
