@@ -191,7 +191,7 @@ def _blocks(spec: GeneratorSpec, start: int = 0, stop: int | None = None) -> Ite
                 block[0] = top[0] < _threshold(0.5) if first == 0 else block[0] != carry
         packed = np.packbits(block)
         if kind == "markov":
-            packed = _PREFIX[packed]
+            _PREFIX.take(packed, out=packed)
             odd = np.bitwise_xor.accumulate(packed & 1)
             packed[1:] ^= odd[:-1] * np.uint8(255)
             carry = bool(packed[-1] & 1)
