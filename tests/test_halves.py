@@ -8,6 +8,7 @@ thread, so that the predicate would say yes but for the case under test.
 """
 
 import os
+import sys
 import threading
 
 import numpy as np
@@ -21,7 +22,8 @@ from test_startup import python
 
 #: A fork from this multi-threaded test process warns on Python 3.12+; the
 #: children here run numpy and os calls only, and end with ``os._exit``.
-pytestmark = pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+pytestmark = [pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork"),
+              pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")]
 
 BLOCK = bitstream._BLOCK
 PARAMS = {"bernoulli": {"p": 0.3}, "markov": {"q": 0.5}, "ordered_block": {}, "alternating": {}}
@@ -198,6 +200,7 @@ sys.stderr.write(f"{ones} {stats and stats.info_rate_markov.hex()}")
 """
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="the split runs on Linux only")
 @pytest.mark.parametrize("case", ["thread", "no fork", "stdout", "control"])
 def test_the_guard_keeps_the_serial_path(case, tmp_path):
     """With a second thread alive, without ``os.fork`` or with the output
