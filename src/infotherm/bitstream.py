@@ -220,67 +220,69 @@ def write_generated(spec: GeneratorSpec, path: str | os.PathLike, bit_order: str
 
     A bernoulli or markov stream of two blocks or more, written to a
     regular file, is drawn in two halves by ``_write_halves``, the second in
-    a forked child; any other stream or file, such as a pipe, is written in
-    order here.
+    a forked child; any other stream or file, such as a pipe, is written by
+    ``_put`` here.
     """
     _check_bit_order(bit_order)
     _check_whole_bytes(spec.length)
     with open(path, "wb") as out:
         ones = _write_halves(spec, out.fileno(), bit_order)
-        if ones is None:
-            ones = 0
-            for block in _blocks(spec):
-                ones += int.from_bytes(block, "big").bit_count()
-                out.write(block if bit_order == "msb_first" else _REVERSED[block])
-    return ones
+        return _put(spec, out.fileno(), bit_order, 0, None)[0] if ones is None else ones
 
 
 def _write_halves(spec: GeneratorSpec, fd: int, bit_order: str) -> int | None:
     """The ones of the stream, written to the regular file ``fd`` in two
     halves split at a block boundary, the second drawn by
-    ``filescan._Half``; None, with nothing written, when the stream or the
-    file is not one to split, or the halves cannot run apart.
+    ``halves._Half``, or here if that child fails; None, with nothing
+    written, when the stream or the file is not one to split, or the
+    halves cannot run apart.
 
-    Each half writes its blocks at their offsets. Draw j is a pure function
-    of (seed, j), so the halves are those of the whole stream but for the
-    markov carry: the child draws its half after a 0 (see ``_blocks``).
-    When the first half ends on a 1, the child's half is inverted in place,
-    block by block, read back through a second descriptor of the file, and
-    its ones become its bits minus its ones.
+    Draw j is a pure function of (seed, j), so the halves are those of the
+    whole stream but for the markov carry: the second is drawn after a 0
+    (see ``_blocks``). When the first half ends on a 1, the second is
+    inverted in place, block by block, read back through a second
+    descriptor of the file, and its ones become its bits minus its ones.
     """
     blocks = -(-spec.length // _BLOCK)
     mid = blocks // 2
     if spec.kind not in ("bernoulli", "markov") or not mid or not stat.S_ISREG(os.fstat(fd).st_mode):
         return None
+    from .halves import _Half, _write
+
     try:
         back = open(f"/proc/self/fd/{fd}", "rb", buffering=0)
     except OSError:
         return None
     with back:
-        half = filescan._Half.fork(lambda: [_put(spec, fd, bit_order, mid, blocks)[0].to_bytes(8, "little")])
+        half = _Half.fork(lambda: [_put(spec, fd, bit_order, mid, blocks)[0].to_bytes(8, "little")])
         if half is None:
             return None
         with half:
             ones, last = _put(spec, fd, bit_order, 0, mid)
-            theirs = int.from_bytes(half.read(8), "little")
+            try:
+                theirs = int.from_bytes(half.read(8), "little")
+            except EOFError:
+                theirs = _put(spec, fd, bit_order, mid, blocks)[0]
         if spec.kind == "markov" and last:
             start, size = mid * _BLOCK // 8, _BLOCK // 8
             for offset in range(start, spec.length // 8, size):
                 block = np.frombuffer(os.pread(back.fileno(), size, offset), dtype=np.uint8)
-                filescan._write(fd, np.invert(block), offset)
+                _write(fd, np.invert(block), offset)
             theirs = spec.length - 8 * start - theirs
     return ones + theirs
 
 
-def _put(spec: GeneratorSpec, fd: int, bit_order: str, start: int, stop: int) -> tuple[int, int]:
+def _put(spec: GeneratorSpec, fd: int, bit_order: str, start: int, stop: int | None) -> tuple[int, int]:
     """Draw blocks ``start`` up to ``stop`` of the stream (see ``_blocks``)
-    and write each at its offset in the file ``fd``; their ones and the
-    last bit drawn."""
-    ones, offset = 0, start * _BLOCK // 8
+    and write them to ``fd``, each at its offset in a regular file and in
+    order to a pipe or a device; their ones and the last bit drawn."""
+    from .halves import _write
+
+    ones = 0
+    offset = start * _BLOCK // 8 if stat.S_ISREG(os.fstat(fd).st_mode) else None
     for block in _blocks(spec, start, stop):
         ones += int.from_bytes(block, "big").bit_count()
-        filescan._write(fd, block if bit_order == "msb_first" else _REVERSED[block], offset)
-        offset += block.size
+        offset = _write(fd, block if bit_order == "msb_first" else _REVERSED[block], offset)
     return ones, int(block[-1]) & 1
 
 

@@ -1,8 +1,8 @@
 """The two-process path: ``write_generated`` and ``analyze_file`` run the
-second half of a stream in a forked child (``filescan._Half``) and give the
+second half of a stream in a forked child (``halves._Half``) and give the
 bytes and statistics of the one-process path.
 
-Each path is forced by patching the fork predicate ``filescan._forks``. The
+Each path is forced by patching the fork predicate ``halves._forks``. The
 guard itself is checked in a fresh interpreter, where OpenBLAS starts no
 thread, so that the predicate would say yes but for the case under test.
 """
@@ -14,11 +14,11 @@ import threading
 import numpy as np
 import pytest
 
-from infotherm import bitstream, filescan
+from infotherm import bitstream, filescan, halves
 from infotherm.bitstream import GeneratorSpec, generate, write_generated
 from infotherm.filescan import analyze_file
 from test_bitstream import exact
-from test_startup import python
+from test_startup import LOADED, RUN_QUIET, WIDE, python
 
 #: A fork from this multi-threaded test process warns on Python 3.12+; the
 #: children here run numpy and os calls only, and end with ``os._exit``.
@@ -43,7 +43,7 @@ def _both_paths(monkeypatch, run):
     """``run()`` with the fork predicate forced off, then on."""
     results = []
     for split in (False, True):
-        monkeypatch.setattr(filescan, "_forks", lambda split=split: split)
+        monkeypatch.setattr(halves, "_forks", lambda split=split: split)
         results.append(run())
     return results
 
@@ -124,29 +124,64 @@ def _fail_in_child(monkeypatch, after: int) -> list[int]:
 @pytest.mark.parametrize("after", [0, 40 + 3 + 100_000])
 def test_a_failed_child_leaves_the_file_stats_unchanged(after, tmp_path, monkeypatch, forks):
     """A child that exits 3 before its result, or part way through its
-    count table, is reaped, and the parent scans the rest itself."""
+    count table, is reaped, and the parent scans the whole file again."""
     path = tmp_path / "data.bin"
     _random_file(path, 16)
-    monkeypatch.setattr(filescan, "_forks", lambda: False)
+    monkeypatch.setattr(halves, "_forks", lambda: False)
     serial = exact(analyze_file(path, 16))
     codes = _fail_in_child(monkeypatch, after)
-    monkeypatch.setattr(filescan, "_forks", lambda: True)
+    monkeypatch.setattr(halves, "_forks", lambda: True)
     assert exact(analyze_file(path, 16)) == serial
     assert codes == [3]
 
 
 def test_a_failed_child_leaves_the_generated_file_unchanged(tmp_path, monkeypatch, forks):
     """A child that exits 3 at its first write is reaped, and the parent
-    draws and writes the second half itself, fixed up as the child's."""
+    draws and writes the second half itself, fixed up as the child's; the
+    seeds include first halves that end on 0 and on 1."""
+    ends = set()
     for seed in range(4):
         spec = GeneratorSpec(kind="markov", length=3 * BLOCK, seed=seed, q=0.5)
         expected = generate(spec)
+        ends.add(int(expected.bits[BLOCK - 1]))
         with pytest.MonkeyPatch.context() as mp:
             codes = _fail_in_child(mp, 0)
-            mp.setattr(filescan, "_forks", lambda: True)
+            mp.setattr(halves, "_forks", lambda: True)
             assert write_generated(spec, tmp_path / "out.bin") == expected.ones
         assert (tmp_path / "out.bin").read_bytes() == expected.packed.tobytes()
         assert codes == [3]
+    assert ends == {0, 1}
+
+
+def test_read_returns_the_bytes_asked_for_or_raises(monkeypatch, forks):
+    """``read`` joins the child's writes into exactly the bytes asked for,
+    and raises ``EOFError`` when the pipe ends short of them: here the child
+    exits 3 after 4 of its 6 bytes."""
+    codes = _fail_in_child(monkeypatch, 4)
+    monkeypatch.setattr(halves, "_forks", lambda: True)
+    with halves._Half.fork(lambda: [b"ab", b"cdef"]) as half:
+        assert half.read(3) == b"abc"
+        with pytest.raises(EOFError):
+            half.read(2)
+    assert codes == [3]
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["file", "wide.bin", "--markov-order", "0"], False),
+    (["file", "wide.bin", "--markov-order", "3"], False),
+    (["broadcast", "--file", "wide.bin", "--receivers", "3"], False),
+    (["gas", "entropy", "--length", "1000", "--excited", "300"], False),
+    (["file", "wide.bin", "--markov-order", "16"], True),
+], ids=["file-o0", "file-o3", "broadcast", "gas-entropy", "file-o16"])
+def test_only_the_split_loads_the_split_module(argv, loads, tmp_path):
+    """``file`` and ``broadcast`` without windows or with the int counter,
+    and the closed forms, never compile ``halves``; the array count of a
+    regular file of two chunks or more (here 32, the fewest that report
+    the rate at order 16) does."""
+    (tmp_path / "wide.bin").write_bytes(WIDE)
+    proc = python(LOADED, RUN_QUIET, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert ("infotherm.halves" in proc.stdout.decode().split()) == loads
 
 
 def test_a_pipe_is_written_in_order(tmp_path, monkeypatch):
@@ -157,7 +192,7 @@ def test_a_pipe_is_written_in_order(tmp_path, monkeypatch):
     os.mkfifo(fifo)
     reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
     reader.start()
-    monkeypatch.setattr(filescan, "_forks", lambda: True)
+    monkeypatch.setattr(halves, "_forks", lambda: True)
     monkeypatch.setattr(os, "fork", _no_fork)
     try:
         assert write_generated(spec, fifo) == generate(spec).ones
@@ -176,10 +211,10 @@ def _no_fork():
 #: the case argv[1]. A fork raises, so only the in-process path can succeed.
 GUARD = """
 import os, sys, threading
-from infotherm import bitstream, filescan
+from infotherm import bitstream, filescan, halves
 os.sched_getaffinity = lambda pid: {0, 1}
 case, out = sys.argv[1:]
-assert filescan._forks()
+assert halves._forks()
 def no_fork():
     raise AssertionError("forked")
 if case == "thread":

@@ -228,7 +228,7 @@ COMMAND_MODULES = {
     "landauer_noise": {"core", "landauer"},
     "fiber_efficiency": {"core", "fiber"},
     "file": {"core", "filescan"},
-    "file_o16": {"core", "filescan"},
+    "file_o16": {"core", "filescan", "halves"},
     "broadcast": {"core", "filescan", "ledger"},
 }
 
