@@ -232,16 +232,17 @@ def write_generated(spec: GeneratorSpec, path: str | os.PathLike, bit_order: str
 
 def _write_halves(spec: GeneratorSpec, fd: int, bit_order: str) -> int | None:
     """The ones of the stream, written to the regular file ``fd`` in two
-    halves split at a block boundary, the second drawn by
-    ``halves._Half``, or here if that child fails; None, with nothing
-    written, when the stream or the file is not one to split, or the
-    halves cannot run apart.
+    halves split at a block boundary, the second by ``halves._Half`` or,
+    if that child fails, here; None, with nothing written, when the stream
+    or the file is not one to split, or the halves cannot run apart.
 
-    Draw j is a pure function of (seed, j), so the halves are those of the
-    whole stream but for the markov carry: the second is drawn after a 0
-    (see ``_blocks``). When the first half ends on a 1, the second is
-    inverted in place, block by block, read back through a second
-    descriptor of the file, and its ones become its bits minus its ones.
+    Each half is written in order: the first through ``fd``, the child's
+    through a second descriptor of the file, opened read-write at the seam
+    before the fork. Draw j is a pure function of (seed, j), so the halves
+    are those of the whole stream but for the markov carry: the second is
+    drawn after a 0 (see ``_blocks``). When the first half ends on a 1, the
+    second is read back through the second descriptor and written again,
+    inverted, through ``fd``; its ones become its bits minus its ones.
     """
     blocks = -(-spec.length // _BLOCK)
     mid = blocks // 2
@@ -249,12 +250,14 @@ def _write_halves(spec: GeneratorSpec, fd: int, bit_order: str) -> int | None:
         return None
     from .halves import _Half, _write
 
+    seam = mid * _BLOCK // 8
     try:
-        back = open(f"/proc/self/fd/{fd}", "rb", buffering=0)
+        back = open(f"/proc/self/fd/{fd}", "r+b", buffering=0)
     except OSError:
         return None
     with back:
-        half = _Half.fork(lambda: [_put(spec, fd, bit_order, mid, blocks)[0].to_bytes(8, "little")])
+        back.seek(seam)
+        half = _Half.fork(lambda: [_put(spec, back.fileno(), bit_order, mid, blocks)[0].to_bytes(8, "little")])
         if half is None:
             return None
         with half:
@@ -264,25 +267,24 @@ def _write_halves(spec: GeneratorSpec, fd: int, bit_order: str) -> int | None:
             except EOFError:
                 theirs = _put(spec, fd, bit_order, mid, blocks)[0]
         if spec.kind == "markov" and last:
-            start, size = mid * _BLOCK // 8, _BLOCK // 8
-            for offset in range(start, spec.length // 8, size):
-                block = np.frombuffer(os.pread(back.fileno(), size, offset), dtype=np.uint8)
-                _write(fd, np.invert(block), offset)
-            theirs = spec.length - 8 * start - theirs
+            back.seek(seam)
+            os.lseek(fd, seam, os.SEEK_SET)
+            while block := back.read(_BLOCK // 8):
+                _write(fd, np.invert(np.frombuffer(block, dtype=np.uint8)))
+            theirs = spec.length - 8 * seam - theirs
     return ones + theirs
 
 
 def _put(spec: GeneratorSpec, fd: int, bit_order: str, start: int, stop: int | None) -> tuple[int, int]:
     """Draw blocks ``start`` up to ``stop`` of the stream (see ``_blocks``)
-    and write them to ``fd``, each at its offset in a regular file and in
-    order to a pipe or a device; their ones and the last bit drawn."""
+    and write them in order to ``fd``, from where it stands; their ones and
+    the last bit drawn."""
     from .halves import _write
 
     ones = 0
-    offset = start * _BLOCK // 8 if stat.S_ISREG(os.fstat(fd).st_mode) else None
     for block in _blocks(spec, start, stop):
         ones += int.from_bytes(block, "big").bit_count()
-        offset = _write(fd, block if bit_order == "msb_first" else _REVERSED[block], offset)
+        _write(fd, block if bit_order == "msb_first" else _REVERSED[block])
     return ones, int(block[-1]) & 1
 
 

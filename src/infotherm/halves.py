@@ -1,7 +1,8 @@
 """Half a job in a forked child, stdlib only: the second half of a
 bernoulli or markov stream that ``bitstream.write_generated`` draws, or of
 a regular file that ``filescan.analyze_file`` counts with the array
-counter. Only ``generate`` and that count import this module.
+counter. Only ``generate`` and that count import this module. Every write
+is in order, from where its descriptor stands.
 
 A failed child changes no output and no error: ``_Half.read`` returns the
 bytes asked for or raises ``EOFError`` when the pipe ends early, and the
@@ -27,16 +28,11 @@ def _forks() -> bool:
         return False
 
 
-def _write(fd: int, buf, offset: int | None = None) -> int | None:
-    """Write all of ``buf`` to ``fd``, at ``offset`` when one is given, and
-    return the offset past it."""
+def _write(fd: int, buf) -> None:
+    """Write all of ``buf`` to ``fd``, in order, from where ``fd`` stands."""
     view = memoryview(buf).cast("B")
     while view:
-        done = os.write(fd, view) if offset is None else os.pwrite(fd, view, offset)
-        view = view[done:]
-        if offset is not None:
-            offset += done
-    return offset
+        view = view[os.write(fd, view) :]
 
 
 class _Half:

@@ -7,6 +7,7 @@ guard itself is checked in a fresh interpreter, where OpenBLAS starts no
 thread, so that the predicate would say yes but for the case under test.
 """
 
+import errno
 import os
 import sys
 import threading
@@ -105,18 +106,12 @@ def _fail_in_child(monkeypatch, after: int) -> list[int]:
         written[0] += len(data)
         return write(fd, data)
 
-    def pwrite(fd, data, offset, pwrite=os.pwrite):
-        if os.getpid() != parent:
-            os._exit(3)
-        return pwrite(fd, data, offset)
-
     def waitpid(pid, options, waitpid=os.waitpid):
         pid, status = waitpid(pid, options)
         codes.append(os.waitstatus_to_exitcode(status))
         return pid, status
 
     monkeypatch.setattr(os, "write", write)
-    monkeypatch.setattr(os, "pwrite", pwrite)
     monkeypatch.setattr(os, "waitpid", waitpid)
     return codes
 
@@ -164,6 +159,82 @@ def test_read_returns_the_bytes_asked_for_or_raises(monkeypatch, forks):
         with pytest.raises(EOFError):
             half.read(2)
     assert codes == [3]
+
+
+def _generated(tmp_path):
+    """A job that writes a 4-block markov stream and gives its ones and bytes."""
+    spec = GeneratorSpec(kind="markov", length=4 * BLOCK, seed=1, q=0.5)
+    path = tmp_path / "out.bin"
+    return lambda: (write_generated(spec, path), path.read_bytes())
+
+
+def _counted(tmp_path):
+    """A job that gives the order-16 statistics of a random file."""
+    path = tmp_path / "data.bin"
+    _random_file(path, 16)
+    return lambda: exact(analyze_file(path, 16))
+
+
+def _fork_fails(monkeypatch, reached):
+    def fork():
+        reached.append("fork")
+        raise BlockingIOError(errno.EAGAIN, "fork refused")
+
+    monkeypatch.setattr(halves, "_forks", lambda: True)
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def _no_task_list(monkeypatch, reached):
+    def listdir(path, listdir=os.listdir):
+        if path == "/proc/self/task":
+            reached.append("listdir")
+            raise PermissionError(errno.EACCES, "no task list", path)
+        return listdir(path)
+
+    monkeypatch.setattr(os, "listdir", listdir)
+    monkeypatch.setattr(os, "fork", _no_fork)
+
+
+def _no_second_descriptor(monkeypatch, reached):
+    def opener(file, *args, **kwargs):
+        if str(file).startswith("/proc/self/fd/"):
+            reached.append("open")
+            raise PermissionError(errno.EACCES, "no second descriptor", file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(halves, "_forks", lambda: True)
+    monkeypatch.setattr(bitstream, "open", opener, raising=False)
+    monkeypatch.setattr(os, "fork", _no_fork)
+
+
+def _fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the split runs on Linux only")
+@pytest.mark.parametrize("job, fail", [
+    (_generated, _fork_fails),
+    (_counted, _fork_fails),
+    (_generated, _no_task_list),
+    (_counted, _no_task_list),
+    (_generated, _no_second_descriptor),
+], ids=["generate-fork", "file-fork", "generate-task", "file-task", "generate-descriptor"])
+def test_a_split_that_cannot_start_runs_in_process(job, fail, tmp_path, monkeypatch):
+    """When ``os.fork`` raises ``OSError``, ``/proc/self/task`` cannot be
+    listed or the second descriptor of the generated file cannot be opened,
+    the job runs in one process: it gives the one-process path's ones,
+    bytes or statistics, leaves no child and leaks no descriptor."""
+    run = job(tmp_path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(halves, "_forks", lambda: False)
+        serial = run()
+    reached, fds = [], _fds()
+    fail(monkeypatch, reached)
+    assert run() == serial
+    assert len(reached) == 1
+    assert _fds() == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("argv, loads", [
