@@ -94,10 +94,23 @@ def test_split_file_stats_equal_the_serial_scan(order, bit_order, tmp_path, monk
     assert len(forks) == 2
 
 
+def _reaped(monkeypatch) -> list[int]:
+    """The exit codes of the children reaped from now on, in a list."""
+    codes = []
+
+    def waitpid(pid, options, waitpid=os.waitpid):
+        pid, status = waitpid(pid, options)
+        codes.append(os.waitstatus_to_exitcode(status))
+        return pid, status
+
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    return codes
+
+
 def _fail_in_child(monkeypatch, after: int) -> list[int]:
     """Make a forked child exit with status 3 once it has written ``after``
     bytes; the exit codes reaped are returned in a list."""
-    parent, written, codes = os.getpid(), [0], []
+    parent, written = os.getpid(), [0]
 
     def write(fd, data, write=os.write):
         if os.getpid() != parent and written[0] + len(data) > after:
@@ -106,14 +119,8 @@ def _fail_in_child(monkeypatch, after: int) -> list[int]:
         written[0] += len(data)
         return write(fd, data)
 
-    def waitpid(pid, options, waitpid=os.waitpid):
-        pid, status = waitpid(pid, options)
-        codes.append(os.waitstatus_to_exitcode(status))
-        return pid, status
-
     monkeypatch.setattr(os, "write", write)
-    monkeypatch.setattr(os, "waitpid", waitpid)
-    return codes
+    return _reaped(monkeypatch)
 
 
 @pytest.mark.parametrize("after", [0, 40 + 3 + 100_000])
@@ -235,6 +242,74 @@ def test_a_split_that_cannot_start_runs_in_process(job, fail, tmp_path, monkeypa
     assert _fds() == fds
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+TWO_CPUS = pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                              reason="the child moves off its parent's CPU only when it may run on another")
+
+
+@TWO_CPUS
+def test_the_child_runs_off_its_parents_cpu(monkeypatch, forks):
+    """The child may run on every CPU its parent may run on but one, the
+    parent's; the parent's own set is the same after the split as before."""
+    parent = os.sched_getaffinity(0)
+    mask = lambda cpus: bytes(cpu in cpus for cpu in range(max(parent) + 1))
+    monkeypatch.setattr(halves, "_forks", lambda: True)
+    with halves._Half.fork(lambda: [mask(os.sched_getaffinity(0))]) as half:
+        child = {cpu for cpu, on in enumerate(half.read(max(parent) + 1)) if on}
+    assert child < parent
+    assert len(parent - child) == 1
+    assert os.sched_getaffinity(0) == parent
+    assert len(forks) == 1
+
+
+def _no_setaffinity(monkeypatch, marks):
+    def setaffinity(pid, cpus):
+        marks.write_text("setaffinity")
+        raise PermissionError(errno.EPERM, "affinity refused")
+
+    monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+
+
+def _no_parent_stat(monkeypatch, marks):
+    stat = f"/proc/{os.getpid()}/stat"
+
+    def opener(file, *args, **kwargs):
+        if str(file) == stat:
+            marks.write_text("open")
+            raise PermissionError(errno.EACCES, "no parent stat", file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(halves, "open", opener, raising=False)
+
+
+@TWO_CPUS
+@pytest.mark.skipif(sys.platform != "linux", reason="the split runs on Linux only")
+@pytest.mark.parametrize("job, fail", [
+    (_generated, _no_setaffinity),
+    (_counted, _no_setaffinity),
+    (_generated, _no_parent_stat),
+    (_counted, _no_parent_stat),
+], ids=["generate-setaffinity", "file-setaffinity", "generate-stat", "file-stat"])
+def test_a_child_that_cannot_move_runs_where_it_is(job, fail, tmp_path, monkeypatch, forks):
+    """When the child cannot set its affinity or open its parent's
+    ``/proc/<ppid>/stat``, it runs its half where it is and exits 0, so the
+    parent redoes nothing: the split gives the one-process path's ones,
+    bytes or statistics with one fork, leaves no child and leaks no
+    descriptor."""
+    run, marks = job(tmp_path), tmp_path / "reached"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(halves, "_forks", lambda: False)
+        serial = run()
+    fds = _fds()
+    fail(monkeypatch, marks)
+    codes = _reaped(monkeypatch)
+    monkeypatch.setattr(halves, "_forks", lambda: True)
+    assert run() == serial
+    assert marks.exists()
+    assert codes == [0]
+    assert len(forks) == 1
+    assert _fds() == fds
 
 
 @pytest.mark.parametrize("argv, loads", [
