@@ -253,10 +253,10 @@ def test_the_child_runs_off_its_parents_cpu(monkeypatch, forks):
     """The child may run on every CPU its parent may run on but one, the
     parent's; the parent's own set is the same after the split as before."""
     parent = os.sched_getaffinity(0)
-    mask = lambda cpus: bytes(cpu in cpus for cpu in range(max(parent) + 1))
+    size = max(parent) + 1
     monkeypatch.setattr(halves, "_forks", lambda: True)
-    with halves._Half.fork(lambda: [mask(os.sched_getaffinity(0))]) as half:
-        child = {cpu for cpu, on in enumerate(half.read(max(parent) + 1)) if on}
+    with halves._Half.fork(lambda: [bytes(cpu in os.sched_getaffinity(0) for cpu in range(size))]) as half:
+        child = {cpu for cpu, on in enumerate(half.read(size)) if on}
     assert child < parent
     assert len(parent - child) == 1
     assert os.sched_getaffinity(0) == parent
