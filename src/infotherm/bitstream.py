@@ -220,8 +220,8 @@ def write_generated(spec: GeneratorSpec, path: str | os.PathLike, bit_order: str
 
     A bernoulli or markov stream of two blocks or more, written to a
     regular file, is drawn in two halves by ``_write_halves``, the second in
-    a forked child; any other stream or file, such as a pipe, is written by
-    ``_put`` here.
+    a forked child; any other stream or file, such as a pipe, and any split
+    whose child fails, is written whole by ``_put`` here.
     """
     _check_bit_order(bit_order)
     _check_whole_bytes(spec.length)
@@ -232,17 +232,17 @@ def write_generated(spec: GeneratorSpec, path: str | os.PathLike, bit_order: str
 
 def _write_halves(spec: GeneratorSpec, fd: int, bit_order: str) -> int | None:
     """The ones of the stream, written to the regular file ``fd`` in two
-    halves split at a block boundary, the second by ``halves._Half`` or,
-    if that child fails, here; None, with nothing written, when the stream
-    or the file is not one to split, or the halves cannot run apart.
+    halves split at a block boundary, the second by ``halves._Half``; None
+    when the stream or the file is not one to split, the halves cannot run
+    apart or the child fails, with ``fd`` back at 0 to write it all again.
 
     Each half is written in order: the first through ``fd``, the child's
     through a second descriptor of the file, opened read-write at the seam
     before the fork. Draw j is a pure function of (seed, j), so the halves
     are those of the whole stream but for the markov carry: the second is
     drawn after a 0 (see ``_blocks``). When the first half ends on a 1, the
-    second is read back through the second descriptor and written again,
-    inverted, through ``fd``; its ones become its bits minus its ones.
+    second is read back through the second descriptor and written inverted
+    through ``fd`` from the seam; its ones become its bits minus its ones.
     """
     blocks = -(-spec.length // _BLOCK)
     mid = blocks // 2
@@ -265,10 +265,10 @@ def _write_halves(spec: GeneratorSpec, fd: int, bit_order: str) -> int | None:
             try:
                 theirs = int.from_bytes(half.read(8), "little")
             except EOFError:
-                theirs = _put(spec, fd, bit_order, mid, blocks)[0]
+                os.lseek(fd, 0, os.SEEK_SET)
+                return None
         if spec.kind == "markov" and last:
             back.seek(seam)
-            os.lseek(fd, seam, os.SEEK_SET)
             while block := back.read(_BLOCK // 8):
                 _write(fd, np.invert(np.frombuffer(block, dtype=np.uint8)))
             theirs = spec.length - 8 * seam - theirs

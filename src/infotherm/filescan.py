@@ -245,8 +245,8 @@ class _Scanner:
     j, j+1 (and j+2 when k > 8): one shift and mask. Each chunk is counted
     behind the key-length bytes held in ``tail``, at every byte whose key
     it completes, and leaves its last key-length bytes there; their
-    windows, and the wrap to the first bytes kept in ``head``, are counted
-    by ``window_counts``. 16-bit keys go into a key histogram that is
+    windows, and the wrap to the first key-length bytes, kept in ``head``,
+    are counted by ``window_counts``. 16-bit keys go into a key histogram
     summed down to each offset's windows at the end; 24-bit keys are cut
     into each offset's windows and counted.
     """
@@ -266,8 +266,8 @@ class _Scanner:
         import numpy as np
 
         src = np.concatenate([self.tail, np.frombuffer(chunk, dtype=np.uint8)])
-        if self.head.size < 2:
-            self.head = src[:2]
+        if self.head.size < self.key_bytes:
+            self.head = src[: self.key_bytes]
         self.tail, starts = src[-self.key_bytes :], src.size - self.key_bytes
         if starts <= 0:
             return
@@ -366,10 +366,10 @@ def analyze_file(path: str | os.PathLike, markov_order: int = 3,
 def _split(path: str | os.PathLike, bit_order: str, mid: int, windows: _Scanner) -> tuple | None:
     """The moments of a file scanned in two parts split at byte ``mid``,
     the second by ``_scanned`` in a forked child (``halves._Half``), while
-    ``windows`` counts every window: the second part's first key bytes
-    close the seam, then it takes the child's last key bytes and adds its
-    table ``_FOLD`` bins at a time, so no second table is held. None when no
-    child runs or it fails; ``windows`` is then to be dropped."""
+    ``windows`` counts every window: the child's first key bytes, from the
+    pipe, close the seam, then it takes the child's last key bytes and adds
+    its table ``_FOLD`` bins at a time, so no second table is held. None
+    when no child runs or it fails; ``windows`` is then to be dropped."""
     import numpy as np
 
     from .halves import _Half
@@ -380,9 +380,8 @@ def _split(path: str | os.PathLike, bit_order: str, mid: int, windows: _Scanner)
     try:
         with half:
             length, ones, pairs, head, last = _scan(_read(path, bit_order, 0, mid), windows)
-            for chunk in _read(path, bit_order, mid, mid + windows.key_bytes):
-                windows.feed(chunk)
             rest = [int.from_bytes(half.read(8), "little") for _ in range(5)]
+            windows.feed(half.read(windows.key_bytes))
             windows.tail = np.frombuffer(half.read(windows.key_bytes), dtype=np.uint8)
             for i in range(0, windows.counts.size, _FOLD):
                 part = windows.counts[i : i + _FOLD]
@@ -393,10 +392,11 @@ def _split(path: str | os.PathLike, bit_order: str, mid: int, windows: _Scanner)
 
 
 def _scanned(path: str | os.PathLike, bit_order: str, start: int, order: int) -> Iterator:
-    """The five moments, 8 bytes each, last key bytes and count table of the
-    scan of a file from byte ``start`` on, as ``_split`` reads them."""
+    """The five moments, 8 bytes each, first and last key bytes and count
+    table of the scan of a file from byte ``start`` on, for ``_split``."""
     windows = _Scanner(order)
     yield b"".join(v.to_bytes(8, "little") for v in _scan(_read(path, bit_order, start), windows))
+    yield windows.head
     yield windows.tail
     yield windows.counts
 

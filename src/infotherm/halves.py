@@ -8,7 +8,7 @@ scheduler, a fresh child starts on its parent's CPU and tends to stay there.
 
 A failed child changes no output and no error: ``_Half.read`` returns the
 bytes asked for or raises ``EOFError`` when the pipe ends early, and the
-caller then redoes that work in process.
+caller then runs the whole job again in process, as when no child runs.
 """
 
 from __future__ import annotations

@@ -8,6 +8,8 @@ thread, so that the predicate would say yes but for the case under test.
 """
 
 import errno
+import inspect
+import math
 import os
 import sys
 import threading
@@ -55,17 +57,22 @@ def _both_paths(monkeypatch, run):
 def test_split_generate_writes_the_serial_bytes(kind, blocks, bit_order, tmp_path, monkeypatch, forks):
     """For every kind, bit order and 1, 2 or 2k+1 blocks (the last one
     short), both paths write the same file and count the same ones; the
-    markov seeds include first halves that end on 0 and on 1."""
+    markov seeds include first halves that end on 0 and on 1. A split's
+    parent draws only the first half, so a split that falls back to the
+    serial path fails here."""
     length, ends = blocks * BLOCK - 8 * (blocks == 5), set()
+    splits = kind in ("bernoulli", "markov") and blocks > 1
+    puts = _parent_spans(monkeypatch, bitstream, "_put")
     for seed in range(4):
         spec = GeneratorSpec(kind=kind, length=length, seed=seed, **PARAMS[kind])
         paths = [tmp_path / "serial.bin", tmp_path / "split.bin"]
+        puts.clear()
         ones = _both_paths(monkeypatch, lambda: write_generated(spec, paths.pop(0), bit_order))
         assert ones[0] == ones[1] == generate(spec).ones
         assert (tmp_path / "serial.bin").read_bytes() == (tmp_path / "split.bin").read_bytes()
+        assert puts == [(0, None), (0, blocks // 2) if splits else (0, None)]
         if blocks > 1:
             ends.add(int(generate(spec).bits[blocks // 2 * BLOCK - 1]))
-    splits = kind in ("bernoulli", "markov") and blocks > 1
     assert len(forks) == (4 if splits else 0)
     if splits and kind == "markov":
         assert ends == {0, 1}
@@ -83,15 +90,36 @@ def _random_file(path, order: int) -> int:
 def test_split_file_stats_equal_the_serial_scan(order, bit_order, tmp_path, monkeypatch, forks):
     """At orders 5 to 16 the split scan's statistics equal the serial
     scan's, bit for bit, with the split at the first chunk boundary and
-    nearer the middle, and the chunks of an odd size."""
+    nearer the middle, and the chunks of an odd size. The split's parent
+    reads the file once, up to the split, and takes every later byte from
+    the child, so a split that falls back to the serial scan fails here."""
     path = tmp_path / "data.bin"
-    size = _random_file(path, order)
+    size, spans = _random_file(path, order), _parent_spans(monkeypatch, filescan, "_read")
     for chunk in (size // 2 - 1, size // 5 + 1):
         monkeypatch.setattr(filescan, "_CHUNK", chunk)
+        spans.clear()
         serial, split = _both_paths(monkeypatch, lambda: exact(analyze_file(path, order, bit_order)))
         assert split == serial
         assert split["info_rate_markov"] is not None
+        assert spans == [(0, math.inf), (0, chunk * (size // chunk // 2))]
     assert len(forks) == 2
+
+
+def _parent_spans(monkeypatch, module, name: str) -> list[tuple]:
+    """The (start, stop) of each call to ``module.name`` that this process,
+    not a child, makes from now on, in a list."""
+    parent, spans, real = os.getpid(), [], getattr(module, name)
+    signature = inspect.signature(real)
+
+    def call(*args):
+        if os.getpid() == parent:
+            bound = signature.bind(*args)
+            bound.apply_defaults()
+            spans.append((bound.arguments["start"], bound.arguments["stop"]))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, call)
+    return spans
 
 
 def _reaped(monkeypatch) -> list[int]:
@@ -123,10 +151,12 @@ def _fail_in_child(monkeypatch, after: int) -> list[int]:
     return _reaped(monkeypatch)
 
 
-@pytest.mark.parametrize("after", [0, 40 + 3 + 100_000])
+@pytest.mark.parametrize("after", [0, 40, 40 + 3, 40 + 3 + 100_000])
 def test_a_failed_child_leaves_the_file_stats_unchanged(after, tmp_path, monkeypatch, forks):
-    """A child that exits 3 before its result, or part way through its
-    count table, is reaped, and the parent scans the whole file again."""
+    """A child that exits 3 before its result, after its five moments,
+    after its first 3 bytes (the key length at order 16) or part way
+    through its count table, is reaped, and the parent scans the whole file
+    again."""
     path = tmp_path / "data.bin"
     _random_file(path, 16)
     monkeypatch.setattr(halves, "_forks", lambda: False)
@@ -138,20 +168,25 @@ def test_a_failed_child_leaves_the_file_stats_unchanged(after, tmp_path, monkeyp
 
 
 def test_a_failed_child_leaves_the_generated_file_unchanged(tmp_path, monkeypatch, forks):
-    """A child that exits 3 at its first write is reaped, and the parent
-    draws and writes the second half itself, fixed up as the child's; the
+    """A child that exits 3 at its first write, part way through its half,
+    or after its whole half (2 blocks) but before its 8-byte reply is
+    reaped, and the parent writes the whole stream again in process, over
+    what the halves left, as it writes a stream that does not split; the
     seeds include first halves that end on 0 and on 1."""
     ends = set()
-    for seed in range(4):
-        spec = GeneratorSpec(kind="markov", length=3 * BLOCK, seed=seed, q=0.5)
-        expected = generate(spec)
-        ends.add(int(expected.bits[BLOCK - 1]))
-        with pytest.MonkeyPatch.context() as mp:
-            codes = _fail_in_child(mp, 0)
-            mp.setattr(halves, "_forks", lambda: True)
-            assert write_generated(spec, tmp_path / "out.bin") == expected.ones
-        assert (tmp_path / "out.bin").read_bytes() == expected.packed.tobytes()
-        assert codes == [3]
+    for after in (0, 3000, 2 * BLOCK // 8):
+        for seed in range(4):
+            spec = GeneratorSpec(kind="markov", length=3 * BLOCK, seed=seed, q=0.5)
+            expected = generate(spec)
+            ends.add(int(expected.bits[BLOCK - 1]))
+            forks.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                codes = _fail_in_child(mp, after)
+                mp.setattr(halves, "_forks", lambda: True)
+                assert write_generated(spec, tmp_path / "out.bin") == expected.ones
+            assert (tmp_path / "out.bin").read_bytes() == expected.packed.tobytes()
+            assert codes == [3]
+            assert len(forks) == 1
     assert ends == {0, 1}
 
 
